@@ -3,9 +3,9 @@
 Weighting the component pmf by rising factorials produces an infinite
 lattice measure whose rescaled versions converge, and whose rescaled
 Laplace transforms converge to an explicit integral.  The two sides are
-computed by independent code paths (termwise series summation vs limit
-kernel quadrature), so watching the error shrink along a log-spaced
-grid is a genuine numerical verification of the scaling limit.
+computed by independent code paths (closed-form NB sections per mixing
+node vs limit kernel quadrature), so watching the error shrink along a
+log-spaced grid is a genuine numerical verification of the scaling limit.
 
 Grids here are kept modest so the script runs in seconds; the full
 protocol (h up to 1e6) is the acceptance suite's criterion 8.
@@ -39,7 +39,7 @@ print("\ntransform scaling vs the limit integral at lambda = (1, 1):")
 rhs = uhat_limit_rhs(k, params, 1.0, 1.0)
 for h in (1e2, 1e3, 1e4):
     lhs = transform_scaling(u, b, h, 1.0, 1.0)
-    print(f"  h = {h:8.0f}: series {lhs:.5f}  limit {rhs:.5f}  rel err {abs(lhs/rhs-1):.3%}")
+    print(f"  h = {h:8.0f}: scaled {lhs:.5f}  limit {rhs:.5f}  rel err {abs(lhs/rhs-1):.3%}")
 
 print("\nmeasure scaling vs the limit rectangle mass at (1, 1):")
 target = derivative_limit_rect(k, params, 1.0, 1.0)

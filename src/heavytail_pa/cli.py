@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -36,13 +34,6 @@ from .quadrature import QuadratureSpec
 from .simulate import simulate
 from .tail_measure import TailMeasure, angular_histogram, standardize
 from .tauberian import marginal_check, measure_check, truncation_check, uhat_check
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("HEAVYTAIL_PA_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 def _resolve_params(args) -> ModelParams:
@@ -88,7 +79,6 @@ def _add_common(sub):
     _add_param_flags(sub)
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub.add_argument("--tolerance", type=float, default=1e-12, help="quadrature absolute tolerance")
-    sub.add_argument("--threads", type=int, default=None)
 
 
 def _quad(args) -> QuadratureSpec:
@@ -187,12 +177,7 @@ def _cmd_density(args) -> int:
     component = args.component if args.component == "combined" else int(args.component)
     config = _config_block(args, params)
     jobs = [(x, y) for x in xs for y in ys]
-
-    def one(pt):
-        return tm.density(component, pt[0], pt[1])
-
-    with ThreadPoolExecutor(max_workers=_threads(args)) as pool:
-        vals = list(pool.map(one, jobs))
+    vals = [tm.density(component, x, y) for x, y in jobs]
     with open(args.out, "w", encoding="utf-8") as fh:
         for key, val in _meta_lines(config).items():
             fh.write(f"# {key} = {val}\n")

@@ -28,12 +28,11 @@ from .errors import QuadratureFailure
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerance, subdivision budget and transform choice for integrals."""
+    """Tolerances and subdivision budget for integrals."""
 
     tol_abs: float = 1e-12
     tol_rel: float = 1e-10
     subdivision_limit: int = 10_000
-    transform: str = "auto"
 
     def scipy_kwargs(self) -> dict:
         return {

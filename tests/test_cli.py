@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -159,3 +162,13 @@ def test_exit_code_on_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["simulate", "--edges", "notanumber"])
     assert exc.value.code == 1
+
+
+def test_package_import_skips_scipy_stats():
+    """scipy.stats costs about half a second of import; nothing needs it."""
+    import heavytail_pa
+
+    root = os.path.dirname(os.path.dirname(heavytail_pa.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([root, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, heavytail_pa; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -7,12 +7,14 @@ from heavytail_pa import (
     DomainError,
     InvalidK,
     LatticeMeasure,
+    ModelParams,
     ScalingFunctions,
     SupportExceeded,
     build_derivative_measure,
     derivative_limit_rect,
     derivative_marginal_normalizer,
     marginal_condition,
+    measure_check,
     measure_scaling,
     transform_scaling,
     truncation_condition,
@@ -47,12 +49,20 @@ def test_dense_atoms_match_definition(deriv_measure):
 
 
 def test_series_rectangles_match_dense_atoms(deriv_measure):
-    """The factorized termwise series equals the materialized atom sums."""
-    table = deriv_measure.dense_atoms(60, 40)
-    assert deriv_measure.rect_mass_below(60, 40) == pytest.approx(table.sum(), rel=1e-9)
+    """Closed-form NB sections equal the materialized atom sums, plain and tilted."""
+    table = deriv_measure.dense_atoms(200, 200)
+    assert deriv_measure.rect_mass_below(60, 40) == pytest.approx(table[:61, :41].sum(), rel=1e-9)
     assert deriv_measure.rect_mass_below(25, 10) == pytest.approx(
         table[:26, :11].sum(), rel=1e-9
     )
+    # e^(-0.2 * 200) leaves the table's cut-off below the tolerance
+    oracle = LatticeMeasure(table)
+    boxes = [(5, 3), (20, 10)]
+    for s1, s2 in [(0.3, 0.3), (0.5, 0.2)]:
+        full, parts = deriv_measure.laplace_with_boxes(s1, s2, boxes)
+        want_full, want_parts = oracle.laplace_with_boxes(s1, s2, boxes)
+        assert full == pytest.approx(want_full, rel=1e-9)
+        assert parts == pytest.approx(want_parts, rel=1e-9)
 
 
 def test_partial_sums_diverge(deriv_measure):
@@ -134,10 +144,27 @@ def test_truncated_lattice_raises_support_exceeded(deriv_measure):
         view.atom(81, 0)
 
 
-def test_series_budget_guard(params):
-    u = build_derivative_measure(3, params, series_budget=10_000)
-    with pytest.raises(SupportExceeded, match="budget"):
-        u.laplace(1e-7, 1e-7)
+def test_transform_at_tiny_decay_rates(deriv_measure, params, scaling):
+    """Transforms stay exact at decay rates far below any term budget's reach."""
+    rep = deriv_measure.laplace(1e-7, 1e-7)
+    assert math.isfinite(rep.value) and rep.value > 0
+    assert rep.remainder == 0.0
+    rhs = uhat_limit_rhs(3, params, 1.0, 1.0)
+    lhs = transform_scaling(deriv_measure, scaling, 1e10, 1.0, 1.0)
+    assert abs(lhs / rhs - 1.0) < 1e-6
+
+
+def test_huge_scaled_boxes_stay_cheap(params):
+    """Cut indices far beyond int64 (b1(t) = t**8 at k = 2) evaluate in closed form."""
+    report = measure_check(params, k=2)
+    assert report["passed"]
+    # an asymmetric point far from the canonical one; only finiteness is
+    # asserted here, since its fixed t grid does not resolve convergence
+    p8 = ModelParams(alpha=0.45, beta=0.1, gamma=0.45, delta_in=3.0, delta_out=0.2)
+    u8 = build_derivative_measure(8, p8)
+    b8 = ScalingFunctions.for_derivative_measure(p8, 8)
+    val = u8.rect_mass_below(b8.b1(1e4), b8.b2(1e4))
+    assert math.isfinite(val) and val > 0
 
 
 def test_uhat_rhs_positive_and_monotone(params):
