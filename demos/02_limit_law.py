@@ -26,7 +26,10 @@ dist = LimitDistribution(params)
 print("pgf normalization: phi1(1,1) =", dist.pgf_component(1, 1.0, 1.0))
 print("closed-form check: phi1(0,1) =", dist.pgf_component(1, 0.0, 1.0), "= 15/31 =", 15 / 31)
 print("pgf at the origin vanishes:", dist.pgf(0.0, 0.0))
-print("mean in-degree from the pgf slope:", dist.mean_in_degree(), "(limit: 1/(1-beta) = 2)")
+h = 1e-5
+slope = (3 * dist.pgf(1.0, 1.0) - 4 * dist.pgf(1 - h, 1.0) + dist.pgf(1 - 2 * h, 1.0)) / (2 * h)
+print("mean in-degree:", dist.mean_in_degree(), "closed form;", slope,
+      "pgf slope (limit: 1/(alpha+gamma) = 2)")
 
 rng = np.random.default_rng(7)
 xs, ys = dist.sample_component(1, 10**6, rng)

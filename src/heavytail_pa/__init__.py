@@ -33,7 +33,6 @@ from .errors import (
     NonPositiveSample,
     QuadratureFailure,
     ResourceLimit,
-    SupportExceeded,
 )
 from .limit_dist import LimitDistribution
 from .params import (

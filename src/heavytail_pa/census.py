@@ -6,9 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvfile import read_csv, write_csv
 from .errors import (
     DegenerateTailSample,
     EmptyInput,
+    HeavytailError,
     InsufficientData,
     NonPositiveSample,
 )
@@ -47,32 +49,19 @@ class JointCountTable:
         raise ValueError("which must be 'in' or 'out'")
 
     def to_csv(self, path, metadata: dict | None = None) -> None:
-        """Write sparse rows i, j, N_ij with '#'-prefixed metadata lines."""
+        """Write the sparse rows i, j, N_ij of the nonzero cells (see csvfile)."""
         ii, jj = np.nonzero(self.counts)
-        with open(path, "w", encoding="utf-8") as fh:
-            for key, val in (metadata or {}).items():
-                fh.write(f"# {key} = {val}\n")
-            fh.write("i,j,N_ij\n")
-            for i, j in zip(ii, jj):
-                fh.write(f"{i},{j},{self.counts[i, j]}\n")
+        write_csv(path, ("i", "j", "N_ij"), (ii, jj, self.counts[ii, jj]), metadata)
 
     @classmethod
     def from_csv(cls, path) -> "JointCountTable":
-        rows = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#") or line.startswith("i,"):
-                    continue
-                i, j, c = line.split(",")
-                rows.append((int(i), int(j), int(c)))
-        if not rows:
-            raise EmptyInput(f"{path}: no count rows")
-        imax = max(r[0] for r in rows)
-        jmax = max(r[1] for r in rows)
-        counts = np.zeros((imax + 1, jmax + 1), np.int64)
-        for i, j, c in rows:
-            counts[i, j] += c
+        """Read rows i, j, N_ij; repeated cells add up."""
+        rows = read_csv(path, 3, np.int64)
+        if np.any(rows < 0):
+            raise HeavytailError(f"{path}: negative index or count")
+        ii, jj, cc = rows.T
+        counts = np.zeros((ii.max() + 1, jj.max() + 1), np.int64)
+        np.add.at(counts, (ii, jj), cc)
         return cls(counts)
 
 

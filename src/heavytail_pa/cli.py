@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: simulate, analytic-pmf, sample-limit, density, angular,
-estimate, compare, verify.  Tabular output is CSV with '#'-prefixed
-metadata lines; structured reports are JSON.  Every report embeds the
+estimate, compare, verify.  Tables, read or written, use the CSV
+format of heavytail_pa.csvfile, whose reader rejects malformed rows;
+structured reports are JSON.  Every report embeds the
 resolved configuration (parameters, derived constants, seed, version).
 Exit codes: 0 success, 1 validation or usage error, 2 numerical
 failure.  Randomness comes only from the --seed flag (default a fixed
@@ -27,7 +28,8 @@ from .census import (
     hill_estimate,
     loglog_slope,
 )
-from .errors import HeavytailError, QuadratureFailure, SupportExceeded
+from .csvfile import read_csv, write_csv
+from .errors import HeavytailError, QuadratureFailure
 from .limit_dist import LimitDistribution
 from .params import ModelParams, derive, load_params, validate
 from .quadrature import QuadratureSpec
@@ -113,15 +115,10 @@ def _cmd_analytic_pmf(args) -> int:
     params = _resolve_params(args)
     dist = LimitDistribution(params, _quad(args))
     table = dist.pmf_table(args.imax, args.jmax)
-    config = _config_block(args, params)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for key, val in _meta_lines(config).items():
-            fh.write(f"# {key} = {val}\n")
-        fh.write(f"# captured_mass = {table.sum()!r}\n")
-        fh.write("i,j,p\n")
-        for i in range(table.shape[0]):
-            for j in range(table.shape[1]):
-                fh.write(f"{i},{j},{float(table[i, j])!r}\n")
+    meta = _meta_lines(_config_block(args, params))
+    meta["captured_mass"] = float(table.sum())
+    ii, jj = np.indices(table.shape)
+    write_csv(args.out, ("i", "j", "p"), (ii.ravel(), jj.ravel(), table.ravel()), meta)
     print(f"wrote {table.size} masses, captured mass {table.sum():.6f}")
     return 0
 
@@ -131,13 +128,8 @@ def _cmd_sample_limit(args) -> int:
     dist = LimitDistribution(params, _quad(args))
     rng = np.random.default_rng(args.seed)
     i_arr, o_arr = dist.sample(args.n, rng)
-    config = _config_block(args, params, seed=args.seed)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for key, val in _meta_lines(config).items():
-            fh.write(f"# {key} = {val}\n")
-        fh.write("I,O\n")
-        for i, o in zip(i_arr, o_arr):
-            fh.write(f"{i},{o}\n")
+    meta = _meta_lines(_config_block(args, params, seed=args.seed))
+    write_csv(args.out, ("I", "O"), (i_arr, o_arr), meta)
     print(f"wrote {args.n} draws to {args.out}")
     return 0
 
@@ -152,39 +144,17 @@ def _parse_grid(spec: str):
     return [float(v) for v in spec.split(",")]
 
 
-def _load_numeric_csv(path, columns):
-    """Read a data CSV, skipping '#' metadata and the header row."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.strip().split(",")
-            if not line.strip() or line.startswith("#") or len(parts) != columns:
-                continue
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError:
-                continue
-    if not rows:
-        raise HeavytailError(f"{path}: no numeric rows with {columns} columns")
-    return np.asarray(rows)
-
-
 def _cmd_density(args) -> int:
     params = _resolve_params(args)
     tm = TailMeasure(params, _quad(args))
     xs = _parse_grid(args.grid_x)
     ys = _parse_grid(args.grid_y)
     component = args.component if args.component == "combined" else int(args.component)
-    config = _config_block(args, params)
+    meta = _meta_lines(_config_block(args, params))
+    meta["component"] = component
     jobs = [(x, y) for x in xs for y in ys]
     vals = [tm.density(component, x, y) for x, y in jobs]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for key, val in _meta_lines(config).items():
-            fh.write(f"# {key} = {val}\n")
-        fh.write(f"# component = {component}\n")
-        fh.write("x,y,density\n")
-        for (x, y), v in zip(jobs, vals):
-            fh.write(f"{float(x)!r},{float(y)!r},{float(v)!r}\n")
+    write_csv(args.out, ("x", "y", "density"), (*zip(*jobs), vals), meta)
     print(f"wrote {len(jobs)} density values to {args.out}")
     return 0
 
@@ -192,20 +162,15 @@ def _cmd_density(args) -> int:
 def _cmd_angular(args) -> int:
     params = _resolve_params(args)
     d = derive(params)
-    data = _load_numeric_csv(args.samples, columns=2)
+    data = read_csv(args.samples, 2)
     std = standardize((data[:, 0], data[:, 1]), d)
     radius = std.u + std.v
     threshold = float(np.quantile(radius, args.threshold_quantile))
     hist = angular_histogram(std, threshold, args.bins)
-    config = _config_block(args, params)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for key, val in _meta_lines(config).items():
-            fh.write(f"# {key} = {val}\n")
-        fh.write(f"# threshold = {threshold!r}\n")
-        fh.write(f"# exceedances = {hist.exceedances}\n")
-        fh.write("angle_lo,angle_hi,mass\n")
-        for lo, hi, m in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.masses):
-            fh.write(f"{float(lo)!r},{float(hi)!r},{float(m)!r}\n")
+    meta = _meta_lines(_config_block(args, params))
+    meta.update(threshold=threshold, exceedances=hist.exceedances)
+    columns = (hist.bin_edges[:-1], hist.bin_edges[1:], hist.masses)
+    write_csv(args.out, ("angle_lo", "angle_hi", "mass"), columns, meta)
     print(f"wrote {args.bins} angular bins ({hist.exceedances} exceedances) to {args.out}")
     return 0
 
@@ -377,10 +342,10 @@ def main(argv=None) -> int:
             args.rel_tol = {"uhat": 0.05, "measure": 0.10, "marginal": 0.10}.get(args.check, 0.05)
     try:
         return args.fn(args)
-    except (QuadratureFailure, SupportExceeded) as exc:
+    except QuadratureFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except HeavytailError as exc:
+    except (HeavytailError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -55,7 +55,3 @@ class InsufficientExceedances(HeavytailError):
 
 class InvalidK(HeavytailError):
     """The derivative order k must exceed alpha_in - 1."""
-
-
-class SupportExceeded(HeavytailError):
-    """An evaluation needs atoms beyond the stored support."""

@@ -95,12 +95,15 @@ class LimitDistribution:
         pb = self.split
         return pb * x * self.pgf_component(1, x, y) + (1.0 - pb) * y * self.pgf_component(2, x, y)
 
-    def mean_in_degree(self, h: float = 1e-5) -> float:
-        """d/dx of the joint pgf at (1, 1), one-sided second-order difference."""
-        f0 = self.pgf(1.0, 1.0)
-        f1 = self.pgf(1.0 - h, 1.0)
-        f2 = self.pgf(1.0 - 2.0 * h, 1.0)
-        return (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
+    def mean_in_degree(self) -> float:
+        """E[I], the slope of the joint pgf in x at (1, 1), in closed form.
+
+        Given Z an NB(r, 1/Z) count has mean r (Z - 1), and
+        E[Z - 1] = c1/(1 - c1), so E[I] = pb + (delta_in + pb) c1/(1 - c1)
+        with pb = gamma/(alpha+gamma); this equals 1/(alpha+gamma).
+        """
+        pb, c1 = self.split, self.derived.c1
+        return pb + (self.params.delta_in + pb) * c1 / (1.0 - c1)
 
     # -- probability masses ----------------------------------------------
 

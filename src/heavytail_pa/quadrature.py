@@ -51,13 +51,17 @@ def power_exponent(c1: float) -> float:
 
 
 def quad_checked(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD, points=None) -> float:
-    """scipy.integrate.quad with failures promoted to QuadratureFailure."""
+    """scipy.integrate.quad with failures promoted to QuadratureFailure.
+
+    Failures include an ArithmeticError (overflow, division by zero)
+    raised by the integrand itself.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
             val, err = integrate.quad(f, a, b, points=points, **spec.scipy_kwargs())
-        except integrate.IntegrationWarning as exc:
-            raise QuadratureFailure(str(exc)) from exc
+        except (integrate.IntegrationWarning, ArithmeticError) as exc:
+            raise QuadratureFailure(f"{type(exc).__name__}: {exc}") from exc
     if not math.isfinite(val):
         raise QuadratureFailure(f"non-finite quadrature value {val}")
     if err > 10.0 * max(spec.tol_abs, spec.tol_rel * abs(val), 1e-300):

@@ -20,8 +20,7 @@ Rectangle masses, marginal masses and transforms therefore factor, per
 quadrature node of the mixing integral, into products of exponentially
 tilted NB sections, and each section has a closed form through the
 regularized incomplete beta function (see _nb_section).  Nothing is
-summed termwise and no index range is truncated.  Stored dense atom
-tables keep a finite support bound and raise SupportExceeded beyond it.
+summed termwise and no index range is truncated.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import numpy as np
 from scipy.special import betainc, gammainc
 from scipy.special import gamma as gamma_fn
 
-from .errors import DomainError, InvalidK, QuadratureFailure, SupportExceeded
+from .errors import DomainError, InvalidK, QuadratureFailure
 from .limit_dist import LimitDistribution, nb_pmf
 from .params import ModelParams, derive, tail_ready
 from .quadrature import (
@@ -46,7 +45,6 @@ from .quadrature import (
 )
 
 LN10 = math.log(10.0)
-DEFAULT_SUPPORT_BOUND = (5000, 5000)
 
 
 @dataclass(frozen=True)
@@ -138,30 +136,24 @@ class TransformReport:
 
 
 class LatticeMeasure:
-    """A measure given by a finite dense table of atoms at (i, j).
+    """A measure given by a finite dense table of atoms at (i, j)."""
 
-    ``truncated`` marks the table as a window into a larger measure; in
-    that case evaluations that would need atoms beyond the table raise
-    SupportExceeded instead of silently under-counting.
-    """
-
-    def __init__(self, atoms: np.ndarray, truncated: bool = False):
+    def __init__(self, atoms: np.ndarray):
         atoms = np.asarray(atoms, np.float64)
         if atoms.ndim != 2:
             raise ValueError("atoms must be a 2-d table")
         if np.any(atoms < 0):
             raise ValueError("atom weights must be nonnegative")
         self.atoms = atoms
-        self.truncated = truncated
 
     @classmethod
-    def from_dict(cls, weights: dict, truncated: bool = False) -> "LatticeMeasure":
+    def from_dict(cls, weights: dict) -> "LatticeMeasure":
         imax = max(i for i, _ in weights)
         jmax = max(j for _, j in weights)
         table = np.zeros((imax + 1, jmax + 1))
         for (i, j), w in weights.items():
             table[i, j] += w
-        return cls(table, truncated=truncated)
+        return cls(table)
 
     @property
     def support_shape(self):
@@ -170,8 +162,6 @@ class LatticeMeasure:
     def atom(self, i: int, j: int) -> float:
         if 0 <= i < self.atoms.shape[0] and 0 <= j < self.atoms.shape[1]:
             return float(self.atoms[i, j])
-        if self.truncated:
-            raise SupportExceeded(f"atom ({i}, {j}) lies beyond the stored support")
         return 0.0
 
     def rect_mass_below(self, x: float, y: float) -> float:
@@ -179,25 +169,14 @@ class LatticeMeasure:
             return 0.0
         si, sj = self.atoms.shape
         ix, jy = int(math.floor(x)), int(math.floor(y))
-        if self.truncated and (ix >= si or jy >= sj):
-            raise SupportExceeded("rectangle reaches beyond the stored support")
         return float(self.atoms[: min(ix + 1, si), : min(jy + 1, sj)].sum())
 
     def laplace(self, s1: float, s2: float) -> TransformReport:
-        if self.truncated:
-            raise SupportExceeded("no tail model for a truncated atom table")
         val = self._weighted_sum(s1, s2)
         return TransformReport(value=val, remainder=0.0, s1=s1, s2=s2)
 
-    def laplace_outside_box(self, s1: float, s2: float, i_below: int, j_below: int) -> TransformReport:
-        """Transform restricted to atoms outside [0, i_below) x [0, j_below)."""
-        full, boxes = self.laplace_with_boxes(s1, s2, ((i_below, j_below),))
-        return TransformReport(value=full - boxes[0], remainder=0.0, s1=s1, s2=s2)
-
     def laplace_with_boxes(self, s1: float, s2: float, boxes) -> tuple:
         """Full transform plus open-box parts; returns (full, [boxes])."""
-        if self.truncated:
-            raise SupportExceeded("no tail model for a truncated atom table")
         full = self._weighted_sum(s1, s2)
         si, sj = self.atoms.shape
         vals = []
@@ -214,8 +193,6 @@ class LatticeMeasure:
         axis = 1 if component == 1 else 0
         marg = self.atoms.sum(axis=axis)
         ix = int(math.floor(x))
-        if self.truncated and ix >= marg.size:
-            raise SupportExceeded("marginal rectangle beyond the stored support")
         return float(marg[: ix + 1].sum())
 
     def _weighted_sum(self, s1: float, s2: float, block=None) -> float:
@@ -241,7 +218,6 @@ class DerivativeMeasure:
         params: ModelParams,
         k: int,
         quad: QuadratureSpec = DEFAULT_QUAD,
-        support_bound=DEFAULT_SUPPORT_BOUND,
         panels_per_decade: float = 2.0,
         gl_order: int = 16,
     ):
@@ -255,7 +231,6 @@ class DerivativeMeasure:
             )
         self.k = int(k)
         self.quad = quad
-        self.support_bound = tuple(support_bound)
         self.panels_per_decade = panels_per_decade
         self.gl_order = gl_order
 
@@ -274,10 +249,8 @@ class DerivativeMeasure:
         weight = float(np.prod(np.arange(i + 1, i + self.k + 1, dtype=np.float64)))
         return weight * self._limit.pmf_component(1, i + self.k, j)
 
-    def dense_atoms(self, i_max: Optional[int] = None, j_max: Optional[int] = None) -> np.ndarray:
-        """Materialize atoms on [0, i_max] x [0, j_max] (defaults: support bound)."""
-        i_max = self.support_bound[0] if i_max is None else i_max
-        j_max = self.support_bound[1] if j_max is None else j_max
+    def dense_atoms(self, i_max: int, j_max: int) -> np.ndarray:
+        """Materialize atoms on [0, i_max] x [0, j_max]."""
         a = self.derived.a
         iarr = np.arange(i_max + 1, dtype=np.float64)
         jarr = np.arange(j_max + 1, dtype=np.float64)
@@ -294,10 +267,6 @@ class DerivativeMeasure:
 
         table = refine_table_integral(eval_on_grid, lo, hi, self.quad)
         return np.clip(table, 0.0, None)
-
-    def to_lattice(self, i_max: Optional[int] = None, j_max: Optional[int] = None) -> LatticeMeasure:
-        """A truncated stored-table view (raises SupportExceeded beyond it)."""
-        return LatticeMeasure(self.dense_atoms(i_max, j_max), truncated=True)
 
     def captured_mass(self, half_size: float) -> float:
         """Total atom weight on the square [0, half_size]^2."""
@@ -357,10 +326,6 @@ class DerivativeMeasure:
         full, _ = self.laplace_with_boxes(s1, s2, ())
         return TransformReport(value=full, remainder=0.0, s1=s1, s2=s2)
 
-    def laplace_outside_box(self, s1: float, s2: float, i_below: int, j_below: int) -> TransformReport:
-        full, boxes = self.laplace_with_boxes(s1, s2, ((i_below, j_below),))
-        return TransformReport(value=full - boxes[0], remainder=0.0, s1=s1, s2=s2)
-
     def laplace_with_boxes(self, s1: float, s2: float, boxes) -> tuple:
         """sum m_ij e^(-s1 i - s2 j) and its parts over [0,bi) x [0,bj).
 
@@ -400,11 +365,10 @@ def build_derivative_measure(
     k: int,
     params: ModelParams,
     quad: QuadratureSpec = DEFAULT_QUAD,
-    support_bound=DEFAULT_SUPPORT_BOUND,
     **kwargs,
 ) -> DerivativeMeasure:
     """Construct the order-k derivative measure (requires k > alpha_in - 1)."""
-    return DerivativeMeasure(params, k, quad=quad, support_bound=support_bound, **kwargs)
+    return DerivativeMeasure(params, k, quad=quad, **kwargs)
 
 
 # -- scaling operations -------------------------------------------------------

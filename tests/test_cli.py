@@ -7,25 +7,11 @@ import numpy as np
 import pytest
 
 from heavytail_pa.cli import main
+from heavytail_pa.csvfile import read_csv
 
 
 def run(argv):
     return main(argv)
-
-
-def load_csv(path):
-    """Read a data CSV, skipping '#' metadata and the column-header row."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                rows.append([float(v) for v in line.split(",")])
-            except ValueError:
-                continue
-    return np.array(rows)
 
 
 def test_simulate_is_byte_reproducible(tmp_path):
@@ -56,6 +42,8 @@ def test_analytic_pmf_and_compare(tmp_path):
     text = pmf_csv.read_text()
     assert text.startswith("#")
     assert "i,j,p" in text
+    meta = dict(ln[2:].split(" = ") for ln in text.splitlines() if ln.startswith("# "))
+    assert float(meta["captured_mass"]) == read_csv(pmf_csv, 3)[:, 2].sum()
     assert (
         run(
             ["compare", "--counts", str(counts), "--imax", "8", "--jmax", "8",
@@ -72,7 +60,7 @@ def test_analytic_pmf_mass_capture(tmp_path):
     # summing the tabulated masses over an adaptive box approaches 1
     pmf_csv = tmp_path / "pmf.csv"
     assert run(["analytic-pmf", "--imax", "500", "--jmax", "500", "--out", str(pmf_csv)]) == 0
-    data = load_csv(pmf_csv)
+    data = read_csv(pmf_csv, 3)
     assert data[:, 2].sum() >= 0.98
 
 
@@ -87,7 +75,7 @@ def test_sample_limit_and_angular(tmp_path):
         )
         == 0
     )
-    rows = load_csv(angular)
+    rows = read_csv(angular, 3)
     assert rows.shape == (8, 3)
     assert rows[:, 2].sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -114,7 +102,7 @@ def test_density_grid(tmp_path):
              "--out", str(out)])
         == 0
     )
-    rows = load_csv(out)
+    rows = read_csv(out, 3)
     assert rows.shape == (3, 3)
     assert np.all(rows[:, 2] > 0)
 
@@ -156,6 +144,45 @@ def test_exit_code_on_bad_params(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("alpha=0.5\nbeta=0.5\ngamma=0.1\ndelta_in=1\ndelta_out=1\n")
     assert run(["simulate", "--edges", "10", "--params", str(cfg)]) == 1
+
+
+SAMPLES = "I,O\n" + "".join(f"{i},{i % 7}\n" for i in range(1, 2000))
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("estimate", None),
+        ("compare", None),
+        ("angular", None),
+        ("estimate", "i,j,N_ij\n1,0,5\n0,x,4\n"),
+        ("compare", "i,j,N_ij\n1,0,5\n0,1\n"),
+        ("estimate", "i,j,N_ij\n1,0,-5\n"),
+        ("compare", "i,j,N_ij\n-1,0,5\n1,1,2\n"),
+        ("angular", SAMPLES + "3,x\n"),
+        ("angular", SAMPLES + "3\n"),
+    ],
+    ids=["estimate-missing", "compare-missing", "angular-missing", "bad-cell", "short-row",
+         "negative-count", "negative-index", "angular-bad-cell", "angular-short-row"],
+)
+def test_bad_input_file_is_an_error(tmp_path, capsys, command, text):
+    path = tmp_path / "in.csv"
+    if text is not None:
+        path.write_text(text)
+    if command == "angular":
+        argv = [command, "--samples", str(path), "--threshold-quantile", "0.5"]
+    else:
+        argv = [command, "--counts", str(path)]
+    assert run([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_density_overflow_is_a_numerical_failure(tmp_path, capsys):
+    argv = ["density", "--alpha", "0.1", "--beta", "0.1", "--gamma", "0.8", "--delta-in", "5",
+            "--out", str(tmp_path / "density.csv")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("numerical failure:")
 
 
 def test_exit_code_on_usage_error(capsys):

@@ -130,8 +130,18 @@ def test_sampler_branch_frequency(dist):
 
 
 def test_mean_in_degree(dist):
-    # E[I] = 1/(1 - beta) = 2 for the canonical parameters
-    assert dist.mean_in_degree() == pytest.approx(2.0, rel=1e-4)
+    # E[I] = 1/(1 - beta) = 2 for the canonical parameters, and the
+    # one-sided difference of the pgf at (1, 1) agrees with it
+    h = 1e-5
+    slope = (3 * dist.pgf(1.0, 1.0) - 4 * dist.pgf(1 - h, 1.0) + dist.pgf(1 - 2 * h, 1.0)) / (2 * h)
+    assert slope == pytest.approx(2.0, rel=1e-4)
+    assert dist.mean_in_degree() == pytest.approx(2.0, rel=1e-12)
+
+
+def test_mean_in_degree_where_the_pgf_slope_is_singular():
+    # alpha_in = 2.22: the pgf slope is singular at 1, a finite difference 8 % low
+    p = ModelParams(0.1, 0.8, 0.1, 0.5, 4.0)
+    assert LimitDistribution(p).mean_in_degree() == pytest.approx(1 / (p.alpha + p.gamma), rel=1e-12)
 
 
 def test_component_validation(dist):

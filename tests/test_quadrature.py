@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from heavytail_pa import QuadratureFailure, QuadratureSpec
+from heavytail_pa import (
+    ModelParams,
+    QuadratureFailure,
+    QuadratureSpec,
+    TailMeasure,
+    derivative_limit_rect,
+    uhat_limit_rhs,
+)
 from heavytail_pa.quadrature import (
     power_exponent,
     quad_checked,
@@ -21,6 +28,25 @@ def test_quad_checked_rejects_blown_budget():
     spec = QuadratureSpec(subdivision_limit=1, tol_abs=1e-14, tol_rel=1e-14)
     with pytest.raises(QuadratureFailure):
         quad_checked(lambda x: math.sin(1.0 / (x + 1e-8)) / math.sqrt(x + 1e-8), 0.0, 1.0, spec)
+
+
+# alpha_in = 28.5 here: the linear-space (0, inf) integrands overflow
+HIGH_ALPHA_IN = ModelParams(0.1, 0.1, 0.8, 5.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda p: TailMeasure(p).density(1, 1.0, 1.0),
+        lambda p: TailMeasure(p).rect_mass(1, 1.0, 1.0),
+        lambda p: uhat_limit_rhs(30, p, 1.0, 1.0),
+        lambda p: derivative_limit_rect(30, p, 1.0, 1.0),
+    ],
+    ids=["density", "rect_mass", "uhat_limit_rhs", "derivative_limit_rect"],
+)
+def test_integrand_arithmetic_error_is_quadrature_failure(evaluate):
+    with pytest.raises(QuadratureFailure):
+        evaluate(HIGH_ALPHA_IN)
 
 
 def test_quad_semiinfinite_gamma_integral():

@@ -9,7 +9,6 @@ from heavytail_pa import (
     LatticeMeasure,
     ModelParams,
     ScalingFunctions,
-    SupportExceeded,
     build_derivative_measure,
     derivative_limit_rect,
     derivative_marginal_normalizer,
@@ -131,17 +130,6 @@ def test_transform_dominated_limit_large_lambda():
     b = ScalingFunctions(gamma1=1.0, gamma2=1.0)
     val = transform_scaling(u, b, 2.0, 1e6, 1e6)
     assert val == pytest.approx(1.5 / 2.0, rel=1e-9)
-
-
-def test_truncated_lattice_raises_support_exceeded(deriv_measure):
-    view = deriv_measure.to_lattice(80, 80)
-    assert view.rect_mass_below(50, 50) > 0
-    with pytest.raises(SupportExceeded):
-        view.rect_mass_below(2000, 50)
-    with pytest.raises(SupportExceeded):
-        view.laplace(0.01, 0.01)
-    with pytest.raises(SupportExceeded):
-        view.atom(81, 0)
 
 
 def test_transform_at_tiny_decay_rates(deriv_measure, params, scaling):
