@@ -13,20 +13,32 @@ from .errors import (
     HeavytailError,
     InsufficientData,
     NonPositiveSample,
+    ResourceLimit,
 )
 from .simulate import DirectedMultigraph
 
+MAX_TABLE_CELLS = 1 << 27  # 512 MiB of int32 counts
+COUNT_MAX = np.iinfo(np.int32).max
+
+
+def _table_shape(i_max: int, j_max: int) -> tuple:
+    """The shape of a dense table over [0, i_max] x [0, j_max], within MAX_TABLE_CELLS."""
+    shape = (int(i_max) + 1, int(j_max) + 1)
+    if shape[0] * shape[1] > MAX_TABLE_CELLS:
+        raise ResourceLimit(f"a {shape[0]} x {shape[1]} count table exceeds {MAX_TABLE_CELLS} cells")
+    return shape
+
 
 class JointCountTable:
-    """Dense table of node counts by (in-degree, out-degree)."""
+    """Dense int32 table of node counts by (in-degree, out-degree)."""
 
     def __init__(self, counts: np.ndarray):
         counts = np.asarray(counts)
         if counts.ndim != 2:
             raise ValueError("counts must be a 2-d table")
-        if np.any(counts < 0):
-            raise ValueError("counts must be nonnegative")
-        self.counts = counts.astype(np.int64)
+        if counts.size and (counts.min() < 0 or counts.max() > COUNT_MAX):
+            raise ValueError(f"counts must lie in [0, {COUNT_MAX}]")
+        self.counts = counts.astype(np.int32, copy=False)
 
     @property
     def total_nodes(self) -> int:
@@ -60,8 +72,10 @@ class JointCountTable:
         if np.any(rows < 0):
             raise HeavytailError(f"{path}: negative index or count")
         ii, jj, cc = rows.T
-        counts = np.zeros((ii.max() + 1, jj.max() + 1), np.int64)
-        np.add.at(counts, (ii, jj), cc)
+        if cc.max() > COUNT_MAX or cc.sum() > COUNT_MAX:
+            raise HeavytailError(f"{path}: counts add up to more than {COUNT_MAX} nodes")
+        counts = np.zeros(_table_shape(ii.max(), jj.max()), np.int32)
+        np.add.at(counts, (ii, jj), cc.astype(np.int32))
         return cls(counts)
 
 
@@ -69,11 +83,11 @@ def degree_counts(graph: DirectedMultigraph) -> JointCountTable:
     """Count nodes by joint (in-degree, out-degree)."""
     indeg = graph.in_degree
     outdeg = graph.out_degree
-    imax = int(indeg.max()) if indeg.size else 0
-    jmax = int(outdeg.max()) if outdeg.size else 0
-    flat = indeg * (jmax + 1) + outdeg
-    counts = np.bincount(flat, minlength=(imax + 1) * (jmax + 1))
-    return JointCountTable(counts.reshape(imax + 1, jmax + 1))
+    shape = _table_shape(indeg.max() if indeg.size else 0, outdeg.max() if outdeg.size else 0)
+    # below MAX_TABLE_CELLS the int32 flat index cannot overflow
+    flat = indeg * shape[1] + outdeg
+    counts = np.bincount(flat, minlength=shape[0] * shape[1])
+    return JointCountTable(counts.reshape(shape))
 
 
 class JointPMF:

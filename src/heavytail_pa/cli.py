@@ -224,26 +224,24 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+_VERIFY = {
+    "uhat": (uhat_check, ("k", "h_grid", "rel_tol")),
+    "measure": (measure_check, ("k", "t_grid", "rel_tol")),
+    "truncation": (truncation_check, ("k", "t_grid", "y_grid")),
+    "marginal": (marginal_check, ("k", "component", "t_grid", "rel_tol")),
+}
+
+
 def _cmd_verify(args) -> int:
+    """Run one check; flags left unset fall back to the check's own defaults."""
     params = _resolve_params(args)
-    quad = _quad(args)
-    kwargs = {"k": args.k, "quad": quad}
-    if args.check == "uhat":
-        report = uhat_check(params, h_grid=_parse_grid(args.h_grid), rel_tol=args.rel_tol, **kwargs)
-    elif args.check == "measure":
-        report = measure_check(params, t_grid=_parse_grid(args.t_grid), rel_tol=args.rel_tol, **kwargs)
-    elif args.check == "truncation":
-        report = truncation_check(
-            params, t_grid=_parse_grid(args.t_grid), y_grid=_parse_grid(args.y_grid), **kwargs
-        )
-    else:
-        report = marginal_check(
-            params,
-            component=args.component,
-            t_grid=_parse_grid(args.t_grid),
-            rel_tol=args.rel_tol,
-            **kwargs,
-        )
+    check, flags = _VERIFY[args.check]
+    kwargs = {"quad": _quad(args)}
+    for name in flags:
+        value = getattr(args, name)
+        if value is not None:
+            kwargs[name] = _parse_grid(value) if name.endswith("_grid") else value
+    report = check(params, **kwargs)
     report["config"] = _config_block(args, params)
     _write_json(args.out, report)
     print(f"{args.check}: {'pass' if report['passed'] else 'FAIL'}")
@@ -319,12 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     s = sp.add_parser("verify", help="transform/measure scaling-limit checks")
     _add_common(s)
     s.add_argument("--check", choices=["uhat", "measure", "truncation", "marginal"], required=True)
-    s.add_argument("--k", type=int, default=3)
-    s.add_argument("--component", type=int, default=1)
-    s.add_argument("--h-grid", default="1e2,1e4,1e6")
-    s.add_argument("--t-grid", default=None)
-    s.add_argument("--y-grid", default="0,1,2,4,8")
-    s.add_argument("--rel-tol", type=float, default=None)
+    s.add_argument("--k", type=int)
+    s.add_argument("--component", type=int)
+    s.add_argument("--h-grid")
+    s.add_argument("--t-grid")
+    s.add_argument("--y-grid")
+    s.add_argument("--rel-tol", type=float)
     s.add_argument("--out", default="-")
     s.set_defaults(fn=_cmd_verify)
     return ap
@@ -333,13 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command == "verify":
-        if args.t_grid is None:
-            args.t_grid = {"measure": "1e2,1e3,1e4", "truncation": "1e3,1e4,1e5"}.get(
-                args.check, "1e2,1e3,1e4,1e5"
-            )
-        if args.rel_tol is None:
-            args.rel_tol = {"uhat": 0.05, "measure": 0.10, "marginal": 0.10}.get(args.check, 0.05)
     try:
         return args.fn(args)
     except QuadratureFailure as exc:

@@ -10,8 +10,8 @@ comma-separated row per record::
 Values are written with str(): integers in decimal and floats as their
 shortest round-trip repr, so reading a float column back is bit-exact.
 The reader rejects a malformed file (a bad cell, a wrong column count,
-no data rows) with a HeavytailError naming the file; it never skips a
-row.
+no data rows) with a HeavytailError naming the file and, for a bad row,
+its line number counted from the top of the file; it never skips a row.
 """
 
 from __future__ import annotations
@@ -35,19 +35,37 @@ def write_csv(path, header, columns, metadata: dict | None = None) -> None:
 def read_csv(path, columns: int, dtype=np.float64) -> np.ndarray:
     """The data rows of a file with `columns` columns, as an (n, columns) array."""
     with open(path, "r", encoding="utf-8") as fh:
-        line = fh.readline()
+        line, header_line = fh.readline(), 1
         while line.startswith("#"):
-            line = fh.readline()
+            line, header_line = fh.readline(), header_line + 1
         if len(line.split(",")) != columns:
             raise HeavytailError(f"{path}: header {line.strip()!r} is not {columns} columns")
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # empty input
                 data = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=2)
-        except ValueError as exc:
-            raise HeavytailError(f"{path}: {exc}") from None
+        except ValueError:
+            data = None
+    if data is None or (data.shape[0] and data.shape[1] != columns):
+        raise _bad_row(path, header_line, columns, dtype)
     if data.shape[0] == 0:
         raise EmptyInput(f"{path}: no data rows")
-    if data.shape[1] != columns:
-        raise HeavytailError(f"{path}: rows have {data.shape[1]} columns, expected {columns}")
     return data
+
+
+def _bad_row(path, header_line: int, columns: int, dtype) -> HeavytailError:
+    """The error naming the first data line that is not `columns` values of `dtype`."""
+    kind = f"{columns} {np.dtype(dtype).name} values"
+    with open(path, "r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if number <= header_line or not line.strip():
+                continue
+            cells = line.split(",")
+            if len(cells) == columns:
+                try:
+                    np.array(cells, dtype=dtype)
+                    continue
+                except (ValueError, OverflowError):
+                    pass
+            return HeavytailError(f"{path}, line {number}: expected {kind}, got {line.strip()!r}")
+    return HeavytailError(f"{path}: data rows are not {kind}")

@@ -18,6 +18,15 @@ probability D_in(w)/n, so a coin with success n/(n + delta*N) between
 "uniform edge endpoint" and "uniform node" reproduces the formula above
 exactly, in O(1) per draw.
 
+Every step consumes exactly five uniforms, (case, out-coin, out-index,
+in-coin, in-index), used or not.  step() draws one row at a time and is
+the row-wise oracle for grow(), which draws CHUNK_STEPS rows at a time
+and runs a chunk as array operations: the edge count before a step is
+its index, the node count a cumulative sum of the new-node cases, and
+an "endpoint of a uniform earlier edge" points backwards, so references
+into the chunk resolve by pointer jumping.  Edge endpoints and degrees
+are int32 (node ids below 2**31); the binary format stores them as u32.
+
 The RNG is numpy's PCG64 (via default_rng); a graph is fully determined
 by (seed spec, params, rng seed, target).
 """
@@ -37,6 +46,9 @@ from .params import ModelParams, validate
 MAGIC = b"DPAG"
 FORMAT_VERSION = 1
 DEFAULT_EDGE_BUDGET = 200_000_000
+DRAWS_PER_STEP = 5
+CHUNK_STEPS = 1 << 16
+ID_LIMIT = 2**31  # node ids and degrees are int32
 
 
 class GrowthCase(Enum):
@@ -78,23 +90,36 @@ class SeedSpec:
         return SeedSpec(node_count=node_count)
 
 
+def _resized(a: np.ndarray, size: int) -> np.ndarray:
+    """The contents of a, zero-padded to an int32 array of the given size."""
+    out = np.zeros(size, np.int32)
+    out[: a.shape[0]] = a
+    return out
+
+
+def _check_ids(node_count: int, *ids: np.ndarray) -> None:
+    for a in ids:
+        if a.size and (a.min() < 0 or a.max() >= node_count):
+            raise ValueError("an edge references a missing node")
+
+
 class DirectedMultigraph:
-    """Append-only edge list with per-node degree arrays.
+    """Append-only int32 edge list with per-node int32 degree arrays.
 
     Invariants maintained by every mutation:
     len(tails) == len(heads) == edge_count and
     sum(in_degree) == sum(out_degree) == edge_count.
     """
 
-    def __init__(self, node_count: int = 0, capacity: int = 16):
+    def __init__(self, node_count: int = 0):
         if node_count < 0:
             raise ValueError("node_count must be nonnegative")
-        cap_e = max(capacity, 1)
-        cap_n = max(node_count, 1)
-        self._tails = np.empty(cap_e, np.int64)
-        self._heads = np.empty(cap_e, np.int64)
-        self._in = np.zeros(cap_n, np.int64)
-        self._out = np.zeros(cap_n, np.int64)
+        if node_count >= ID_LIMIT:
+            raise ResourceLimit(f"{node_count} nodes exceed the 32-bit node ids")
+        self._tails = np.zeros(16, np.int32)
+        self._heads = np.zeros(16, np.int32)
+        self._in = np.zeros(max(node_count, 1), np.int32)
+        self._out = np.zeros(max(node_count, 1), np.int32)
         self.edge_count = 0
         self.node_count = node_count
 
@@ -106,16 +131,27 @@ class DirectedMultigraph:
         heads = np.asarray(heads, np.int64)
         if tails.shape != heads.shape:
             raise ValueError("tails and heads must have equal length")
-        g = cls(node_count, capacity=max(len(tails), 16))
-        for t, h in zip(tails, heads):
-            g.add_edge(int(t), int(h))
+        g = cls(node_count)
+        _check_ids(node_count, tails, heads)
+        g._set_edges(tails.astype(np.int32), heads.astype(np.int32))
         return g
+
+    def _set_edges(self, tails: np.ndarray, heads: np.ndarray) -> None:
+        """Take int32 edge arrays as they are and count the degrees."""
+        self._tails, self._heads = tails, heads
+        self.edge_count = tails.shape[0]
+        self._count_degrees()
+
+    def _count_degrees(self) -> None:
+        size = max(self.node_count, 1)
+        self._in = np.bincount(self.heads, minlength=size).astype(np.int32)
+        self._out = np.bincount(self.tails, minlength=size).astype(np.int32)
 
     def add_node(self) -> int:
         nid = self.node_count
         if nid >= self._in.shape[0]:
-            self._in = np.concatenate([self._in, np.zeros(self._in.shape[0], np.int64)])
-            self._out = np.concatenate([self._out, np.zeros(self._out.shape[0], np.int64)])
+            self._in = _resized(self._in, 2 * self._in.shape[0])
+            self._out = _resized(self._out, 2 * self._out.shape[0])
         self.node_count += 1
         return nid
 
@@ -124,25 +160,13 @@ class DirectedMultigraph:
             raise ValueError(f"edge ({tail}, {head}) references a missing node")
         n = self.edge_count
         if n >= self._tails.shape[0]:
-            grow_to = 2 * self._tails.shape[0]
-            self._tails = np.concatenate([self._tails, np.empty(grow_to - n, np.int64)])
-            self._heads = np.concatenate([self._heads, np.empty(grow_to - n, np.int64)])
+            self._tails = _resized(self._tails, max(2 * n, 16))
+            self._heads = _resized(self._heads, max(2 * n, 16))
         self._tails[n] = tail
         self._heads[n] = head
         self._out[tail] += 1
         self._in[head] += 1
         self.edge_count += 1
-
-    def reserve(self, edges: int, nodes: int) -> None:
-        """Preallocate room for the given totals (amortizes growth loops)."""
-        if edges > self._tails.shape[0]:
-            extra = edges - self.edge_count
-            self._tails = np.concatenate([self._tails[: self.edge_count], np.empty(extra, np.int64)])
-            self._heads = np.concatenate([self._heads[: self.edge_count], np.empty(extra, np.int64)])
-        if nodes > self._in.shape[0]:
-            pad = nodes - self._in.shape[0]
-            self._in = np.concatenate([self._in, np.zeros(pad, np.int64)])
-            self._out = np.concatenate([self._out, np.zeros(pad, np.int64)])
 
     # -- views ------------------------------------------------------------
 
@@ -173,8 +197,6 @@ class DirectedMultigraph:
 
     def to_binary(self, path) -> None:
         """Little-endian binary: magic, u32 version, u64 N, u64 n, u32 arrays."""
-        if self.node_count >= 2**32:
-            raise ResourceLimit("node ids exceed the 32-bit wire format")
         with open(path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<IQQ", FORMAT_VERSION, self.node_count, self.edge_count))
@@ -190,16 +212,14 @@ class DirectedMultigraph:
             version, node_count, edge_count = struct.unpack("<IQQ", fh.read(20))
             if version != FORMAT_VERSION:
                 raise ValueError(f"unsupported format version {version}")
-            tails = np.fromfile(fh, dtype="<u4", count=edge_count).astype(np.int64)
-            heads = np.fromfile(fh, dtype="<u4", count=edge_count).astype(np.int64)
+            g = cls(int(node_count))
+            # ids of 2**31 and above read as negative and fail the id check
+            tails = np.fromfile(fh, dtype="<u4", count=edge_count).view("<i4")
+            heads = np.fromfile(fh, dtype="<u4", count=edge_count).view("<i4")
         if len(tails) != edge_count or len(heads) != edge_count:
             raise ValueError("truncated graph file")
-        g = cls(int(node_count), capacity=max(int(edge_count), 16))
-        g._tails[:edge_count] = tails
-        g._heads[:edge_count] = heads
-        g.edge_count = int(edge_count)
-        g._in[: g.node_count] = np.bincount(heads, minlength=g.node_count)
-        g._out[: g.node_count] = np.bincount(tails, minlength=g.node_count)
+        _check_ids(g.node_count, tails, heads)
+        g._set_edges(tails, heads)
         return g
 
 
@@ -219,165 +239,121 @@ def seed_graph(spec: Optional[SeedSpec] = None, params: Optional[ModelParams] = 
     return DirectedMultigraph.from_edges(spec.node_count, spec.tails, spec.heads)
 
 
-class _UniformStream:
-    """Buffered uniform(0,1) draws from a numpy Generator.
+def _choose(coin: float, index: float, endpoint: np.ndarray, n: int, N: int, delta: float) -> int:
+    """One preferential draw via the edge/node mixture, from two uniforms.
 
-    Block generation yields the same number sequence as repeated scalar
-    random() calls, so buffered and unbuffered consumers of one seed
-    stay draw-for-draw identical.
+    endpoint is the heads array for in-degree choices, tails for
+    out-degree choices.  Requires n > 0 or delta*N > 0.
     """
-
-    __slots__ = ("rng", "block", "buf", "pos")
-
-    def __init__(self, rng: np.random.Generator, block: int = 1 << 16):
-        self.rng = rng
-        self.block = block
-        self.buf = rng.random(block)
-        self.pos = 0
-
-    def take(self) -> float:
-        if self.pos >= self.block:
-            self.buf = self.rng.random(self.block)
-            self.pos = 0
-        v = self.buf[self.pos]
-        self.pos += 1
-        return v
+    if coin * (n + delta * N) < n:
+        return int(endpoint[min(int(index * n), n - 1)])
+    return min(int(index * N), N - 1)
 
 
-def _checked_params(params: ModelParams) -> ModelParams:
-    return validate(params)
-
-
-def _choose(take, endpoint: np.ndarray, n: int, N: int, delta: float) -> int:
-    """One preferential draw via the edge/node mixture.
-
-    ``take`` yields uniforms; endpoint is the heads array for in-degree
-    choices, tails for out-degree choices.  Exactly two uniforms are
-    consumed.  Requires n > 0 or delta*N > 0.
-    """
-    if take() * (n + delta * N) < n:
-        return int(endpoint[min(int(take() * n), n - 1)])
-    return min(int(take() * N), N - 1)
+def _choose_by(graph: DirectedMultigraph, endpoint, delta: float, which: str, rng) -> int:
+    n, N = graph.edge_count, graph.node_count
+    if N < 1:
+        raise InvalidSeed("cannot choose from an empty graph")
+    if n == 0 and delta * N <= 0:
+        raise InvalidSeed(f"zero-edge graph with delta_{which} = 0 has no {which}-attachment law")
+    return _choose(rng.random(), rng.random(), endpoint, n, N, delta)
 
 
 def choose_by_in(graph: DirectedMultigraph, delta_in: float, rng: np.random.Generator) -> int:
     """Sample a node with probability (D_in + delta_in)/(n + delta_in*N)."""
-    n, N = graph.edge_count, graph.node_count
-    if N < 1:
-        raise InvalidSeed("cannot choose from an empty graph")
-    if n == 0 and delta_in * N <= 0:
-        raise InvalidSeed("zero-edge graph with delta_in = 0 has no in-attachment law")
-    return _choose(rng.random, graph._heads, n, N, delta_in)
+    return _choose_by(graph, graph._heads, delta_in, "in", rng)
 
 
 def choose_by_out(graph: DirectedMultigraph, delta_out: float, rng: np.random.Generator) -> int:
     """Sample a node with probability (D_out + delta_out)/(n + delta_out*N)."""
-    n, N = graph.edge_count, graph.node_count
-    if N < 1:
-        raise InvalidSeed("cannot choose from an empty graph")
-    if n == 0 and delta_out * N <= 0:
-        raise InvalidSeed("zero-edge graph with delta_out = 0 has no out-attachment law")
-    return _choose(rng.random, graph._tails, n, N, delta_out)
+    return _choose_by(graph, graph._tails, delta_out, "out", rng)
 
 
 def step(graph: DirectedMultigraph, params: ModelParams, rng: np.random.Generator) -> GrowthStepOutcome:
     """Advance the graph by one edge and report what happened.
 
-    Draw order is fixed: case coin, then the out-choice if the case has
-    one, then the in-choice if the case has one, each choice consuming
-    exactly two uniforms.  A sequence of step() calls therefore
-    reproduces grow() draw for draw.
+    Consumes one row of five uniforms (case, out-coin, out-index,
+    in-coin, in-index) whatever the case, so a sequence of step() calls
+    reproduces grow() draw for draw.  The new node of an alpha or gamma
+    step is created after both choices are made.
     """
     n, N = graph.edge_count, graph.node_count
-    take = rng.random
-    r = take()
+    r, out_coin, out_index, in_coin, in_index = rng.random(DRAWS_PER_STEP).tolist()
     if r < params.alpha:
-        case = GrowthCase.ALPHA
-        head = _choose(take, graph._heads, n, N, params.delta_in)
-        tail = graph.add_node()
-        new_node = tail
-    elif r < params.alpha + params.beta:
-        case = GrowthCase.BETA
-        tail = _choose(take, graph._tails, n, N, params.delta_out)
-        head = _choose(take, graph._heads, n, N, params.delta_in)
-        new_node = None
+        case, tail = GrowthCase.ALPHA, N
     else:
-        case = GrowthCase.GAMMA
-        tail = _choose(take, graph._tails, n, N, params.delta_out)
-        head = graph.add_node()
-        new_node = head
+        case = GrowthCase.BETA if r < params.alpha + params.beta else GrowthCase.GAMMA
+        tail = _choose(out_coin, out_index, graph._tails, n, N, params.delta_out)
+    if case is GrowthCase.GAMMA:
+        head = N
+    else:
+        head = _choose(in_coin, in_index, graph._heads, n, N, params.delta_in)
+    new_node = None if case is GrowthCase.BETA else graph.add_node()
     graph.add_edge(tail, head)
     return GrowthStepOutcome(case=case, new_node=new_node, edge=(tail, head))
 
 
+def _endpoints(end, n0, n, N, coin, index, delta, new_node) -> np.ndarray:
+    """One endpoint (tail or head) of each step of a chunk starting at edge n0.
+
+    end is the tails or heads array, filled below n0; n and N are the
+    edge and node counts before each step; new_node marks the steps
+    whose endpoint is the node the step creates.
+    """
+    ref = ~new_node & (coin * (n + delta * N) < n)
+    size = np.where(ref, n, N)
+    val = np.minimum((index * size).astype(np.int64), size - 1)
+    val[new_node] = N[new_node]
+    before = ref & (val < n0)
+    val[before] = end[val[before]]
+    # The rest point at earlier steps of this chunk: follow each chain to
+    # a resolved step, doubling the jump length every pass.
+    hops = np.flatnonzero(ref & ~before)
+    ptr = np.arange(val.size)
+    ptr[hops] = val[hops] - n0
+    while True:
+        nxt = ptr[ptr[hops]]
+        if np.array_equal(nxt, ptr[hops]):
+            break
+        ptr[hops] = nxt
+    val[hops] = val[ptr[hops]]
+    return val
+
+
 def grow(
-    graph: DirectedMultigraph,
-    target_edges: int,
-    params: ModelParams,
-    rng: np.random.Generator,
-    edge_budget: int = DEFAULT_EDGE_BUDGET,
+    graph: DirectedMultigraph, target_edges: int, params: ModelParams, rng: np.random.Generator
 ) -> DirectedMultigraph:
     """Grow the graph in place until it has target_edges edges.
 
-    The loop is an inlined version of step() consuming the identical
-    uniform stream, so grow and repeated step are interchangeable.
+    One vectorised pass per rng.random((m, 5)) block of at most
+    CHUNK_STEPS steps; draw for draw the same as repeated step().  A
+    target above DEFAULT_EDGE_BUDGET raises ResourceLimit up front.
     """
-    params = _checked_params(params)
-    if target_edges < graph.edge_count:
+    params = validate(params)
+    n0, N = graph.edge_count, graph.node_count
+    if target_edges < n0:
         raise ValueError("target_edges is below the current edge count")
-    if target_edges > edge_budget:
-        raise ResourceLimit(f"target {target_edges} exceeds the edge budget {edge_budget}")
-    if graph.node_count < 1:
+    if target_edges > DEFAULT_EDGE_BUDGET:
+        raise ResourceLimit(f"target {target_edges} exceeds the edge budget {DEFAULT_EDGE_BUDGET}")
+    if N < 1:
         raise InvalidSeed("the initial graph needs at least one node")
-    if graph.edge_count == 0 and target_edges > graph.edge_count:
-        if params.delta_in == 0 or params.delta_out == 0:
-            raise InvalidSeed("growth from a zero-edge graph needs positive deltas")
+    if n0 == 0 and target_edges > 0 and (params.delta_in == 0 or params.delta_out == 0):
+        raise InvalidSeed("growth from a zero-edge graph needs positive deltas")
 
-    graph.reserve(target_edges, graph.node_count + (target_edges - graph.edge_count) + 1)
-    tails, heads = graph._tails, graph._heads
-    indeg, outdeg = graph._in, graph._out
-    n = graph.edge_count
-    N = graph.node_count
-    alpha, beta = params.alpha, params.beta
-    ab = alpha + beta
-    din, dout = params.delta_in, params.delta_out
-    stream = _UniformStream(rng)
-    take = stream.take
-
-    while n < target_edges:
-        r = take()
-        if r < alpha:
-            # draw order matches step(): the in-choice precedes the new node
-            if take() * (n + din * N) < n:
-                w = heads[min(int(take() * n), n - 1)]
-            else:
-                w = min(int(take() * N), N - 1)
-            v = N
-            N += 1
-        elif r < ab:
-            if take() * (n + dout * N) < n:
-                v = tails[min(int(take() * n), n - 1)]
-            else:
-                v = min(int(take() * N), N - 1)
-            if take() * (n + din * N) < n:
-                w = heads[min(int(take() * n), n - 1)]
-            else:
-                w = min(int(take() * N), N - 1)
-        else:
-            if take() * (n + dout * N) < n:
-                v = tails[min(int(take() * n), n - 1)]
-            else:
-                v = min(int(take() * N), N - 1)
-            w = N
-            N += 1
-        tails[n] = v
-        heads[n] = w
-        outdeg[v] += 1
-        indeg[w] += 1
-        n += 1
-
-    graph.edge_count = n
+    tails, heads = _resized(graph.tails, target_edges), _resized(graph.heads, target_edges)
+    for start in range(n0, target_edges, CHUNK_STEPS):
+        u = rng.random((min(CHUNK_STEPS, target_edges - start), DRAWS_PER_STEP))
+        is_alpha = u[:, 0] < params.alpha
+        is_gamma = u[:, 0] >= params.alpha + params.beta
+        new_node = is_alpha | is_gamma
+        stop = start + len(u)
+        n = np.arange(start, stop)
+        Ns = N + np.cumsum(new_node) - new_node
+        tails[start:stop] = _endpoints(tails, start, n, Ns, u[:, 1], u[:, 2], params.delta_out, is_alpha)
+        heads[start:stop] = _endpoints(heads, start, n, Ns, u[:, 3], u[:, 4], params.delta_in, is_gamma)
+        N = int(Ns[-1] + new_node[-1])
     graph.node_count = N
+    graph._set_edges(tails, heads)
     return graph
 
 
@@ -386,10 +362,7 @@ def simulate(
     params: ModelParams,
     seed: int,
     seed_spec: Optional[SeedSpec] = None,
-    edge_budget: int = DEFAULT_EDGE_BUDGET,
 ) -> DirectedMultigraph:
     """Convenience wrapper: seed graph + grow with a fresh PCG64 stream."""
-    params = _checked_params(params)
     g = seed_graph(seed_spec, params)
-    rng = np.random.default_rng(seed)
-    return grow(g, target_edges, params, rng, edge_budget=edge_budget)
+    return grow(g, target_edges, params, np.random.default_rng(seed))

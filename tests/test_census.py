@@ -3,11 +3,13 @@ import pytest
 
 from heavytail_pa import (
     DegenerateTailSample,
+    DirectedMultigraph,
     EmptyInput,
     InsufficientData,
     JointCountTable,
     JointPMF,
     NonPositiveSample,
+    ResourceLimit,
     compare_pmf,
     degree_counts,
     empirical_pmf,
@@ -136,3 +138,11 @@ def test_count_table_csv_roundtrip(tmp_path, graphs_1m):
     back = JointCountTable.from_csv(path)
     assert back.total_nodes == counts.total_nodes
     assert np.array_equal(back.counts, counts.counts)
+
+
+def test_degree_counts_refuses_a_huge_table():
+    # one node with 2**14 self-loops needs a (2**14 + 1)**2-cell table
+    loops = np.zeros(2**14, np.int64)
+    g = DirectedMultigraph.from_edges(1, loops, loops)
+    with pytest.raises(ResourceLimit):
+        degree_counts(g)

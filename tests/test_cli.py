@@ -150,22 +150,25 @@ SAMPLES = "I,O\n" + "".join(f"{i},{i % 7}\n" for i in range(1, 2000))
 
 
 @pytest.mark.parametrize(
-    "command, text",
+    "command, text, message",
     [
-        ("estimate", None),
-        ("compare", None),
-        ("angular", None),
-        ("estimate", "i,j,N_ij\n1,0,5\n0,x,4\n"),
-        ("compare", "i,j,N_ij\n1,0,5\n0,1\n"),
-        ("estimate", "i,j,N_ij\n1,0,-5\n"),
-        ("compare", "i,j,N_ij\n-1,0,5\n1,1,2\n"),
-        ("angular", SAMPLES + "3,x\n"),
-        ("angular", SAMPLES + "3\n"),
+        ("estimate", None, None),
+        ("compare", None, None),
+        ("angular", None, None),
+        ("estimate", "i,j,N_ij\n1,0,5\n0,x,4\n", "line 3"),
+        ("compare", "i,j,N_ij\n1,0,5\n0,1\n", "line 3"),
+        ("estimate", "i,j,N_ij\n1,0,-5\n", None),
+        ("compare", "i,j,N_ij\n-1,0,5\n1,1,2\n", None),
+        ("angular", SAMPLES + "3,x\n", "line 2001"),
+        ("angular", SAMPLES + "3\n", "line 2001"),
+        ("estimate", "i,j,N_ij\n1000000,1000000,1\n", "cells"),
+        ("estimate", "i,j,N_ij\n1,0,3000000000\n", "2147483647"),
     ],
     ids=["estimate-missing", "compare-missing", "angular-missing", "bad-cell", "short-row",
-         "negative-count", "negative-index", "angular-bad-cell", "angular-short-row"],
+         "negative-count", "negative-index", "angular-bad-cell", "angular-short-row",
+         "huge-table", "count-above-int32"],
 )
-def test_bad_input_file_is_an_error(tmp_path, capsys, command, text):
+def test_bad_input_file_is_an_error(tmp_path, capsys, command, text, message):
     path = tmp_path / "in.csv"
     if text is not None:
         path.write_text(text)
@@ -176,6 +179,8 @@ def test_bad_input_file_is_an_error(tmp_path, capsys, command, text):
     assert run([*argv, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert message is None or message in err
+    assert "usecols" not in err
 
 
 def test_density_overflow_is_a_numerical_failure(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from heavytail_pa import (
+    DEFAULT_SEED,
     DirectedMultigraph,
     GrowthCase,
     InvalidSeed,
@@ -16,8 +19,12 @@ from heavytail_pa import (
     simulate,
     step,
 )
+from heavytail_pa.simulate import CHUNK_STEPS, DEFAULT_EDGE_BUDGET, FORMAT_VERSION, MAGIC
 
 P = ModelParams(0.3, 0.5, 0.2, 1.0, 1.0)
+# zero deltas: every choice is an endpoint of an earlier edge, so most
+# endpoints of a chunk follow chains of references into the same chunk
+NEAR_BETA = ModelParams(0.001, 0.998, 0.001, 0.0, 0.0)
 
 
 def test_default_seed_graph_is_self_loop():
@@ -133,15 +140,41 @@ def test_graph_invariants_after_growth():
     g.check_invariants()
 
 
-def test_grow_matches_repeated_step():
-    g1 = seed_graph()
-    grow(g1, 2000, P, np.random.default_rng(42))
-    g2 = seed_graph()
+@pytest.mark.parametrize(
+    "params, spec, targets",
+    [
+        (P, None, (2000,)),
+        (P, None, (CHUNK_STEPS + 5000,)),
+        (P, SeedSpec.nodes_only(3), (5000,)),
+        (NEAR_BETA, None, (20000,)),
+        (P, None, (3000, CHUNK_STEPS + 4000)),
+    ],
+    ids=["self-loop-2000", "crosses-chunk", "zero-edge-seed", "near-pure-beta", "split-target"],
+)
+def test_grow_matches_repeated_step(params, spec, targets):
+    """grow() in one call, grow() in several calls and repeated step() agree draw for draw."""
+    split = seed_graph(spec, params)
     rng = np.random.default_rng(42)
-    for _ in range(1999):
-        step(g2, P, rng)
-    assert np.array_equal(g1.tails, g2.tails)
-    assert np.array_equal(g1.heads, g2.heads)
+    for target in targets:
+        grow(split, target, params, rng)
+    whole = grow(seed_graph(spec, params), targets[-1], params, np.random.default_rng(42))
+    stepped = seed_graph(spec, params)
+    rng = np.random.default_rng(42)
+    while stepped.edge_count < targets[-1]:
+        step(stepped, params, rng)
+    for g in (split, whole):
+        assert g.node_count == stepped.node_count
+        assert np.array_equal(g.tails, stepped.tails) and np.array_equal(g.heads, stepped.heads)
+        assert np.array_equal(g.in_degree, stepped.in_degree)
+        assert np.array_equal(g.out_degree, stepped.out_degree)
+        g.check_invariants()
+
+
+def test_seed_to_graph_mapping_is_pinned():
+    """The five-uniform draw layout fixes the graph a seed gives."""
+    g = simulate(20, P, seed=DEFAULT_SEED)
+    assert g.tails[:10].tolist() == [0, 0, 0, 0, 0, 0, 3, 0, 4, 0]
+    assert g.heads[:10].tolist() == [0, 0, 1, 2, 0, 0, 1, 1, 0, 2]
 
 
 def test_grow_is_deterministic():
@@ -160,7 +193,7 @@ def test_grow_to_current_size_is_identity():
 def test_grow_respects_edge_budget():
     g = seed_graph()
     with pytest.raises(ResourceLimit):
-        grow(g, 10**6, P, np.random.default_rng(0), edge_budget=10**5)
+        grow(g, DEFAULT_EDGE_BUDGET + 1, P, np.random.default_rng(0))
 
 
 def test_node_count_limit(graphs_1m):
@@ -201,3 +234,31 @@ def test_binary_roundtrip(tmp_path):
     assert h.node_count == g.node_count and h.edge_count == g.edge_count
     assert np.array_equal(h.tails, g.tails) and np.array_equal(h.heads, g.heads)
     h.check_invariants()
+
+
+def test_storage_is_int32(tmp_path):
+    g = simulate(1000, P, seed=6)
+    path = tmp_path / "graph.bin"
+    g.to_binary(path)
+    h = DirectedMultigraph.from_binary(path)
+    for graph in (g, h):
+        for a in (graph.tails, graph.heads, graph.in_degree, graph.out_degree):
+            assert a.dtype == np.int32
+    assert degree_counts(g).counts.dtype == np.int32
+
+
+def test_from_binary_rejects_ids_beyond_int32(tmp_path):
+    path = tmp_path / "huge.bin"
+    path.write_bytes(MAGIC + struct.pack("<IQQ", FORMAT_VERSION, 2**31, 0))
+    with pytest.raises(ResourceLimit):
+        DirectedMultigraph.from_binary(path)
+    path.write_bytes(MAGIC + struct.pack("<IQQ", FORMAT_VERSION, 2, 1) + struct.pack("<II", 0, 2**31))
+    with pytest.raises(ValueError):
+        DirectedMultigraph.from_binary(path)
+
+
+def test_from_edges_rejects_missing_nodes():
+    with pytest.raises(ValueError):
+        DirectedMultigraph.from_edges(2, [0, 1], [1, 2])
+    with pytest.raises(ValueError):
+        DirectedMultigraph.from_edges(2, [-1], [0])
