@@ -233,9 +233,14 @@ _VERIFY = {
 
 
 def _cmd_verify(args) -> int:
-    """Run one check; flags left unset fall back to the check's own defaults."""
-    params = _resolve_params(args)
+    """Run one check; unset flags take its defaults, flags it does not take are refused."""
     check, flags = _VERIFY[args.check]
+    extra = [n for _, names in _VERIFY.values() for n in names
+             if n not in flags and getattr(args, n) is not None]
+    if extra:
+        flag = "--" + extra[0].replace("_", "-")
+        raise HeavytailError(f"{flag} does not apply to --check {args.check}")
+    params = _resolve_params(args)
     kwargs = {"quad": _quad(args)}
     for name in flags:
         value = getattr(args, name)

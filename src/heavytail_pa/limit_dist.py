@@ -30,7 +30,6 @@ from .quadrature import (
     DEFAULT_QUAD,
     QuadratureSpec,
     power_exponent,
-    quad_checked,
     refine_table_integral,
 )
 
@@ -81,14 +80,14 @@ class LimitDistribution:
         c1, a = self.derived.c1, self.derived.a
         m = self._w_exp
 
-        def f(w):
+        def eval_on_grid(w, weights):
             u = w**m
             ua = u**a
             term_in = (u / (x * u + (1.0 - x))) ** rin
             term_out = (ua / (y * ua + (1.0 - y))) ** rout
-            return (m / c1) * w ** (m / c1 - 1.0) * term_in * term_out
+            return float(weights @ ((m / c1) * w ** (m / c1 - 1.0) * term_in * term_out))
 
-        return quad_checked(f, 0.0, 1.0, self.quad)
+        return refine_table_integral(eval_on_grid, 0.0, 1.0, self.quad)
 
     def pgf(self, x: float, y: float) -> float:
         """E[x^I y^O]: the Bernoulli-weighted combination of the components."""
@@ -115,17 +114,12 @@ class LimitDistribution:
         c1, a = self.derived.c1, self.derived.a
         m = self._w_exp
 
-        def f(w):
+        def eval_on_grid(w, weights):
             u = w**m
-            return (m / c1) * w ** (m / c1 - 1.0) * math.exp(
-                float(nb_logpmf(i, rin, u) + nb_logpmf(j, rout, u**a))
-            )
+            log_nb = nb_logpmf(i, rin, u) + nb_logpmf(j, rout, u**a)
+            return float(weights @ ((m / c1) * w ** (m / c1 - 1.0) * np.exp(log_nb)))
 
-        # the in-part NB peaks near u = rin/(rin+i); give quad the hint
-        points = None
-        if i > 20 and rin > 0:
-            points = [min(max((rin / (rin + i)) ** (1.0 / m), 1e-12), 1.0 - 1e-12)]
-        return quad_checked(f, 0.0, 1.0, self.quad, points=points)
+        return refine_table_integral(eval_on_grid, 0.0, 1.0, self.quad)
 
     def pmf(self, i: int, j: int) -> float:
         """P[I = i, O = j] for the full degree pair."""

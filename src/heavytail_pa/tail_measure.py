@@ -7,6 +7,8 @@ component 2 shifts the +1 to the out margin.  That structure gives a
 one-dimensional reduction for rectangle masses through regularized
 upper incomplete gamma factors, which is the default evaluation path
 (validated against raw 2-d quadrature of the densities in the tests).
+Densities and rectangle masses are integrated in s = log z as exp of a
+log-space integrand: z-powers cannot overflow, an underflowed factor gives 0.
 
 Homogeneity: scaling a rectangle corner by (c**c1, c**c2) divides the
 mass by c.
@@ -19,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
-from scipy.special import gammaincc
+from scipy.special import gammaincc, gammaln
 
 from .errors import DomainError, InsufficientExceedances
 from .params import DerivedConstants, ModelParams, derive, split_probability, tail_ready
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, quad_semiinfinite
+from .quadrature import DEFAULT_QUAD, QuadratureSpec, log_semiinfinite
 
 COMPONENTS = (1, 2, "combined")
 
@@ -38,7 +40,7 @@ class TailMeasure:
         self.quad = quad
 
     def density(self, component, x: float, y: float) -> float:
-        """Lebesgue density of the tail measure at (x, y), both > 0."""
+        """Lebesgue density at (x, y), both > 0; prefactor and integrand are summed in logs."""
         if x <= 0 or y <= 0:
             raise DomainError("density is defined on the open quadrant x, y > 0")
         if component == "combined":
@@ -46,26 +48,28 @@ class TailMeasure:
             return pb * self.density(1, x, y) + (1.0 - pb) * self.density(2, x, y)
         din, dout = self.params.delta_in, self.params.delta_out
         c1, a = self.derived.c1, self.derived.a
+        lx, ly = math.log(x), math.log(y)
         if component == 1:
             zexp = 2.0 + 1.0 / c1 + din + a * dout
-            pref = x**din * y ** (dout - 1.0) / (gamma_fn(din + 1.0) * gamma_fn(dout))
+            log_pref = din * lx + (dout - 1.0) * ly - gammaln(din + 1.0) - gammaln(dout)
         elif component == 2:
             zexp = 1.0 + a + 1.0 / c1 + din + a * dout
-            pref = x ** (din - 1.0) * y**dout / (gamma_fn(din) * gamma_fn(dout + 1.0))
+            log_pref = (din - 1.0) * lx + dout * ly - gammaln(din) - gammaln(dout + 1.0)
         else:
             raise DomainError(f"component must be 1, 2 or 'combined', got {component!r}")
 
-        def f(z):
-            return z ** (-zexp) * math.exp(-(x / z + y / z**a))
+        def log_f(s):
+            return log_pref + (1.0 - zexp) * s - x * np.exp(-s) - y * np.exp(-a * s)
 
         split_at = max(x, y ** (1.0 / a), 1.0)
-        return (pref / c1) * quad_semiinfinite(f, split_at, self.quad)
+        return log_semiinfinite(log_f, split_at, self.quad) / c1
 
     def rect_mass(self, component, x_lo: float, y_lo: float) -> float:
         """Mass of [x_lo, inf) x [y_lo, inf); at least one bound positive.
 
         Computed by the 1-d reduction: the gamma survival functions
         Q(r, x_lo/z) and Q(r', y_lo/z**a) replace the inner integrals.
+        The integrand is exp of -s/c1 + log Q + log Q' at s = log z.
         """
         if x_lo < 0 or y_lo < 0:
             raise DomainError("rectangle corners must be nonnegative")
@@ -82,16 +86,16 @@ class TailMeasure:
             raise DomainError(f"component must be 1, 2 or 'combined', got {component!r}")
         c1, a = self.derived.c1, self.derived.a
 
-        def f(z):
-            val = z ** (-1.0 - 1.0 / c1)
+        def log_f(s):
+            val = -s / c1
             if x_lo > 0:
-                val *= gammaincc(rin, x_lo / z)
+                val = val + np.log(gammaincc(rin, x_lo * np.exp(-s)))
             if y_lo > 0:
-                val *= gammaincc(rout, y_lo / z**a)
+                val = val + np.log(gammaincc(rout, y_lo * np.exp(-a * s)))
             return val
 
         split_at = max(x_lo, y_lo ** (1.0 / a), 1.0)
-        return quad_semiinfinite(f, split_at, self.quad) / c1
+        return log_semiinfinite(log_f, split_at, self.quad) / c1
 
     def marginal_mass_closed_form(self, component, x_lo: float) -> float:
         """Closed form of rect_mass(component, x_lo, 0).

@@ -40,7 +40,7 @@ from .quadrature import (
     DEFAULT_QUAD,
     QuadratureSpec,
     gauss_legendre_panels,
-    quad_semiinfinite,
+    log_semiinfinite,
     refine_table_integral,
 )
 
@@ -411,7 +411,8 @@ def uhat_limit_rhs(
     """The limiting transform: an explicit integral over the mixing scale.
 
     c1^-1 prod_{d=1..k}(delta_in + d) int_0^inf z^(k-1-1/c1)
-    (1 + z lam1)^-(delta_in+k+1) (1 + z^a lam2)^-delta_out dz.
+    (1 + z lam1)^-(delta_in+k+1) (1 + z^a lam2)^-delta_out dz, summed in s = log z
+    as exp of the log of the integrand, so z^(k-1/c1) cannot overflow at large k.
     """
     params = tail_ready(params)
     d = derive(params)
@@ -423,13 +424,12 @@ def uhat_limit_rhs(
     c1, a = d.c1, d.a
     const = float(np.prod([din + i for i in range(1, k + 1)])) / c1
 
-    def f(z):
-        return z ** (k - 1.0 - 1.0 / c1) * (1.0 + z * lam1) ** -(din + k + 1.0) * (
-            1.0 + z**a * lam2
-        ) ** -dout
+    def log_f(s):
+        tilt = (din + k + 1.0) * np.log1p(lam1 * np.exp(s)) + dout * np.log1p(lam2 * np.exp(a * s))
+        return (k - 1.0 / c1) * s - tilt
 
     split = max(1.0 / lam1, (1.0 / lam2) ** (1.0 / a), 1.0)
-    return const * quad_semiinfinite(f, split, quad)
+    return const * log_semiinfinite(log_f, split, quad)
 
 
 def derivative_limit_rect(
@@ -443,7 +443,7 @@ def derivative_limit_rect(
 
     The limit density is a gamma mixture, so the rectangle mass reduces
     to regularized lower incomplete gamma factors under the mixing
-    integral.
+    integral, summed in s = log z as exp of (k - 1/c1) s + log P + log P'.
     """
     params = tail_ready(params)
     d = derive(params)
@@ -455,15 +455,15 @@ def derivative_limit_rect(
     c1, a = d.c1, d.a
     const = float(np.prod([din + i for i in range(1, k + 1)])) / c1
 
-    def f(z):
+    def log_f(s):
         return (
-            z ** (k - 1.0 - 1.0 / c1)
-            * gammainc(din + k + 1.0, x / z)
-            * gammainc(dout, y / z**a)
+            (k - 1.0 / c1) * s
+            + np.log(gammainc(din + k + 1.0, x * np.exp(-s)))
+            + np.log(gammainc(dout, y * np.exp(-a * s)))
         )
 
     split = max(x, y ** (1.0 / a), 1.0)
-    return const * quad_semiinfinite(f, split, quad)
+    return const * log_semiinfinite(log_f, split, quad)
 
 
 def truncation_condition(measure, b: ScalingFunctions, x, y_grid, t_grid) -> list:

@@ -183,11 +183,30 @@ def test_bad_input_file_is_an_error(tmp_path, capsys, command, text, message):
     assert "usecols" not in err
 
 
-def test_density_overflow_is_a_numerical_failure(tmp_path, capsys):
+def test_density_at_high_alpha_in(tmp_path):
+    # alpha_in = 28.5: the density integrand only stays finite in log space
+    out = tmp_path / "density.csv"
     argv = ["density", "--alpha", "0.1", "--beta", "0.1", "--gamma", "0.8", "--delta-in", "5",
-            "--out", str(tmp_path / "density.csv")]
-    assert run(argv) == 2
-    assert capsys.readouterr().err.startswith("numerical failure:")
+            "--out", str(out)]
+    assert run(argv) == 0
+    dens = read_csv(out, 3)[:, 2]
+    assert dens.size == 81
+    assert np.all(np.isfinite(dens)) and np.all(dens > 0)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--check", "truncation", "--rel-tol", "1e-12"], "--rel-tol"),
+        (["--check", "uhat", "--t-grid", "1,2", "--component", "2"], "--t-grid"),
+    ],
+    ids=["truncation-rel-tol", "uhat-t-grid"],
+)
+def test_verify_rejects_flags_its_check_does_not_take(tmp_path, capsys, argv, flag):
+    assert run(["verify", *argv, "--out", str(tmp_path / "v.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err and f"--check {argv[1]}" in err
+    assert not (tmp_path / "v.json").exists()
 
 
 def test_exit_code_on_usage_error(capsys):
@@ -197,10 +216,15 @@ def test_exit_code_on_usage_error(capsys):
 
 
 def test_package_import_skips_scipy_stats():
-    """scipy.stats costs about half a second of import; nothing needs it."""
+    """scipy.stats, scipy.integrate and scipy.optimize each cost a large part
+    of the import time; nothing needs them."""
     import heavytail_pa
 
     root = os.path.dirname(os.path.dirname(heavytail_pa.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([root, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, heavytail_pa; sys.exit('scipy.stats' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = ("import sys, heavytail_pa; "
+            "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"

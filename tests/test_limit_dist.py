@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -57,6 +58,23 @@ def test_pmf_table_matches_single_cell_quadrature(dist):
     table = dist.pmf_component_table(1, 6, 6)
     for i, j in [(0, 0), (1, 3), (5, 2), (6, 6)]:
         assert table[i, j] == pytest.approx(dist.pmf_component(1, i, j), abs=1e-11)
+
+
+def test_far_pmf_cell_matches_mpmath(dist):
+    """P[X2 = 2000, Y2 = 5] is about 8e-14, below the absolute tolerance."""
+    i, j = 2000, 5
+    c1, a = dist.derived.c1, dist.derived.a
+    rin, rout = dist.params.delta_in, dist.params.delta_out + 1.0
+    with mp.workdps(30):
+
+        def nb(m, r, p):
+            return mp.gamma(r + m) / (mp.gamma(r) * mp.factorial(m)) * p**r * (1 - p) ** m
+
+        def f(z):
+            return z ** (-1 - 1 / mp.mpf(c1)) * nb(i, rin, 1 / z) * nb(j, rout, z ** -mp.mpf(a))
+
+        oracle = float(mp.quad(f, [1, 10, 100, 1000, 1e4, 1e5, mp.inf]) / c1)
+    assert dist.pmf_component(2, i, j) == pytest.approx(oracle, rel=1e-8, abs=0.0)
 
 
 def test_component_mass_capture(dist):

@@ -1,5 +1,4 @@
-import math
-
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,49 +8,93 @@ from heavytail_pa import (
     QuadratureSpec,
     TailMeasure,
     derivative_limit_rect,
+    derive,
     uhat_limit_rhs,
 )
 from heavytail_pa.quadrature import (
+    log_semiinfinite,
     power_exponent,
-    quad_checked,
-    quad_semiinfinite,
     refine_table_integral,
 )
 
 
-def test_quad_checked_exponential():
-    val = quad_checked(lambda x: math.exp(-x), 0.0, 50.0)
-    assert val == pytest.approx(1.0, abs=1e-12)
+def test_table_rule_fails_fast_on_a_nan_integrand():
+    calls = []
+
+    def eval_on_grid(nodes, weights):
+        calls.append(nodes.size)
+        return float(weights @ np.full_like(nodes, np.nan))
+
+    with pytest.raises(QuadratureFailure, match="non-finite"):
+        refine_table_integral(eval_on_grid, 0.0, 1.0)
+    assert len(calls) <= 2
 
 
-def test_quad_checked_rejects_blown_budget():
-    spec = QuadratureSpec(subdivision_limit=1, tol_abs=1e-14, tol_rel=1e-14)
-    with pytest.raises(QuadratureFailure):
-        quad_checked(lambda x: math.sin(1.0 / (x + 1e-8)) / math.sqrt(x + 1e-8), 0.0, 1.0, spec)
+def test_table_rule_rejects_an_unresolved_integrand():
+    def eval_on_grid(nodes, weights):
+        return float(weights @ (np.sin(1.0 / (nodes + 1e-8)) / np.sqrt(nodes + 1e-8)))
+
+    spec = QuadratureSpec(tol_abs=1e-14, tol_rel=1e-14)
+    with pytest.raises(QuadratureFailure, match="not converged"):
+        refine_table_integral(eval_on_grid, 0.0, 1.0, spec)
 
 
-# alpha_in = 28.5 here: the linear-space (0, inf) integrands overflow
+# alpha_in = 28.5 here: the z-exponents reach about 40, so the integrands
+# only stay finite when they are evaluated in log space
 HIGH_ALPHA_IN = ModelParams(0.1, 0.1, 0.8, 5.0, 1.0)
+HIGH_K = 30
 
 
-@pytest.mark.parametrize(
-    "evaluate",
-    [
-        lambda p: TailMeasure(p).density(1, 1.0, 1.0),
-        lambda p: TailMeasure(p).rect_mass(1, 1.0, 1.0),
-        lambda p: uhat_limit_rhs(30, p, 1.0, 1.0),
-        lambda p: derivative_limit_rect(30, p, 1.0, 1.0),
-    ],
-    ids=["density", "rect_mass", "uhat_limit_rhs", "derivative_limit_rect"],
-)
-def test_integrand_arithmetic_error_is_quadrature_failure(evaluate):
-    with pytest.raises(QuadratureFailure):
-        evaluate(HIGH_ALPHA_IN)
+def _mpmath_oracle(name):
+    """The four high-alpha_in integrals from their gamma-mixture forms, at 30 digits."""
+    d = derive(HIGH_ALPHA_IN)
+    with mp.workdps(30):
+        c1, a = mp.mpf(d.c1), mp.mpf(d.a)
+        din, dout = mp.mpf(HIGH_ALPHA_IN.delta_in), mp.mpf(HIGH_ALPHA_IN.delta_out)
+        const = mp.fprod(din + i for i in range(1, HIGH_K + 1))
+
+        def gamma_pdf(v, r, scale):
+            return v ** (r - 1) * mp.exp(-v / scale) / (mp.gamma(r) * scale**r)
+
+        def lower(r, v):
+            # 1 - Q is much faster than mpmath's lower form here, and at
+            # 30 digits it loses accuracy only where the integrand is negligible
+            return 1 - mp.gammainc(r, v, regularized=True)
+
+        def mix(f):
+            # c1^-1 int_0^inf z^(-1-1/c1) f(z) dz
+            cuts = [0, 0.01, 0.1, 1, 10, 100, mp.inf]
+            return mp.quad(lambda z: z ** (-1 - 1 / c1) * f(z), cuts) / c1
+
+        integrands = {
+            "density": lambda z: gamma_pdf(1, din + 1, z) * gamma_pdf(1, dout, z**a),
+            "rect_mass": lambda z: mp.gammainc(din + 1, 1 / z, regularized=True)
+            * mp.gammainc(dout, 1 / z**a, regularized=True),
+            "uhat_limit_rhs": lambda z: const * z**HIGH_K * (1 + z) ** -(din + HIGH_K + 1)
+            * (1 + z**a) ** -dout,
+            "derivative_limit_rect": lambda z: const * z**HIGH_K
+            * lower(din + HIGH_K + 1, 1 / z) * lower(dout, 1 / z**a),
+        }
+        return float(mix(integrands[name]))
+
+
+HIGH_ALPHA_IN_CALLS = {
+    "density": lambda p: TailMeasure(p).density(1, 1.0, 1.0),
+    "rect_mass": lambda p: TailMeasure(p).rect_mass(1, 1.0, 1.0),
+    "uhat_limit_rhs": lambda p: uhat_limit_rhs(HIGH_K, p, 1.0, 1.0),
+    "derivative_limit_rect": lambda p: derivative_limit_rect(HIGH_K, p, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(HIGH_ALPHA_IN_CALLS))
+def test_high_alpha_in_matches_mpmath(name):
+    got = HIGH_ALPHA_IN_CALLS[name](HIGH_ALPHA_IN)
+    assert got == pytest.approx(_mpmath_oracle(name), rel=1e-10, abs=0.0)
 
 
 def test_quad_semiinfinite_gamma_integral():
-    # int_0^inf z^2 e^-z dz = 2
-    val = quad_semiinfinite(lambda z: z**2 * math.exp(-z), split=2.0)
+    # int_0^inf z^2 e^-z dz = 2, given as log(z * z^2 e^-z) at s = log z
+    val = log_semiinfinite(lambda s: 3.0 * s - np.exp(s), split=2.0)
     assert val == pytest.approx(2.0, rel=1e-10)
 
 
