@@ -134,7 +134,7 @@ def _cmd_sample_limit(args) -> int:
     return 0
 
 
-def _parse_grid(spec: str):
+def _parse_points(spec: str):
     """Accept 'lo:hi:count' (log-spaced when lo > 0) or comma lists."""
     if ":" in spec:
         lo, hi, count = spec.split(":")
@@ -147,8 +147,8 @@ def _parse_grid(spec: str):
 def _cmd_density(args) -> int:
     params = _resolve_params(args)
     tm = TailMeasure(params, _quad(args))
-    xs = _parse_grid(args.grid_x)
-    ys = _parse_grid(args.grid_y)
+    xs = _parse_points(args.grid_x)
+    ys = _parse_points(args.grid_y)
     component = args.component if args.component == "combined" else int(args.component)
     meta = _meta_lines(_config_block(args, params))
     meta["component"] = component
@@ -245,7 +245,7 @@ def _cmd_verify(args) -> int:
     for name in flags:
         value = getattr(args, name)
         if value is not None:
-            kwargs[name] = _parse_grid(value) if name.endswith("_grid") else value
+            kwargs[name] = _parse_points(value) if name.endswith("_grid") else value
     report = check(params, **kwargs)
     report["config"] = _config_block(args, params)
     _write_json(args.out, report)

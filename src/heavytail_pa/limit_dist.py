@@ -13,25 +13,22 @@ printed integral generating functions into exact samplers and stable
 pmf quadratures.  The full degree pair mixes the two components with a
 Bernoulli(gamma/(alpha+gamma)) switch and a +1 on the switched margin.
 
-Z samples by inverse cdf (Z = U^(-c1)); negative binomials sample by
-the gamma-Poisson composition, exact for non-integer shapes.
+Every pgf and pmf is an expectation over Z, taken by the one trapezoid
+rule of `quadrature` in s = log(Z - 1), with the mixing weight written
+as a log.  The NB factors are at most 1, so the weight bounds every
+integrand, and the window ends where that bound is e^-WINDOW below its
+peak.  Z samples by inverse cdf (Z = U^(-c1)); negative binomials sample
+by the gamma-Poisson composition, exact for non-integer shapes.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError
 from .params import DerivedConstants, ModelParams, derive, split_probability, validate
-from .quadrature import (
-    DEFAULT_QUAD,
-    QuadratureSpec,
-    power_exponent,
-    refine_table_integral,
-)
+from .quadrature import DEFAULT_QUAD, WINDOW, QuadratureSpec, trapezoid
 
 _COMPONENT_SHAPES = {
     1: lambda p: (p.delta_in + 1.0, p.delta_out),
@@ -63,31 +60,26 @@ class LimitDistribution:
         self.derived: DerivedConstants = derive(self.params)
         self.split = split_probability(self.params)
         self.quad = quad
-        self._w_exp = power_exponent(self.derived.c1)
 
     # -- generating functions -------------------------------------------
 
     def pgf_component(self, component: int, x: float, y: float) -> float:
         """E[x^X_j y^Y_j] for component j, 0 <= x, y <= 1.
 
-        Integrated over u = 1/z mapped to (0, 1), then u = w**m to
-        remove the kink of u**(1/c1 - 1) at the origin (m = c1*ceil(2/c1),
-        so the Jacobian exponent m/c1 - 1 is a positive integer).
+        Given Z = z the NB pgf identity gives (x + (1-x) z)^-r_in
+        (y + (1-y) z^a)^-r_out, which `_mix` integrates against the
+        mixing weight by the trapezoid rule in s = log(z - 1), on the
+        window where the weight is within e^-WINDOW of its peak.
         """
         self._check_unit(x, "x")
         self._check_unit(y, "y")
         rin, rout = self._shapes(component)
-        c1, a = self.derived.c1, self.derived.a
-        m = self._w_exp
+        a = self.derived.a
 
-        def eval_on_grid(w, weights):
-            u = w**m
-            ua = u**a
-            term_in = (u / (x * u + (1.0 - x))) ** rin
-            term_out = (ua / (y * ua + (1.0 - y))) ** rout
-            return float(weights @ ((m / c1) * w ** (m / c1 - 1.0) * term_in * term_out))
+        def weighted_sum(z, w):
+            return float(w @ ((x + (1.0 - x) * z) ** -rin * (y + (1.0 - y) * z**a) ** -rout))
 
-        return refine_table_integral(eval_on_grid, 0.0, 1.0, self.quad)
+        return self._mix(weighted_sum)
 
     def pgf(self, x: float, y: float) -> float:
         """E[x^I y^O]: the Bernoulli-weighted combination of the components."""
@@ -111,15 +103,12 @@ class LimitDistribution:
         if i < 0 or j < 0:
             raise DomainError("pmf indices must be nonnegative")
         rin, rout = self._shapes(component)
-        c1, a = self.derived.c1, self.derived.a
-        m = self._w_exp
+        a = self.derived.a
 
-        def eval_on_grid(w, weights):
-            u = w**m
-            log_nb = nb_logpmf(i, rin, u) + nb_logpmf(j, rout, u**a)
-            return float(weights @ ((m / c1) * w ** (m / c1 - 1.0) * np.exp(log_nb)))
+        def weighted_sum(z, w):
+            return float(w @ np.exp(nb_logpmf(i, rin, 1.0 / z) + nb_logpmf(j, rout, z**-a)))
 
-        return refine_table_integral(eval_on_grid, 0.0, 1.0, self.quad)
+        return self._mix(weighted_sum)
 
     def pmf(self, i: int, j: int) -> float:
         """P[I = i, O = j] for the full degree pair."""
@@ -136,28 +125,20 @@ class LimitDistribution:
     def pmf_component_table(self, component: int, i_max: int, j_max: int) -> np.ndarray:
         """Dense table of P[X_j = i, Y_j = m] for i <= i_max, m <= j_max.
 
-        One shared quadrature grid in s = log(z - 1) serves every cell;
-        panels are doubled until the whole table is stable.
+        One set of mixing nodes serves every cell; the step is halved
+        until the whole table is stable.
         """
         rin, rout = self._shapes(component)
-        c1, a = self.derived.c1, self.derived.a
+        a = self.derived.a
         iarr = np.arange(i_max + 1, dtype=np.float64)
         jarr = np.arange(j_max + 1, dtype=np.float64)
-        # the integrand stays O(1) down to z = 1, so the sliver cut at
-        # z - 1 = eps costs about eps/c1 mass; keep it below tolerance
-        lo = math.log(1e-14)
-        hi = math.log(200.0 * max(i_max + 10.0, (j_max + 10.0) ** (1.0 / a), 20.0))
 
-        def eval_on_grid(nodes, weights):
-            zm1 = np.exp(nodes)
-            z = 1.0 + zm1
-            dens = weights * zm1 * (1.0 / c1) * z ** (-1.0 - 1.0 / c1)
+        def weighted_sum(z, w):
             A = nb_pmf(iarr[None, :], rin, (1.0 / z)[:, None])
-            B = nb_pmf(jarr[None, :], rout, (z ** -a)[:, None])
-            return np.einsum("q,qi,qj->ij", dens, A, B, optimize=True)
+            B = nb_pmf(jarr[None, :], rout, (z**-a)[:, None])
+            return np.einsum("q,qi,qj->ij", w, A, B, optimize=True)
 
-        table = refine_table_integral(eval_on_grid, lo, hi, self.quad)
-        return np.clip(table, 0.0, None)
+        return np.clip(self._mix(weighted_sum), 0.0, None)
 
     def pmf_table(self, i_max: int, j_max: int) -> np.ndarray:
         """Dense table of P[I = i, O = j] on [0, i_max] x [0, j_max]."""
@@ -170,18 +151,6 @@ class LimitDistribution:
         if j_max >= 1:
             out[:, 1:] += (1.0 - pb) * t2
         return out
-
-    def adaptive_box(self, increment_tol: float = 1e-6, start: int = 64, cap: int = 4096) -> int:
-        """Smallest square half-size M with captured-mass increment < tol."""
-        m = start
-        prev = float(self.pmf_table(m, m).sum())
-        while m < cap:
-            m *= 2
-            cur = float(self.pmf_table(m, m).sum())
-            if cur - prev < increment_tol:
-                return m
-            prev = cur
-        return cap
 
     # -- sampling ----------------------------------------------------------
 
@@ -226,6 +195,20 @@ class LimitDistribution:
         return rng.poisson(lam).astype(np.int64)
 
     # -- helpers -------------------------------------------------------------
+
+    def _mix(self, weighted_sum):
+        """E[f(Z)] for an f <= 1; ``weighted_sum(z, w)`` returns sum_q w_q f(z_q).
+
+        The weight w(s) = exp(s - (1+1/c1) log1p(e^s))/c1 is at most e^s/c1
+        and e^(-s/c1)/c1, which fall e^-WINDOW below 1/c1 at the window's ends.
+        """
+        c1 = self.derived.c1
+
+        def sum_f(s):
+            es = np.exp(s)
+            return weighted_sum(1.0 + es, np.exp(s - (1.0 + 1.0 / c1) * np.log1p(es)) / c1)
+
+        return trapezoid(sum_f, -WINDOW, WINDOW * c1, self.quad)
 
     def _shapes(self, component: int):
         try:

@@ -1,31 +1,33 @@
-"""Quadrature helpers for the mixture integrals.
+"""One quadrature rule for the mixture integrals.
 
-Two recurring shapes:
-
-* integrals over z in (1, inf) against the density c1^-1 z^(-1-1/c1);
-  the substitution u = 1/z maps them to (0, 1), and a further power
-  substitution u = w**m with m = c1*ceil(2/c1) makes the integrand C^1
-  at the origin (m/c1 is then an integer >= 2, so the Jacobian factor
-  w**(m/c1 - 1) is a plain polynomial);
-* integrals over z in (0, inf) with exponential or power localisation;
-  these are integrated in s = log z around the localisation scale, with
-  the integrand given as a log (log_semiinfinite), so a factor that
-  overflows or underflows on its own never reaches linear space.
-
-Every integral runs on one engine: the vectorised composite
-Gauss-Legendre rule of refine_table_integral, scalar and table-valued
+Every integral in the package is an expectation over the Pareto mixing
+variable Z.  Written in s = log z or s = log(z - 1), each integrand is
+analytic in a strip around the real axis and decays exponentially at
+both ends, so the trapezoid rule converges exponentially on it and its
+levels nest: halving the step reuses every earlier node (Trefethen and
+Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
+56(3), 2014).  `trapezoid` is that rule, scalar and table-valued
 integrands alike.
+
+Each caller bounds its window with a closed-form decay rate where one
+exists: the window ends where the bound has fallen by e^-WINDOW.  Where
+none exists, `log_semiinfinite` scans log f on a unit grid and widens the
+window until both ends lie WINDOW below the largest value seen.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import QuadratureFailure
+
+# e-folds below the peak at which an integration window ends
+WINDOW = 40.0
+# nodes one integral may evaluate before it is declared unresolved
+MAX_NODES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -39,74 +41,70 @@ class QuadratureSpec:
 DEFAULT_QUAD = QuadratureSpec()
 
 
-def power_exponent(c1: float) -> float:
-    """Exponent m of the substitution u = w**m removing the u = 0 kink."""
-    return c1 * math.ceil(2.0 / c1)
+def trapezoid(sum_f, lo: float, hi: float, spec: QuadratureSpec = DEFAULT_QUAD):
+    """Nested trapezoid rule for the integral of f over [lo, hi].
 
-
-@functools.lru_cache(maxsize=None)
-def _legendre_rule(order: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
-    xs, ws = np.polynomial.legendre.leggauss(order)
-    xs.setflags(write=False)
-    ws.setflags(write=False)
-    return xs, ws
-
-
-def gauss_legendre_panels(lo: float, hi: float, n_panels: int, order: int = 24):
-    """Nodes and weights of a composite Gauss-Legendre rule on [lo, hi]."""
-    xs, ws = _legendre_rule(order)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    halfw = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + halfw[:, None] * xs[None, :]).ravel()
-    weights = (halfw[:, None] * ws[None, :]).ravel()
-    return nodes, weights
-
-
-def refine_table_integral(eval_on_grid, lo, hi, spec: QuadratureSpec = DEFAULT_QUAD,
-                          start_panels: int = 8, max_panels: int = 512):
-    """Composite-rule integration of a scalar- or array-valued integrand.
-
-    ``eval_on_grid(nodes, weights)`` must return the weighted integral
-    contribution as a float or an ndarray.  Panels are doubled until the
-    max-norm change is within max(tol_abs, tol_rel * max|result|).  A
-    non-finite evaluation fails at once.
+    ``sum_f(nodes)`` returns the sum of f over the nodes, a float or a
+    table.  The rule starts at a step of at most 0.25 and halves it,
+    evaluating only the new midpoints, until the max-norm change is
+    within max(tol_abs, tol_rel * max|value|).  The ends are never
+    evaluated: every window ends where f is negligible.  A non-finite
+    sum, or more than MAX_NODES nodes, raises QuadratureFailure.
     """
+    n = max(2, math.ceil(4.0 * (hi - lo)))
+    h = (hi - lo) / n
+    used = 0
 
-    def evaluate(n):
-        nodes, weights = gauss_legendre_panels(lo, hi, n)
-        val = eval_on_grid(nodes, weights)
-        if not np.all(np.isfinite(val)):
-            raise QuadratureFailure(f"non-finite integrand value at {n} panels")
-        return val
+    def checked_sum(nodes):
+        nonlocal used
+        used += nodes.size
+        part = sum_f(nodes)
+        if not np.all(np.isfinite(part)):
+            raise QuadratureFailure(f"non-finite integrand value at {used} nodes")
+        return part
 
-    n = start_panels
-    delta = math.inf
-    prev = evaluate(n)
-    while n <= max_panels:
-        n *= 2
-        cur = evaluate(n)
-        delta = float(np.max(np.abs(cur - prev)))
-        if delta <= max(spec.tol_abs, spec.tol_rel * float(np.max(np.abs(cur)))):
-            return cur
-        prev = cur
-    raise QuadratureFailure(
-        f"table integral not converged at {max_panels} panels (last change {delta:.2e})"
-    )
+    total = checked_sum(lo + h * np.arange(1, n))
+    value = h * total
+    while True:
+        total = total + checked_sum(lo + h * (np.arange(n) + 0.5))
+        n, h = 2 * n, 0.5 * h
+        prev, value = value, h * total
+        change = float(np.max(np.abs(value - prev)))
+        if change <= max(spec.tol_abs, spec.tol_rel * float(np.max(np.abs(value)))):
+            return value
+        if used + n > MAX_NODES:
+            raise QuadratureFailure(
+                f"trapezoid rule not converged at {used} nodes (last change {change:.2e})"
+            )
 
 
 def log_semiinfinite(log_f, split: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Integrate f over (0, inf) given log_f(s) = log(z f(z)) at s = log z.
 
-    The range is s in [log split - 60, log split + 90]; the caller puts
-    `split` at the localisation scale and guarantees decay on both sides.
-    A factor that underflows makes log_f -inf, which contributes 0.
+    `split` is where the caller expects the peak; the peak may lie far
+    from it.  A unit-step scan from log(split) doubles its span on each
+    side whose end is not yet WINDOW below the largest value seen, then
+    the window is trimmed to the nodes above that level, plus one on
+    each side.  A factor that underflows makes log_f -inf, which
+    contributes 0.
     """
-    s0 = math.log(max(split, 1e-300))
-
-    def eval_on_grid(nodes, weights):
-        with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            return float(weights @ np.exp(log_f(nodes)))
-
-    return refine_table_integral(eval_on_grid, s0 - 60.0, s0 + 90.0, spec)
+    lo = hi = math.log(split)
+    grow_lo = grow_hi = WINDOW
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        while grow_lo or grow_hi:
+            lo, hi = lo - grow_lo, hi + grow_hi
+            s = np.arange(lo, hi + 0.5)
+            if s.size > MAX_NODES:
+                raise QuadratureFailure(f"no peak of log f within [{lo:.4g}, {hi:.4g}]")
+            v = log_f(s)
+            if not np.all(v < np.inf):
+                raise QuadratureFailure(f"non-finite log-integrand in [{lo:.4g}, {hi:.4g}]")
+            floor = np.max(v) - WINDOW
+            if floor == -np.inf:
+                raise QuadratureFailure(f"the integrand vanishes on [{lo:.4g}, {hi:.4g}]")
+            # >= keeps the top even when the floor rounds to it at huge |log f|
+            grow_lo = (hi - lo) if v[0] >= floor else 0.0
+            grow_hi = (hi - lo) if v[-1] >= floor else 0.0
+        keep = np.flatnonzero(v >= floor)
+        lo, hi = s[keep[0] - 1], s[keep[-1] + 1]
+        return float(trapezoid(lambda nodes: np.exp(log_f(nodes)).sum(), lo, hi, spec))

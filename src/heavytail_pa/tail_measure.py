@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 from scipy.special import gammaincc, gammaln
 
 from .errors import DomainError, InsufficientExceedances
@@ -111,7 +110,7 @@ class TailMeasure:
         if rin <= 0:
             raise DomainError("component 2 needs delta_in > 0")
         c1 = self.derived.c1
-        return x_lo ** (-1.0 / c1) * gamma_fn(rin + 1.0 / c1) / gamma_fn(rin)
+        return math.exp(gammaln(rin + 1.0 / c1) - gammaln(rin) - math.log(x_lo) / c1)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,10 @@ Rectangle masses, marginal masses and transforms therefore factor, per
 quadrature node of the mixing integral, into products of exponentially
 tilted NB sections, and each section has a closed form through the
 regularized incomplete beta function (see _nb_section).  Nothing is
-summed termwise and no index range is truncated.
+summed termwise and no index range is truncated.  The mixing integral
+runs on the trapezoid rule of `quadrature` in s = log(z - 1), on a
+window bounded by the decay rates of the weight and the sections
+(DerivativeMeasure._mix).
 """
 
 from __future__ import annotations
@@ -30,21 +33,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import betainc, gammainc
+from scipy.special import betainc, gammainc, gammaln
 from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, InvalidK, QuadratureFailure
 from .limit_dist import LimitDistribution, nb_pmf
 from .params import ModelParams, derive, tail_ready
-from .quadrature import (
-    DEFAULT_QUAD,
-    QuadratureSpec,
-    gauss_legendre_panels,
-    log_semiinfinite,
-    refine_table_integral,
-)
-
-LN10 = math.log(10.0)
+from .quadrature import DEFAULT_QUAD, WINDOW, QuadratureSpec, log_semiinfinite, trapezoid
 
 
 @dataclass(frozen=True)
@@ -68,10 +63,10 @@ class ScalingFunctions:
             raise DomainError("scaling normalizers must be positive")
 
     def b1(self, t: float) -> float:
-        return (t / self.scale1) ** (1.0 / self.gamma1)
+        return _scaling_power(t, self.scale1, self.gamma1)
 
     def b2(self, t: float) -> float:
-        return (t / self.scale2) ** (1.0 / self.gamma2)
+        return _scaling_power(t, self.scale2, self.gamma2)
 
     @staticmethod
     def for_derivative_measure(params: ModelParams, k: int) -> "ScalingFunctions":
@@ -89,6 +84,20 @@ class ScalingFunctions:
             scale1=derivative_marginal_normalizer(params, k),
             scale2=1.0,
         )
+
+
+def _scaling_power(t: float, scale: float, gamma: float) -> float:
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = float(np.float64(t / scale) ** (1.0 / gamma))
+    if not math.isfinite(b):
+        raise DomainError(f"the scaling (t/scale)**(1/gamma) overflows at t = {t:g}, gamma = {gamma:g}")
+    return b
+
+
+def _log_mix_const(params: ModelParams, k: int) -> float:
+    """log(prod_{d=1..k}(delta_in + d) / c1), as a gammaln difference."""
+    din = params.delta_in
+    return gammaln(din + k + 1.0) - gammaln(din + 1.0) - math.log(derive(params).c1)
 
 
 def derivative_marginal_normalizer(params: ModelParams, k: int) -> float:
@@ -213,14 +222,7 @@ class DerivativeMeasure:
     (equality with the atoms is covered by the tests).
     """
 
-    def __init__(
-        self,
-        params: ModelParams,
-        k: int,
-        quad: QuadratureSpec = DEFAULT_QUAD,
-        panels_per_decade: float = 2.0,
-        gl_order: int = 16,
-    ):
+    def __init__(self, params: ModelParams, k: int, quad: QuadratureSpec = DEFAULT_QUAD):
         self.params = tail_ready(params)
         self.derived = derive(self.params)
         if k != int(k) or k < 1:
@@ -231,13 +233,17 @@ class DerivativeMeasure:
             )
         self.k = int(k)
         self.quad = quad
-        self.panels_per_decade = panels_per_decade
-        self.gl_order = gl_order
 
         din, dout = self.params.delta_in, self.params.delta_out
         self._r_i = din + self.k + 1.0  # shifted in-section NB shape
         self._r_j = dout
-        self._const = float(np.prod([din + d for d in range(1, self.k + 1)]))
+        self._log_const = _log_mix_const(self.params, self.k)
+        # every integrand is at least g = weight * (1 + e^s)^-(r_i + a r_j) (the
+        # sections' values at i = j = 0), whose peak relative to e^log_const is
+        # (k+1) log q - n log1p(q) at e^s = q; windows end e^-WINDOW below it
+        n = 1.0 + 1.0 / self.derived.c1 + self._r_i + self.derived.a * dout
+        q = (self.k + 1.0) / (n - self.k - 1.0)
+        self._log_floor = (self.k + 1.0) * math.log(q) - n * math.log1p(q) - WINDOW
         self._limit = LimitDistribution(self.params, quad)
 
     # -- atoms ---------------------------------------------------------------
@@ -254,19 +260,13 @@ class DerivativeMeasure:
         a = self.derived.a
         iarr = np.arange(i_max + 1, dtype=np.float64)
         jarr = np.arange(j_max + 1, dtype=np.float64)
-        lo = math.log(1e-8)
-        hi = math.log(200.0 * max(i_max + 10.0, (j_max + 10.0) ** (1.0 / a), 20.0))
 
-        def eval_on_grid(nodes, weights):
-            zm1 = np.exp(nodes)
-            z = 1.0 + zm1
-            dens = weights * zm1 * self._mix_weight(zm1, z)  # dz = zm1 ds
+        def weighted_sum(z, w):
             A = nb_pmf(iarr[None, :], self._r_i, (1.0 / z)[:, None])
-            B = nb_pmf(jarr[None, :], self._r_j, (z ** -a)[:, None])
-            return np.einsum("q,qi,qj->ij", dens, A, B, optimize=True)
+            B = nb_pmf(jarr[None, :], self._r_j, (z**-a)[:, None])
+            return np.einsum("q,qi,qj->ij", w, A, B, optimize=True)
 
-        table = refine_table_integral(eval_on_grid, lo, hi, self.quad)
-        return np.clip(table, 0.0, None)
+        return np.clip(self._mix(weighted_sum, self._r_i * math.log1p(i_max), self._r_i), 0.0, None)
 
     def captured_mass(self, half_size: float) -> float:
         """Total atom weight on the square [0, half_size]^2."""
@@ -280,23 +280,27 @@ class DerivativeMeasure:
             return 0.0
         ix, jy = np.floor(x), np.floor(y)
         a = self.derived.a
-        zmax = 200.0 * max(ix + 1.0, (jy + 1.0) ** (1.0 / a), 10.0)
-        z, w = self._grid(zmax)
-        A = _nb_section(self._r_i, 1.0 / z, 0.0, ix)
-        B = _nb_section(self._r_j, z**-a, 0.0, jy)
-        return float(w @ (A * B))
+
+        def weighted_sum(z, w):
+            return float(w @ (_nb_section(self._r_i, 1.0 / z, 0.0, ix)
+                              * _nb_section(self._r_j, z**-a, 0.0, jy)))
+
+        return self._mix(weighted_sum, self._r_i * math.log1p(ix), self._r_i)
 
     def marginal_mass(self, component: int, x: float) -> float:
         """Cumulative marginal weight; the full cross-sum is exactly 1 per node."""
-        if component == 1:
-            if x < 0:
-                return 0.0
-            ix = np.floor(x)
-            z, w = self._grid(200.0 * max(ix + 1.0, 10.0))
-            return float(w @ _nb_section(self._r_i, 1.0 / z, 0.0, ix))
+        if component not in (1, 2):
+            raise DomainError("component must be 1 or 2")
         if component == 2:
             return self._out_marginal_mass(x)
-        raise DomainError("component must be 1 or 2")
+        if x < 0:
+            return 0.0
+        ix = np.floor(x)
+
+        def weighted_sum(z, w):
+            return float(w @ _nb_section(self._r_i, 1.0 / z, 0.0, ix))
+
+        return self._mix(weighted_sum, self._r_i * math.log1p(ix), self._r_i)
 
     def _out_marginal_mass(self, y: float) -> float:
         d = self.derived
@@ -310,17 +314,11 @@ class DerivativeMeasure:
             return 0.0
         jy = np.floor(y)
         a = d.a
-        # power-law decay z**-(1+margin) is slow; extend zmax until stable
-        zmax = 1000.0 * max((jy + 1.0) ** (1.0 / a), 10.0)
-        prev = None
-        for _ in range(12):
-            z, w = self._grid(zmax)
-            total = float(w @ _nb_section(self._r_j, z**-a, 0.0, jy))
-            if prev is not None and abs(total - prev) <= 1e-8 * max(abs(total), 1.0):
-                return total
-            prev = total
-            zmax *= 10.0
-        raise QuadratureFailure("out-marginal mass did not stabilize under zmax extension")
+
+        def weighted_sum(z, w):
+            return float(w @ _nb_section(self._r_j, z**-a, 0.0, jy))
+
+        return self._mix(weighted_sum, self._r_j * math.log1p(jy), a * self._r_j)
 
     def laplace(self, s1: float, s2: float) -> TransformReport:
         full, _ = self.laplace_with_boxes(s1, s2, ())
@@ -329,46 +327,50 @@ class DerivativeMeasure:
     def laplace_with_boxes(self, s1: float, s2: float, boxes) -> tuple:
         """sum m_ij e^(-s1 i - s2 j) and its parts over [0,bi) x [0,bj).
 
-        Returns (full, [box sums]); all of them share one mixing grid.
+        Returns (full, [box sums]); all of them share one set of mixing nodes.
         """
         if s1 <= 0 or s2 <= 0:
             raise DomainError("transform decay rates must be positive")
         a = self.derived.a
-        zmax = 200.0 * max(1.0 / s1, (1.0 / s2) ** (1.0 / a), 10.0)
-        z, w = self._grid(zmax)
-        p1, p2 = 1.0 / z, z**-a
+        cuts = [(math.inf, math.inf)] + [(float(bi) - 1.0, float(bj) - 1.0) for bi, bj in boxes]
 
-        def part(icut: float, jcut: float) -> float:
-            A = _nb_section(self._r_i, p1, s1, icut)
-            B = _nb_section(self._r_j, p2, s2, jcut)
-            return float(w @ (A * B))
+        def weighted_sum(z, w):
+            p1, p2 = 1.0 / z, z**-a
+            return np.array([w @ (_nb_section(self._r_i, p1, s1, icut)
+                                  * _nb_section(self._r_j, p2, s2, jcut)) for icut, jcut in cuts])
 
-        full = part(math.inf, math.inf)
-        return full, [part(float(bi) - 1.0, float(bj) - 1.0) for bi, bj in boxes]
+        # the whole tilted in-section is (1 + e^s (1 - e^-s1))^-r_i
+        vals = self._mix(weighted_sum, -self._r_i * math.log(-math.expm1(-s1)), self._r_i)
+        return float(vals[0]), [float(v) for v in vals[1:]]
 
     # -- numerical machinery ----------------------------------------------
 
-    def _mix_weight(self, zm1, z):
-        c1 = self.derived.c1
-        return self._const * (1.0 / c1) * z ** (-1.0 - 1.0 / c1) * zm1**self.k
+    def _mix(self, weighted_sum, log_tail: float, shape: float):
+        """Mix NB sections over Z by the trapezoid rule in s = log(z - 1).
 
-    def _grid(self, zmax: float):
-        lo, hi = math.log(1e-8), math.log(zmax)
-        n_panels = max(8, math.ceil((hi - lo) / LN10 * self.panels_per_decade))
-        nodes, wq = gauss_legendre_panels(lo, hi, n_panels, self.gl_order)
-        zm1 = np.exp(nodes)
-        z = 1.0 + zm1
-        return z, wq * zm1 * self._mix_weight(zm1, z)
+        ``weighted_sum(z, w)`` returns sum_q w_q f(z_q), a float or a
+        table, for a product f of sections with values in [0, 1], one of
+        which the caller bounds by e^(log_tail - shape*s).  The weight
+        exp(log_const + (k+1)s - (1+1/c1) log1p(e^s)) is at most
+        e^(log_const + (k+1)s) and e^(log_const + (k - 1/c1)s), so the
+        integrand decays like e^((k+1)s) towards z = 1 and at least like
+        e^(-(shape - k + 1/c1)s) above.  The window ends where those bounds
+        reach the floor e^-WINDOW below the least possible peak.
+        """
+        c1, k1 = self.derived.c1, self.k + 1.0
+
+        def sum_f(s):
+            w = np.exp(self._log_const + k1 * s - (1.0 + 1.0 / c1) * np.logaddexp(0.0, s))
+            return weighted_sum(1.0 + np.exp(s), w)
+
+        hi = (log_tail - self._log_floor) / (shape - self.k + 1.0 / c1)
+        return trapezoid(sum_f, self._log_floor / k1, hi, self.quad)
 
 
-def build_derivative_measure(
-    k: int,
-    params: ModelParams,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-    **kwargs,
-) -> DerivativeMeasure:
+def build_derivative_measure(k: int, params: ModelParams,
+                             quad: QuadratureSpec = DEFAULT_QUAD) -> DerivativeMeasure:
     """Construct the order-k derivative measure (requires k > alpha_in - 1)."""
-    return DerivativeMeasure(params, k, quad=quad, **kwargs)
+    return DerivativeMeasure(params, k, quad=quad)
 
 
 # -- scaling operations -------------------------------------------------------
@@ -422,14 +424,14 @@ def uhat_limit_rhs(
         raise InvalidK(f"k = {k} must exceed alpha_in - 1 = {d.alpha_in - 1.0:.6g}")
     din, dout = params.delta_in, params.delta_out
     c1, a = d.c1, d.a
-    const = float(np.prod([din + i for i in range(1, k + 1)])) / c1
+    log_const = _log_mix_const(params, k)
 
     def log_f(s):
         tilt = (din + k + 1.0) * np.log1p(lam1 * np.exp(s)) + dout * np.log1p(lam2 * np.exp(a * s))
-        return (k - 1.0 / c1) * s - tilt
+        return log_const + (k - 1.0 / c1) * s - tilt
 
     split = max(1.0 / lam1, (1.0 / lam2) ** (1.0 / a), 1.0)
-    return const * log_semiinfinite(log_f, split, quad)
+    return log_semiinfinite(log_f, split, quad)
 
 
 def derivative_limit_rect(
@@ -453,17 +455,18 @@ def derivative_limit_rect(
         raise InvalidK(f"k = {k} must exceed alpha_in - 1 = {d.alpha_in - 1.0:.6g}")
     din, dout = params.delta_in, params.delta_out
     c1, a = d.c1, d.a
-    const = float(np.prod([din + i for i in range(1, k + 1)])) / c1
+    log_const = _log_mix_const(params, k)
 
     def log_f(s):
         return (
-            (k - 1.0 / c1) * s
+            log_const
+            + (k - 1.0 / c1) * s
             + np.log(gammainc(din + k + 1.0, x * np.exp(-s)))
             + np.log(gammainc(dout, y * np.exp(-a * s)))
         )
 
     split = max(x, y ** (1.0 / a), 1.0)
-    return const * log_semiinfinite(log_f, split, quad)
+    return log_semiinfinite(log_f, split, quad)
 
 
 def truncation_condition(measure, b: ScalingFunctions, x, y_grid, t_grid) -> list:
@@ -534,6 +537,17 @@ def marginal_condition(measure, component: int, b: ScalingFunctions, x_grid, t_g
 # shrink along the grid where the protocol says so).
 
 
+def _target(evaluate, what: str) -> float:
+    """A check's analytic target: positive and finite, or a QuadratureFailure naming it."""
+    try:
+        value = evaluate()
+    except QuadratureFailure as exc:
+        raise QuadratureFailure(f"{what}: {exc}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise QuadratureFailure(f"{what} is {value!r}, not a positive finite target")
+    return value
+
+
 def uhat_check(
     params: ModelParams,
     k: int = 3,
@@ -549,7 +563,8 @@ def uhat_check(
     rows = []
     ok = True
     for lam1, lam2 in lambdas:
-        rhs = uhat_limit_rhs(k, params, lam1, lam2, quad)
+        rhs = _target(lambda: uhat_limit_rhs(k, params, lam1, lam2, quad),
+                      f"the limit transform at lambda = ({lam1:g}, {lam2:g})")
         errs = []
         for h in h_grid:
             lhs = transform_scaling(u, b, h, lam1, lam2)
@@ -565,7 +580,8 @@ def uhat_check(
                     "rel_err": rel,
                 }
             )
-        if errs[-1] > rel_tol or any(e2 >= e1 for e1, e2 in zip(errs, errs[1:])):
+        # written so that a NaN error fails both gates
+        if not (errs[-1] <= rel_tol and all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))):
             ok = False
     return {
         "check": "uhat",
@@ -592,7 +608,8 @@ def measure_check(
     rows = []
     ok = True
     for x, y in points:
-        target = derivative_limit_rect(k, params, x, y, quad)
+        target = _target(lambda: derivative_limit_rect(k, params, x, y, quad),
+                         f"the limit rectangle mass at ({x:g}, {y:g})")
         errs = []
         for t in t_grid:
             val = measure_scaling(u, b, t, x, y)
@@ -601,7 +618,8 @@ def measure_check(
             rows.append(
                 {"t": t, "x": x, "y": y, "value": val, "target": target, "rel_err": rel}
             )
-        if errs[-1] > rel_tol or any(e2 >= e1 for e1, e2 in zip(errs, errs[1:])):
+        # written so that a NaN error fails both gates
+        if not (errs[-1] <= rel_tol and all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))):
             ok = False
     return {
         "check": "measure",

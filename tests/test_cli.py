@@ -209,6 +209,25 @@ def test_verify_rejects_flags_its_check_does_not_take(tmp_path, capsys, argv, fl
     assert not (tmp_path / "v.json").exists()
 
 
+HIGH_ALPHA_IN_FLAGS = ["--alpha", "0.1", "--beta", "0.1", "--gamma", "0.8", "--delta-in", "5"]
+
+
+def test_verify_scaling_overflow_is_an_error(tmp_path, capsys):
+    # at k = 28 the out-scaling is t**(1/0.038), which overflows at t = 1e12
+    argv = ["verify", "--check", "uhat", "--k", "28", "--h-grid", "1e2,1e4,1e12",
+            *HIGH_ALPHA_IN_FLAGS, "--out", str(tmp_path / "v.json")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "t = 1e+12" in err
+
+
+def test_verify_uhat_at_k2_passes(tmp_path):
+    out = tmp_path / "v.json"
+    assert run(["verify", "--check", "uhat", "--k", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["passed"] is True
+
+
 def test_exit_code_on_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["simulate", "--edges", "notanumber"])

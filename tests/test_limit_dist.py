@@ -121,14 +121,6 @@ def test_pmf_table_is_nonnegative_and_below_one(dist):
     assert table.sum() <= 1.0 + 1e-9
 
 
-def test_adaptive_box_reaches_requested_increment(dist):
-    m = dist.adaptive_box(increment_tol=1e-3, start=64, cap=1024)
-    inner = float(dist.pmf_table(m // 2, m // 2).sum())
-    outer = float(dist.pmf_table(m, m).sum())
-    assert outer - inner < 1e-3
-    assert outer > 0.98
-
-
 def test_sampler_always_has_an_edge_endpoint(dist):
     rng = np.random.default_rng(1)
     i_arr, o_arr = dist.sample(10**5, rng)

@@ -1,3 +1,5 @@
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -11,32 +13,48 @@ from heavytail_pa import (
     derive,
     uhat_limit_rhs,
 )
-from heavytail_pa.quadrature import (
-    log_semiinfinite,
-    power_exponent,
-    refine_table_integral,
-)
+from heavytail_pa.quadrature import MAX_NODES, log_semiinfinite, trapezoid
 
 
 def test_table_rule_fails_fast_on_a_nan_integrand():
     calls = []
 
-    def eval_on_grid(nodes, weights):
+    def sum_f(nodes):
         calls.append(nodes.size)
-        return float(weights @ np.full_like(nodes, np.nan))
+        return np.full((2, 2), np.nan)
 
     with pytest.raises(QuadratureFailure, match="non-finite"):
-        refine_table_integral(eval_on_grid, 0.0, 1.0)
-    assert len(calls) <= 2
+        trapezoid(sum_f, 0.0, 1.0)
+    assert len(calls) == 1
 
 
 def test_table_rule_rejects_an_unresolved_integrand():
-    def eval_on_grid(nodes, weights):
-        return float(weights @ (np.sin(1.0 / (nodes + 1e-8)) / np.sqrt(nodes + 1e-8)))
+    calls = []
+
+    def sum_f(nodes):
+        calls.append(nodes.size)
+        return float((np.sin(1.0 / (nodes + 1e-8)) / np.sqrt(nodes + 1e-8)).sum())
 
     spec = QuadratureSpec(tol_abs=1e-14, tol_rel=1e-14)
     with pytest.raises(QuadratureFailure, match="not converged"):
-        refine_table_integral(eval_on_grid, 0.0, 1.0, spec)
+        trapezoid(sum_f, 0.0, 1.0, spec)
+    assert sum(calls) <= MAX_NODES
+
+
+def test_trapezoid_gaussian_integrals():
+    """int exp(-(s-mu)^2 / (2 sig^2)) ds = sig sqrt(2 pi), scalar and table-valued."""
+    got = trapezoid(lambda s: np.exp(-(s**2)).sum(), -12.0, 12.0)
+    assert got == pytest.approx(math.sqrt(math.pi), rel=1e-14, abs=0.0)
+    mu = np.array([-1.0, 0.3, 2.0])[:, None, None]
+    sig = np.array([0.2, 1.0, 3.0])[None, :, None]
+
+    def sum_f(s):
+        return np.exp(-0.5 * ((s - mu) / sig) ** 2).sum(axis=-1)
+
+    table = trapezoid(sum_f, -40.0, 40.0)
+    assert table.shape == (3, 3)
+    np.testing.assert_allclose(table, np.broadcast_to(sig[..., 0] * math.sqrt(2 * math.pi), (3, 3)),
+                               rtol=1e-14, atol=0.0)
 
 
 # alpha_in = 28.5 here: the z-exponents reach about 40, so the integrands
@@ -98,20 +116,18 @@ def test_quad_semiinfinite_gamma_integral():
     assert val == pytest.approx(2.0, rel=1e-10)
 
 
-def test_power_exponent_removes_kink():
-    for c1 in (0.1, 0.2, 0.53, 0.9, 1.0):
-        m = power_exponent(c1)
-        assert m >= 1.0
-        ratio = m / c1
-        assert ratio == pytest.approx(round(ratio), abs=1e-12)
-        assert round(ratio) >= 2
+@pytest.mark.parametrize("theta", [1e-60, 1e60], ids=["peak-left", "peak-right"])
+def test_window_cutting_the_peak_is_widened(theta):
+    """int z^2 e^(-z/theta) dz = 2 theta^3 peaks at log z = log theta, 138 from the split."""
+
+    def log_f(s):
+        return 3.0 * s - np.exp(s) / theta
+
+    assert log_semiinfinite(log_f, split=1.0) == pytest.approx(2.0 * theta**3, rel=1e-12, abs=0.0)
 
 
-def test_refine_table_integral_polynomials():
-    powers = np.array([0.0, 1.0, 2.0, 5.0])
-
-    def eval_on_grid(nodes, weights):
-        return (weights[:, None] * nodes[:, None] ** powers[None, :]).sum(axis=0)
-
-    got = refine_table_integral(eval_on_grid, 0.0, 1.0)
-    np.testing.assert_allclose(got, 1.0 / (powers + 1.0), atol=1e-12)
+def test_semiinfinite_rejects_an_integrand_without_a_peak():
+    with pytest.raises(QuadratureFailure, match="no peak"):
+        log_semiinfinite(lambda s: 0.5 * s, split=1.0)
+    with pytest.raises(QuadratureFailure, match="non-finite"):
+        log_semiinfinite(lambda s: np.where(s > 3.0, np.nan, -(s**2)), split=1.0)

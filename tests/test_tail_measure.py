@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
@@ -57,6 +58,26 @@ def test_density_homogeneity(tm, params):
         for x, y in [(0.5, 1.5), (2.0, 0.8)]:
             lhs = tm.density(1, c**d.c1 * x, c**d.c2 * y) * c**power
             assert abs(lhs / tm.density(1, x, y) - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("x, y", [(3.0, 200.0), (1000.0, 1000.0)])
+def test_far_tail_density_matches_mpmath(tm, x, y):
+    """Far-tail densities sit below the absolute tolerance; they stay relatively accurate."""
+    d, p = tm.derived, tm.params
+    with mp.workdps(30):
+        c1, a = mp.mpf(d.c1), mp.mpf(d.a)
+        din, dout = mp.mpf(p.delta_in), mp.mpf(p.delta_out)
+        zexp = 2 + 1 / c1 + din + a * dout
+        pref = x**din * y ** (dout - 1) / (mp.gamma(din + 1) * mp.gamma(dout) * c1)
+
+        def f(s):
+            # in s = log z; exp of a hugely negative argument is cut to 0
+            log_f = (1 - zexp) * s - x * mp.exp(-s) - y * mp.exp(-a * s)
+            return mp.exp(log_f) if log_f > -5000 else mp.mpf(0)
+
+        cuts = [-mp.inf, -20, -10, -5, -2, 0, 2, 5, 10, 20, 50, mp.inf]
+        want = float(pref * mp.quad(f, cuts))
+    assert tm.density(1, x, y) == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def test_density_symmetry_under_margin_swap():

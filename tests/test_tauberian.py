@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -8,17 +9,22 @@ from heavytail_pa import (
     InvalidK,
     LatticeMeasure,
     ModelParams,
+    QuadratureFailure,
+    QuadratureSpec,
     ScalingFunctions,
     build_derivative_measure,
     derivative_limit_rect,
     derivative_marginal_normalizer,
+    derive,
     marginal_condition,
     measure_check,
     measure_scaling,
     transform_scaling,
     truncation_condition,
+    uhat_check,
     uhat_limit_rhs,
 )
+from heavytail_pa.tauberian import TransformReport
 
 
 @pytest.fixture(scope="module")
@@ -172,11 +178,10 @@ def test_transform_approaches_uhat_rhs(deriv_measure, params, scaling):
 
 
 def test_transform_grid_resolution_stability(params, deriv_measure, scaling):
-    """Doubling the mixing-quadrature resolution leaves the value alone."""
-    coarse = transform_scaling(deriv_measure, scaling, 1e4, 1.0, 1.0)
-    fine_measure = build_derivative_measure(3, params, panels_per_decade=4.0, gl_order=24)
-    fine = transform_scaling(fine_measure, scaling, 1e4, 1.0, 1.0)
-    assert coarse == pytest.approx(fine, rel=1e-7)
+    """A tighter quadrature tolerance leaves the value alone."""
+    default = transform_scaling(deriv_measure, scaling, 1e4, 1.0, 1.0)
+    tight = build_derivative_measure(3, params, QuadratureSpec(tol_abs=1e-15, tol_rel=1e-14))
+    assert transform_scaling(tight, scaling, 1e4, 1.0, 1.0) == pytest.approx(default, rel=1e-10)
 
 
 def test_measure_scaling_toward_limit_rect(deriv_measure, params, scaling):
@@ -248,3 +253,138 @@ def test_marginal_normalizer_matches_partial_sums(deriv_measure, params):
     g1 = 3 - 2.875 + 1.0
     X = 2e4
     assert deriv_measure.marginal_mass(1, X) / X**g1 == pytest.approx(K, rel=0.02)
+
+
+# -- regressions against 30-digit mpmath -----------------------------------------
+#
+# The oracles integrate in s = log z.  In z itself an mp.quad of the k = 2
+# limits is off by about 2e-6: their left tail decays only like e^(0.125 s).
+
+_CUTS = [-mp.inf, -400, -200, -100, -50, -20, -10, -5, -2, 0, 2, 5, 10, 20, 50, mp.inf]
+
+
+def _mp_lower(r, u):
+    """The regularized lower incomplete gamma P(r, u)."""
+    if u > r + 100:
+        return mp.mpf(1)
+    if u > r + 1:
+        return 1 - mp.gammainc(r, u, regularized=True)
+    return u**r * mp.exp(-u) / mp.gamma(r + 1) * mp.hyp1f1(1, r + 1, u)
+
+
+def _mp_limit_integral(params, k, factor):
+    """c1^-1 prod_{d<=k}(delta_in + d) int exp((k - 1/c1) s) factor(s) ds."""
+    d = derive(params)
+    with mp.workdps(30):
+        c1, a = mp.mpf(d.c1), mp.mpf(d.a)
+        din, dout = mp.mpf(params.delta_in), mp.mpf(params.delta_out)
+        const = mp.gamma(din + k + 1) / (mp.gamma(din + 1) * c1)
+        val = mp.quad(lambda s: mp.exp((k - 1 / c1) * s) * factor(s, a, din, dout), _CUTS)
+        return float(const * val)
+
+
+def _mp_uhat(params, k, lam1, lam2):
+    return _mp_limit_integral(
+        params, k, lambda s, a, din, dout: (1 + lam1 * mp.exp(s)) ** -(din + k + 1)
+        * (1 + lam2 * mp.exp(a * s)) ** -dout
+    )
+
+
+def _mp_rect(params, k, x, y):
+    return _mp_limit_integral(
+        params, k, lambda s, a, din, dout: _mp_lower(din + k + 1, x * mp.exp(-s))
+        * _mp_lower(dout, y * mp.exp(-a * s))
+    )
+
+
+def test_k2_limits_match_mpmath(params):
+    """At k = 2 the limit integrands reach far left of a fixed window."""
+    want_uhat, want_rect = _mp_uhat(params, 2, 1.0, 1.0), _mp_rect(params, 2, 1.0, 1.0)
+    assert want_uhat == pytest.approx(69.85491161691658, rel=1e-14)
+    assert want_rect == pytest.approx(76.72707494769701, rel=1e-14)
+    assert uhat_limit_rhs(2, params, 1.0, 1.0) == pytest.approx(want_uhat, rel=1e-12, abs=0.0)
+    assert derivative_limit_rect(2, params, 1.0, 1.0) == pytest.approx(want_rect, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "point, k, reference",
+    [
+        ((0.8410441705716684, 0.06531066790003369, 0.09364516152829795,
+          14.053708458695441, 14.899128919582745), 18, 3.504067473286528e13),
+        ((0.6528359676866025, 0.2855359132201604, 0.06162811909323712,
+          7.906018585756149, 15.113581296628022), 10, 0.6255310028350797),
+    ],
+    ids=["k18", "k10-peak-left-of-split"],
+)
+def test_swept_limit_rectangles_match_mpmath(point, k, reference):
+    p = ModelParams(*point)
+    want = _mp_rect(p, k, 1.0, 1.0)
+    assert want == pytest.approx(reference, rel=1e-12)
+    assert derivative_limit_rect(k, p, 1.0, 1.0) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("h", [1e2, 1e4, 1e6])
+def test_transform_matches_mpmath(deriv_measure, params, scaling, h):
+    """The scaled transform against its mixing integral in s = log(z - 1)."""
+    d = derive(params)
+    with mp.workdps(30):
+        c1, a = mp.mpf(d.c1), mp.mpf(d.a)
+        din, dout = mp.mpf(params.delta_in), mp.mpf(params.delta_out)
+        s1, s2 = mp.mpf(1.0 / scaling.b1(h)), mp.mpf(1.0 / scaling.b2(h))
+        const = mp.gamma(din + 4) / (mp.gamma(din + 1) * c1)
+
+        def f(s):
+            e = mp.exp(s)
+            tilt_in = (1 + e * (1 - mp.exp(-s1))) ** -(din + 4)
+            tilt_out = (1 + ((1 + e) ** a - 1) * (1 - mp.exp(-s2))) ** -dout
+            return mp.exp(4 * s) * (1 + e) ** (-1 - 1 / c1) * tilt_in * tilt_out
+
+        want = float(const * mp.quad(f, _CUTS) / h)
+    got = transform_scaling(deriv_measure, scaling, h, 1.0, 1.0)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_integer_offsets_match_float_offsets():
+    """Integer delta_in once made prod(delta_in + i) an int64 that wrapped at k = 28."""
+    ints, floats = ModelParams(0.1, 0.1, 0.8, 5, 1), ModelParams(0.1, 0.1, 0.8, 5.0, 1.0)
+    for call in (lambda p: uhat_limit_rhs(28, p, 1.0, 1.0),
+                 lambda p: derivative_limit_rect(28, p, 1.0, 1.0)):
+        got = call(ints)
+        assert math.isfinite(got) and got > 0
+        assert got == call(floats)
+    rows = uhat_check(ints, k=28)["rows"]
+    assert rows == uhat_check(floats, k=28)["rows"]
+    assert all(math.isfinite(r[key]) for r in rows for key in ("lhs", "rhs", "rel_err"))
+
+
+class _NaNMeasure:
+    """A measure whose every transform and rectangle mass is NaN."""
+
+    def laplace(self, s1, s2):
+        return TransformReport(value=math.nan, remainder=0.0, s1=s1, s2=s2)
+
+    def rect_mass_below(self, x, y):
+        return math.nan
+
+
+def test_check_gates_fail_closed_on_nan(params):
+    assert uhat_check(params, measure=_NaNMeasure())["passed"] is False
+    assert measure_check(params, measure=_NaNMeasure())["passed"] is False
+
+
+def test_zero_target_is_a_quadrature_failure(params):
+    with pytest.raises(QuadratureFailure, match=r"lambda = \(1e\+300, 1e\+300\)"):
+        uhat_check(params, lambdas=((1e300, 1e300),))
+    with pytest.raises(QuadratureFailure, match=r"\(1e-300, 1e-300\)"):
+        measure_check(params, points=((1e-300, 1e-300),))
+    # at 1e200 the target is tiny but resolved, and the check fails on it
+    report = uhat_check(params, lambdas=((1e200, 1e200),))
+    assert report["passed"] is False
+    assert report["rows"][0]["rhs"] == pytest.approx(1.1275332531830461e-248, rel=1e-12)
+
+
+def test_scaling_overflow_is_a_domain_error():
+    b = ScalingFunctions.for_derivative_measure(ModelParams(0.1, 0.1, 0.8, 5.0, 1.0), 28)
+    assert math.isfinite(b.b2(1e6))
+    with pytest.raises(DomainError, match=r"t = 1e\+12, gamma = 0.03838"):
+        b.b2(1e12)
