@@ -4,7 +4,8 @@ Subcommands: simulate, analytic-pmf, sample-limit, density, angular,
 estimate, compare, verify.  Tables, read or written, use the CSV
 format of heavytail_pa.csvfile, whose reader rejects malformed rows;
 structured reports are JSON.  Every report embeds the
-resolved configuration (parameters, derived constants, seed, version).
+resolved configuration (parameters, derived constants, seed, and the
+package, numpy and scipy versions).
 Exit codes: 0 success, 1 validation or usage error, 2 numerical
 failure.  Randomness comes only from the --seed flag (default a fixed
 constant, never the clock).
@@ -17,6 +18,7 @@ import json
 import sys
 
 import numpy as np
+import scipy
 
 from . import DEFAULT_SEED, __version__
 from .census import (
@@ -47,7 +49,8 @@ def _resolve_params(args) -> ModelParams:
 
 
 def _config_block(args, params: ModelParams, seed=None) -> dict:
-    block = {"version": __version__, "params": params.as_dict()}
+    block = {"version": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
+             "params": params.as_dict()}
     try:
         block["derived"] = derive(params).as_dict()
     except HeavytailError:

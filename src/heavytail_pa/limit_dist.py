@@ -17,18 +17,39 @@ Every pgf and pmf is an expectation over Z, taken by the one trapezoid
 rule of `quadrature` in s = log(Z - 1), with the mixing weight written
 as a log.  The NB factors are at most 1, so the weight bounds every
 integrand, and the window ends where that bound is e^-WINDOW below its
-peak.  Z samples by inverse cdf (Z = U^(-c1)); negative binomials sample
-by the gamma-Poisson composition, exact for non-integer shapes.
+peak.
+
+The sampler draws in blocks of SAMPLE_BLOCK pairs into preallocated
+int32 outputs, each block from its own child stream spawned once from
+the caller's generator, on a thread per usable core (numpy's generators
+release the GIL).  A block draws the switch, Z by inverse cdf
+(Z = U^(-c1)), and the negative binomials by the gamma-Poisson
+composition, exact for non-integer shapes.  The seed -> sample mapping
+depends only on the seed and SAMPLE_BLOCK, so a sample is identical on
+any number of cores; it differs from that of earlier builds, which drew
+each component's pairs in one unblocked pass.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimit
 from .params import DerivedConstants, ModelParams, derive, split_probability, validate
 from .quadrature import DEFAULT_QUAD, WINDOW, QuadratureSpec, trapezoid
+
+# draws per sampler block; with the seed it fixes every sample
+SAMPLE_BLOCK = 1 << 16
+# bytes one block allocates at most while it runs (tracemalloc: 42 per draw)
+BLOCK_BYTES = 64 * SAMPLE_BLOCK
+COUNT_LIMIT = 2**31  # sampled degrees are int32
+# Poisson means are clipped here: a draw at this mean always exceeds
+# COUNT_LIMIT, and numpy refuses means near 2**63
+_MEAN_CAP = 2.0**40
 
 _COMPONENT_SHAPES = {
     1: lambda p: (p.delta_in + 1.0, p.delta_out),
@@ -50,6 +71,36 @@ def nb_logpmf(m, r: float, p) -> np.ndarray:
 
 def nb_pmf(m, r: float, p) -> np.ndarray:
     return np.exp(nb_logpmf(m, r, p))
+
+
+def usable_cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def draw_block(rng, pb: float, delta_in: float, delta_out: float, c1: float, a: float,
+               i_out: np.ndarray, o_out: np.ndarray) -> None:
+    """Fill the int32 slices i_out and o_out with draws of (I, O).
+
+    With the switch B ~ Bernoulli(pb) and Z = U^-c1, I = B + X and
+    O = 1 - B + Y, where X and Y are gamma-Poisson negative binomials of
+    shapes delta_in + B and delta_out + 1 - B and scales Z - 1 and
+    Z^a - 1.  A count at or above COUNT_LIMIT raises ResourceLimit.
+    """
+    m = i_out.size
+    pick = rng.random(m) < pb
+    z = (1.0 - rng.random(m)) ** -c1
+    lam_in = rng.gamma(delta_in + pick, z - 1.0)
+    lam_out = rng.gamma(delta_out + ~pick, z**a - 1.0)
+    for out, lam, plus in ((i_out, lam_in, pick), (o_out, lam_out, ~pick)):
+        count = rng.poisson(np.minimum(lam, _MEAN_CAP, out=lam))
+        count += plus
+        top = int(count.max(initial=0))
+        if top >= COUNT_LIMIT:
+            raise ResourceLimit(f"a sampled count of {top} exceeds the int32 range")
+        out[:] = count
 
 
 class LimitDistribution:
@@ -154,45 +205,52 @@ class LimitDistribution:
 
     # -- sampling ----------------------------------------------------------
 
-    def sample_mixing(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw the latent Z by inverse cdf: Z = U**(-c1) on (1, inf)."""
-        u = 1.0 - rng.random(n)
-        return u ** (-self.derived.c1)
-
     def sample_component(self, component: int, n: int, rng: np.random.Generator):
-        """n iid draws of (X_j, Y_j) via gamma-Poisson negative binomials."""
-        rin, rout = self._shapes(component)
-        z = self.sample_mixing(n, rng)
-        x = self._nb_given_scale(rin, z - 1.0, rng)
-        y = self._nb_given_scale(rout, z ** self.derived.a - 1.0, rng)
-        return x, y
+        """n iid draws of (X_j, Y_j), as int32 arrays.
+
+        The sampler of `sample` with the switch fixed at component j,
+        less the +1 the switch adds, so the two share one rule.
+        """
+        self._shapes(component)  # raises DomainError unless component is 1 or 2
+        i_out, o_out = self._sample_blocks(n, rng, 1.0 if component == 1 else 0.0)
+        shifted = i_out if component == 1 else o_out
+        shifted -= 1
+        return i_out, o_out
 
     def sample(self, n: int, rng: np.random.Generator):
-        """n iid draws of the degree pair (I, O).
+        """n iid draws of the degree pair (I, O), as int32 arrays.
 
         Requires delta_in > 0 and delta_out > 0 so both components are
-        nondegenerate.
+        nondegenerate.  The draws are made in blocks of SAMPLE_BLOCK, each
+        from its own child stream of `rng`, on every usable core; the
+        result depends only on `rng` and SAMPLE_BLOCK.  Peak memory is the
+        8 n bytes returned plus at most BLOCK_BYTES per worker thread, with
+        at most one thread per usable core.
         """
         if self.params.delta_in <= 0 or self.params.delta_out <= 0:
             raise DomainError("sampling the limit law needs delta_in > 0 and delta_out > 0")
-        pick1 = rng.random(n) < self.split
-        i_out = np.empty(n, np.int64)
-        o_out = np.empty(n, np.int64)
-        n1 = int(pick1.sum())
-        x1, y1 = self.sample_component(1, n1, rng)
-        i_out[pick1] = 1 + x1
-        o_out[pick1] = y1
-        x2, y2 = self.sample_component(2, n - n1, rng)
-        i_out[~pick1] = x2
-        o_out[~pick1] = 1 + y2
-        return i_out, o_out
+        return self._sample_blocks(n, rng, self.split)
 
-    @staticmethod
-    def _nb_given_scale(r: float, scale, rng: np.random.Generator) -> np.ndarray:
-        if r == 0.0:
-            return np.zeros(np.shape(scale), np.int64)
-        lam = rng.gamma(r, np.maximum(scale, 0.0))
-        return rng.poisson(lam).astype(np.int64)
+    def _sample_blocks(self, n: int, rng: np.random.Generator, pb: float):
+        """Run `draw_block` with switch probability pb over n draws in blocks."""
+        if n < 0:
+            raise DomainError(f"the sample size must be nonnegative, got {n}")
+        i_out = np.empty(n, np.int32)
+        o_out = np.empty(n, np.int32)
+        starts = range(0, n, SAMPLE_BLOCK)
+        seeds = np.random.SeedSequence(rng.integers(2**63, size=2)).spawn(len(starts))
+        p, d = self.params, self.derived
+
+        def block(start, seed):
+            stop = start + SAMPLE_BLOCK
+            draw_block(np.random.default_rng(seed), pb, p.delta_in, p.delta_out, d.c1, d.a,
+                       i_out[start:stop], o_out[start:stop])
+
+        with ThreadPoolExecutor(max(1, min(usable_cores(), len(starts)))) as pool:
+            # reading every result raises the first error a block met
+            for _ in pool.map(block, starts, seeds):
+                pass
+        return i_out, o_out
 
     # -- helpers -------------------------------------------------------------
 

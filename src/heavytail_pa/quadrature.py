@@ -78,17 +78,17 @@ def trapezoid(sum_f, lo: float, hi: float, spec: QuadratureSpec = DEFAULT_QUAD):
             )
 
 
-def log_semiinfinite(log_f, split: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def log_semiinfinite(log_f, log_split: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Integrate f over (0, inf) given log_f(s) = log(z f(z)) at s = log z.
 
-    `split` is where the caller expects the peak; the peak may lie far
-    from it.  A unit-step scan from log(split) doubles its span on each
-    side whose end is not yet WINDOW below the largest value seen, then
-    the window is trimmed to the nodes above that level, plus one on
+    `log_split` is the s where the caller expects the peak; the peak may
+    lie far from it.  A unit-step scan from log_split doubles its span on
+    each side whose end is not yet WINDOW below the largest value seen,
+    then the window is trimmed to the nodes above that level, plus one on
     each side.  A factor that underflows makes log_f -inf, which
     contributes 0.
     """
-    lo = hi = math.log(split)
+    lo = hi = log_split
     grow_lo = grow_hi = WINDOW
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         while grow_lo or grow_hi:

@@ -60,8 +60,7 @@ class TailMeasure:
         def log_f(s):
             return log_pref + (1.0 - zexp) * s - x * np.exp(-s) - y * np.exp(-a * s)
 
-        split_at = max(x, y ** (1.0 / a), 1.0)
-        return log_semiinfinite(log_f, split_at, self.quad) / c1
+        return log_semiinfinite(log_f, max(lx, ly / a, 0.0), self.quad) / c1
 
     def rect_mass(self, component, x_lo: float, y_lo: float) -> float:
         """Mass of [x_lo, inf) x [y_lo, inf); at least one bound positive.
@@ -93,8 +92,9 @@ class TailMeasure:
                 val = val + np.log(gammaincc(rout, y_lo * np.exp(-a * s)))
             return val
 
-        split_at = max(x_lo, y_lo ** (1.0 / a), 1.0)
-        return log_semiinfinite(log_f, split_at, self.quad) / c1
+        # max(log x_lo, log y_lo / a, 0), with log 0 = -inf
+        log_split = max(math.log(max(x_lo, 1.0)), math.log(max(y_lo, 1.0)) / a)
+        return log_semiinfinite(log_f, log_split, self.quad) / c1
 
     def marginal_mass_closed_form(self, component, x_lo: float) -> float:
         """Closed form of rect_mass(component, x_lo, 0).

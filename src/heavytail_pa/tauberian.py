@@ -430,8 +430,7 @@ def uhat_limit_rhs(
         tilt = (din + k + 1.0) * np.log1p(lam1 * np.exp(s)) + dout * np.log1p(lam2 * np.exp(a * s))
         return log_const + (k - 1.0 / c1) * s - tilt
 
-    split = max(1.0 / lam1, (1.0 / lam2) ** (1.0 / a), 1.0)
-    return log_semiinfinite(log_f, split, quad)
+    return log_semiinfinite(log_f, max(-math.log(lam1), -math.log(lam2) / a, 0.0), quad)
 
 
 def derivative_limit_rect(
@@ -465,8 +464,7 @@ def derivative_limit_rect(
             + np.log(gammainc(dout, y * np.exp(-a * s)))
         )
 
-    split = max(x, y ** (1.0 / a), 1.0)
-    return log_semiinfinite(log_f, split, quad)
+    return log_semiinfinite(log_f, max(math.log(x), math.log(y) / a, 0.0), quad)
 
 
 def truncation_condition(measure, b: ScalingFunctions, x, y_grid, t_grid) -> list:

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from heavytail_pa.cli import main
 from heavytail_pa.csvfile import read_csv
@@ -119,6 +120,8 @@ def test_verify_uhat_reduced_grid(tmp_path):
     assert payload["check"] == "uhat"
     assert len(payload["rows"]) == 6
     assert "derived" in payload["config"]
+    assert payload["config"]["numpy"] == np.__version__
+    assert payload["config"]["scipy"] == scipy.__version__
 
 
 def test_verify_truncation_default_protocol(tmp_path):
@@ -144,6 +147,7 @@ def test_exit_code_on_bad_params(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("alpha=0.5\nbeta=0.5\ngamma=0.1\ndelta_in=1\ndelta_out=1\n")
     assert run(["simulate", "--edges", "10", "--params", str(cfg)]) == 1
+    assert run(["sample-limit", "--n", "-5", "--out", str(tmp_path / "s.csv")]) == 1
 
 
 SAMPLES = "I,O\n" + "".join(f"{i},{i % 7}\n" for i in range(1, 2000))

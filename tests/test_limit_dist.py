@@ -1,9 +1,12 @@
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
 
-from heavytail_pa import DomainError, LimitDistribution, ModelParams
-from heavytail_pa.limit_dist import nb_pmf
+from heavytail_pa import DEFAULT_SEED, DomainError, LimitDistribution, ModelParams, ResourceLimit
+from heavytail_pa import limit_dist
+from heavytail_pa.limit_dist import BLOCK_BYTES, SAMPLE_BLOCK, draw_block, nb_pmf
 
 
 def mc_pgf(x, y, xs, ys):
@@ -167,3 +170,71 @@ def test_sampling_requires_positive_deltas():
     d = LimitDistribution(ModelParams(0.3, 0.5, 0.2, 1.0, 0.0))
     with pytest.raises(DomainError):
         d.sample(10, np.random.default_rng(0))
+
+
+def test_seed_to_sample_mapping_is_pinned(dist):
+    """The blocked draw layout fixes the sample a seed gives."""
+    i_arr, o_arr = dist.sample(20, np.random.default_rng(DEFAULT_SEED))
+    assert list(zip(i_arr[:10].tolist(), o_arr[:10].tolist())) == [
+        (0, 2), (1, 0), (0, 1), (7, 3), (1, 0), (8, 0), (1, 0), (1, 1), (2, 0), (2, 0)
+    ]
+
+
+@pytest.mark.parametrize("n", [0, 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1])
+def test_sample_sizes_and_dtype(dist, n):
+    i_arr, o_arr = dist.sample(n, np.random.default_rng(7))
+    assert i_arr.dtype == o_arr.dtype == np.int32
+    assert i_arr.size == o_arr.size == n
+    assert n == 0 or int((i_arr + o_arr).min()) >= 1
+    for component in (1, 2):
+        xs, ys = dist.sample_component(component, n, np.random.default_rng(7))
+        assert xs.dtype == ys.dtype == np.int32 and xs.size == ys.size == n
+        assert n == 0 or min(int(xs.min()), int(ys.min())) >= 0
+
+
+def test_full_blocks_do_not_depend_on_the_sample_size(dist):
+    i_long, o_long = dist.sample(SAMPLE_BLOCK + 1, np.random.default_rng(7))
+    i_short, o_short = dist.sample(SAMPLE_BLOCK, np.random.default_rng(7))
+    assert np.array_equal(i_long[:SAMPLE_BLOCK], i_short)
+    assert np.array_equal(o_long[:SAMPLE_BLOCK], o_short)
+
+
+def test_sample_is_independent_of_the_worker_count(dist, monkeypatch):
+    n = 3 * SAMPLE_BLOCK + 5
+    i_all, o_all = dist.sample(n, np.random.default_rng(11))
+    # serial reconstruction from the same per-block child streams
+    rng = np.random.default_rng(11)
+    seeds = np.random.SeedSequence(rng.integers(2**63, size=2)).spawn(4)
+    i_ref, o_ref = np.empty(n, np.int32), np.empty(n, np.int32)
+    for b, seed in enumerate(seeds):
+        part = slice(b * SAMPLE_BLOCK, (b + 1) * SAMPLE_BLOCK)
+        draw_block(np.random.default_rng(seed), dist.split, 1.0, 1.0, dist.derived.c1, dist.derived.a,
+                   i_ref[part], o_ref[part])
+    assert i_all.tobytes() == i_ref.tobytes() and o_all.tobytes() == o_ref.tobytes()
+    for cores in (1, 3):
+        monkeypatch.setattr(limit_dist, "usable_cores", lambda: cores)
+        i_arr, o_arr = dist.sample(n, np.random.default_rng(11))
+        assert i_arr.tobytes() == i_all.tobytes() and o_arr.tobytes() == o_all.tobytes()
+
+
+def test_sampled_count_above_int32_is_a_resource_limit():
+    """With c1 = 4, Z = U^-4 reaches 1e19 in one block: the count must not wrap."""
+    i_out = np.full(SAMPLE_BLOCK, -1, np.int32)
+    o_out = np.full(SAMPLE_BLOCK, -1, np.int32)
+    with pytest.raises(ResourceLimit, match="exceeds the int32 range"):
+        draw_block(np.random.default_rng(3), 0.5, 1.0, 1.0, 4.0, 1.0, i_out, o_out)
+    assert np.all(i_out == -1)
+
+
+def test_sample_memory_stays_under_its_stated_peak(dist):
+    """Peak: the 8 n bytes returned plus BLOCK_BYTES per worker thread."""
+    n = 10**6
+    workers = min(limit_dist.usable_cores(), -(-n // SAMPLE_BLOCK))
+    tracemalloc.start()
+    try:
+        dist.sample(n, np.random.default_rng(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n + workers * BLOCK_BYTES
+

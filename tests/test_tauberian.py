@@ -6,12 +6,14 @@ import pytest
 
 from heavytail_pa import (
     DomainError,
+    HeavytailError,
     InvalidK,
     LatticeMeasure,
     ModelParams,
     QuadratureFailure,
     QuadratureSpec,
     ScalingFunctions,
+    TailMeasure,
     build_derivative_measure,
     derivative_limit_rect,
     derivative_marginal_normalizer,
@@ -388,3 +390,23 @@ def test_scaling_overflow_is_a_domain_error():
     assert math.isfinite(b.b2(1e6))
     with pytest.raises(DomainError, match=r"t = 1e\+12, gamma = 0.03838"):
         b.b2(1e12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: uhat_limit_rhs(3, p, 1.0, 1e-300),
+        lambda p: derivative_limit_rect(3, p, 1.0, 1e300),
+        lambda p: TailMeasure(p).density(1, 1.0, 1e300),
+        lambda p: TailMeasure(p).rect_mass(1, 1.0, 1e300),
+    ],
+    ids=["uhat", "limit-rect", "density", "rect-mass"],
+)
+def test_far_window_split_is_finite_or_typed(params, call):
+    """The window split is taken in logs: y**(1/a) at y = 1e300 overflowed before any integral."""
+    try:
+        value = call(params)
+    except HeavytailError:
+        return
+    assert math.isfinite(value)
+
