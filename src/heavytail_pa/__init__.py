@@ -5,19 +5,31 @@ evaluate the limiting joint in/out-degree law exactly (generating
 functions, masses, an exact sampler), evaluate the joint tail measures
 in closed quadrature form, and verify the transform-side scaling limits
 on concrete discrete measures.
+
+limit_dist, tail_measure and tauberian import scipy.special, most of the
+package's import time, so their names load on first use (PEP 562
+__getattr__).  The numpy-only modules load with the package: `simulate`
+names both a submodule and a function, and a lazily loaded submodule
+would take over the name.
 """
 
+import importlib
+
 from .census import (
+    AngularHistogram,
     JointCountTable,
     JointPMF,
     PMFComparison,
+    StandardizedSample,
     TailFit,
+    angular_histogram,
     compare_pmf,
     default_hill_k,
     degree_counts,
     empirical_pmf,
     hill_estimate,
     loglog_slope,
+    standardize,
 )
 from .errors import (
     DegenerateTail,
@@ -34,7 +46,6 @@ from .errors import (
     QuadratureFailure,
     ResourceLimit,
 )
-from .limit_dist import LimitDistribution
 from .params import (
     DerivedConstants,
     ModelParams,
@@ -57,31 +68,61 @@ from .simulate import (
     simulate,
     step,
 )
-from .tail_measure import (
-    AngularHistogram,
-    StandardizedSample,
-    TailMeasure,
-    angular_histogram,
-    standardize,
-)
-from .tauberian import (
-    DerivativeMeasure,
-    LatticeMeasure,
-    ScalingFunctions,
-    build_derivative_measure,
-    derivative_limit_rect,
-    derivative_marginal_normalizer,
-    marginal_check,
-    marginal_condition,
-    measure_check,
-    measure_scaling,
-    transform_scaling,
-    truncation_check,
-    truncation_condition,
-    uhat_check,
-    uhat_limit_rhs,
-)
 
 __version__ = "0.1.0"
 
 DEFAULT_SEED = 1618033
+
+# Names whose modules import scipy.special, by module.
+_LAZY_MODULES = {
+    "limit_dist": ("LimitDistribution",),
+    "tail_measure": ("TailMeasure",),
+    "tauberian": (
+        "DerivativeMeasure",
+        "LatticeMeasure",
+        "ScalingFunctions",
+        "build_derivative_measure",
+        "derivative_limit_rect",
+        "derivative_marginal_normalizer",
+        "marginal_check",
+        "marginal_condition",
+        "measure_check",
+        "measure_scaling",
+        "transform_scaling",
+        "truncation_check",
+        "truncation_condition",
+        "uhat_check",
+        "uhat_limit_rhs",
+    ),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+
+
+def __getattr__(name):
+    """Load the module behind a scipy.special name on its first use (PEP 562)."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = [
+    "DEFAULT_SEED",
+    # census
+    "AngularHistogram", "JointCountTable", "JointPMF", "PMFComparison", "StandardizedSample",
+    "TailFit", "angular_histogram", "compare_pmf", "default_hill_k", "degree_counts",
+    "empirical_pmf", "hill_estimate", "loglog_slope", "standardize",
+    # errors
+    "DegenerateTail", "DegenerateTailSample", "DomainError", "EmptyInput", "HeavytailError",
+    "InsufficientData", "InsufficientExceedances", "InvalidK", "InvalidParams", "InvalidSeed",
+    "NonPositiveSample", "QuadratureFailure", "ResourceLimit",
+    # params, quadrature
+    "DerivedConstants", "ModelParams", "derive", "load_params", "save_params",
+    "split_probability", "validate", "DEFAULT_QUAD", "QuadratureSpec",
+    # simulate
+    "DirectedMultigraph", "GrowthCase", "GrowthStepOutcome", "SeedSpec", "choose_by_in",
+    "choose_by_out", "grow", "seed_graph", "simulate", "step",
+    *_LAZY,
+]

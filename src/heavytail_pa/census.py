@@ -1,4 +1,9 @@
-"""Empirical degree distributions and tail-index estimators."""
+"""Sample statistics: empirical degree distributions, tail-index
+estimators, and the angular histogram of standardized degree pairs.
+
+Nothing here evaluates a special function, so the module loads without
+scipy.
+"""
 
 from __future__ import annotations
 
@@ -9,12 +14,15 @@ import numpy as np
 from .csvfile import read_csv, write_csv
 from .errors import (
     DegenerateTailSample,
+    DomainError,
     EmptyInput,
     HeavytailError,
     InsufficientData,
+    InsufficientExceedances,
     NonPositiveSample,
     ResourceLimit,
 )
+from .params import DerivedConstants
 from .simulate import DirectedMultigraph
 
 MAX_TABLE_CELLS = 1 << 27  # 512 MiB of int32 counts
@@ -223,4 +231,70 @@ def compare_pmf(p: JointPMF, q: JointPMF, i_max: int, j_max: int) -> PMFComparis
         tv_distance=0.5 * float(np.abs(diff).sum()),
         max_abs_diff=float(np.abs(diff).max()),
         diff=diff,
+    )
+
+
+@dataclass(frozen=True)
+class StandardizedSample:
+    """Pairs mapped to common scaling by the power method: (x, y) -> (x**c, y)."""
+
+    u: np.ndarray
+    v: np.ndarray
+    c: float
+
+
+def standardize(pairs, derived: DerivedConstants) -> StandardizedSample:
+    """Raise the first coordinate to c = gamma_in/gamma_out.
+
+    After the map both coordinates share the scaling t**(1/gamma_out),
+    so the transformed sample has a standard regularly varying tail.
+    """
+    x, y = pairs
+    x = np.asarray(x, np.float64)
+    y = np.asarray(y, np.float64)
+    if np.any(x < 0) or np.any(y < 0):
+        raise DomainError("standardize expects nonnegative pairs")
+    c = derived.gamma_in / derived.gamma_out
+    return StandardizedSample(u=x**c, v=y, c=c)
+
+
+@dataclass(frozen=True)
+class AngularHistogram:
+    """Normalized histogram of L1 angles among threshold exceedances."""
+
+    bin_edges: np.ndarray
+    masses: np.ndarray
+    exceedances: int
+    threshold: float
+    norm: str
+
+
+def angular_histogram(
+    sample: StandardizedSample,
+    radius_threshold: float,
+    bins: int,
+    norm: str = "l1",
+    min_exceedances: int = 50,
+) -> AngularHistogram:
+    """Histogram of v/(u+v) over pairs with ||(u, v)|| above the threshold."""
+    if bins < 2:
+        raise DomainError("need at least 2 bins")
+    if radius_threshold <= 0:
+        raise DomainError("radius threshold must be positive")
+    if norm != "l1":
+        raise DomainError(f"unsupported norm {norm!r}; only 'l1' is implemented")
+    u, v = sample.u, sample.v
+    radius = u + v
+    keep = radius > radius_threshold
+    count = int(keep.sum())
+    if count < min_exceedances:
+        raise InsufficientExceedances(f"only {count} exceedances above {radius_threshold}")
+    angle = v[keep] / radius[keep]
+    hist, edges = np.histogram(angle, bins=bins, range=(0.0, 1.0))
+    return AngularHistogram(
+        bin_edges=edges,
+        masses=hist / count,
+        exceedances=count,
+        threshold=radius_threshold,
+        norm=norm,
     )

@@ -3,9 +3,11 @@
 Subcommands: simulate, analytic-pmf, sample-limit, density, angular,
 estimate, compare, verify.  Tables, read or written, use the CSV
 format of heavytail_pa.csvfile, whose reader rejects malformed rows;
-structured reports are JSON.  Every report embeds the
-resolved configuration (parameters, derived constants, seed, and the
-package, numpy and scipy versions).
+structured reports are JSON.  Every report embeds its provenance: the
+package, numpy and scipy versions, the argv, and where they apply the
+resolved parameters, derived constants and seed.
+Only analytic-pmf, sample-limit, density, compare and verify load
+scipy.special: each imports its evaluator when it runs.
 Exit codes: 0 success, 1 validation or usage error, 2 numerical
 failure.  Randomness comes only from the --seed flag (default a fixed
 constant, never the clock).
@@ -23,21 +25,21 @@ import scipy
 from . import DEFAULT_SEED, __version__
 from .census import (
     JointCountTable,
+    JointPMF,
+    angular_histogram,
     compare_pmf,
     default_hill_k,
     degree_counts,
     empirical_pmf,
     hill_estimate,
     loglog_slope,
+    standardize,
 )
 from .csvfile import read_csv, write_csv
 from .errors import HeavytailError, QuadratureFailure
-from .limit_dist import LimitDistribution
 from .params import ModelParams, derive, load_params, validate
 from .quadrature import QuadratureSpec
 from .simulate import simulate
-from .tail_measure import TailMeasure, angular_histogram, standardize
-from .tauberian import marginal_check, measure_check, truncation_check, uhat_check
 
 
 def _resolve_params(args) -> ModelParams:
@@ -48,16 +50,17 @@ def _resolve_params(args) -> ModelParams:
     return validate(p)
 
 
-def _config_block(args, params: ModelParams, seed=None) -> dict:
-    block = {"version": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
-             "params": params.as_dict()}
-    try:
-        block["derived"] = derive(params).as_dict()
-    except HeavytailError:
-        block["derived"] = None
+def _config_block(args, params: ModelParams | None = None, seed=None) -> dict:
+    block = {"version": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+    if params is not None:
+        block["params"] = params.as_dict()
+        try:
+            block["derived"] = derive(params).as_dict()
+        except HeavytailError:
+            block["derived"] = None
     if seed is not None:
         block["seed"] = seed
-    block["argv"] = [a for a in sys.argv[1:]]
+    block["argv"] = args.argv
     return block
 
 
@@ -83,7 +86,11 @@ def _add_param_flags(sub):
 def _add_common(sub):
     _add_param_flags(sub)
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--tolerance", type=float, default=1e-12, help="quadrature absolute tolerance")
+    sub.add_argument("--tolerance", type=float, default=1e-12,
+                     help="absolute quadrature tolerance; it governs the limit-law masses "
+                          "(analytic-pmf, compare) and the derivative-measure side of verify, "
+                          "while tail-measure integrals (density; the uhat and measure "
+                          "targets of verify) stop on relative change alone")
 
 
 def _quad(args) -> QuadratureSpec:
@@ -115,6 +122,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analytic_pmf(args) -> int:
+    from .limit_dist import LimitDistribution
+
     params = _resolve_params(args)
     dist = LimitDistribution(params, _quad(args))
     table = dist.pmf_table(args.imax, args.jmax)
@@ -127,6 +136,8 @@ def _cmd_analytic_pmf(args) -> int:
 
 
 def _cmd_sample_limit(args) -> int:
+    from .limit_dist import LimitDistribution
+
     params = _resolve_params(args)
     dist = LimitDistribution(params, _quad(args))
     rng = np.random.default_rng(args.seed)
@@ -148,6 +159,8 @@ def _parse_points(spec: str):
 
 
 def _cmd_density(args) -> int:
+    from .tail_measure import TailMeasure
+
     params = _resolve_params(args)
     tm = TailMeasure(params, _quad(args))
     xs = _parse_points(args.grid_x)
@@ -195,19 +208,20 @@ def _cmd_estimate(args) -> int:
         "index_estimate": fit.index_estimate,
         "k_used": fit.k_used,
         "stderr": fit.stderr,
-        "version": __version__,
+        **_config_block(args),
+        "counts": args.counts,
     }
     _write_json(args.out, report)
     return 0
 
 
 def _cmd_compare(args) -> int:
+    from .limit_dist import LimitDistribution
+
     counts = JointCountTable.from_csv(args.counts)
     emp = empirical_pmf(counts)
     params = _resolve_params(args)
     dist = LimitDistribution(params, _quad(args))
-    from .census import JointPMF
-
     ana = JointPMF(dist.pmf_table(args.imax, args.jmax))
     cmp_report = compare_pmf(emp, ana, args.imax, args.jmax)
     report = {
@@ -227,18 +241,21 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+# each check is tauberian.<name>_check, with the flags it takes
 _VERIFY = {
-    "uhat": (uhat_check, ("k", "h_grid", "rel_tol")),
-    "measure": (measure_check, ("k", "t_grid", "rel_tol")),
-    "truncation": (truncation_check, ("k", "t_grid", "y_grid")),
-    "marginal": (marginal_check, ("k", "component", "t_grid", "rel_tol")),
+    "uhat": ("k", "h_grid", "rel_tol"),
+    "measure": ("k", "t_grid", "rel_tol"),
+    "truncation": ("k", "t_grid", "y_grid"),
+    "marginal": ("k", "component", "t_grid", "rel_tol"),
 }
 
 
 def _cmd_verify(args) -> int:
     """Run one check; unset flags take its defaults, flags it does not take are refused."""
-    check, flags = _VERIFY[args.check]
-    extra = [n for _, names in _VERIFY.values() for n in names
+    from . import tauberian
+
+    flags = _VERIFY[args.check]
+    extra = [n for names in _VERIFY.values() for n in names
              if n not in flags and getattr(args, n) is not None]
     if extra:
         flag = "--" + extra[0].replace("_", "-")
@@ -249,7 +266,7 @@ def _cmd_verify(args) -> int:
         value = getattr(args, name)
         if value is not None:
             kwargs[name] = _parse_points(value) if name.endswith("_grid") else value
-    report = check(params, **kwargs)
+    report = getattr(tauberian, f"{args.check}_check")(params, **kwargs)
     report["config"] = _config_block(args, params)
     _write_json(args.out, report)
     print(f"{args.check}: {'pass' if report['passed'] else 'FAIL'}")
@@ -339,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    args.argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
     except QuadratureFailure as exc:

@@ -86,7 +86,9 @@ def log_semiinfinite(log_f, log_split: float, spec: QuadratureSpec = DEFAULT_QUA
     each side whose end is not yet WINDOW below the largest value seen,
     then the window is trimmed to the nodes above that level, plus one on
     each side.  A factor that underflows makes log_f -inf, which
-    contributes 0.
+    contributes 0.  The integrand exp(log_f) is positive, so the rule
+    stops on spec.tol_rel alone: an absolute floor would accept a far-tail
+    value, itself below the floor, long before it is relatively accurate.
     """
     lo = hi = log_split
     grow_lo = grow_hi = WINDOW
@@ -107,4 +109,5 @@ def log_semiinfinite(log_f, log_split: float, spec: QuadratureSpec = DEFAULT_QUA
             grow_hi = (hi - lo) if v[-1] >= floor else 0.0
         keep = np.flatnonzero(v >= floor)
         lo, hi = s[keep[0] - 1], s[keep[-1] + 1]
-        return float(trapezoid(lambda nodes: np.exp(log_f(nodes)).sum(), lo, hi, spec))
+        relative = QuadratureSpec(tol_abs=0.0, tol_rel=spec.tol_rel)
+        return float(trapezoid(lambda nodes: np.exp(log_f(nodes)).sum(), lo, hi, relative))

@@ -12,17 +12,19 @@ log-space integrand: z-powers cannot overflow, an underflowed factor gives 0.
 
 Homogeneity: scaling a rectangle corner by (c**c1, c**c2) divides the
 mass by c.
+
+The sample side, `standardize` and `angular_histogram`, lives in census:
+it needs no special function.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincc, gammaln
 
-from .errors import DomainError, InsufficientExceedances
+from .errors import DomainError
 from .params import DerivedConstants, ModelParams, derive, split_probability, tail_ready
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, log_semiinfinite
 
@@ -111,69 +113,3 @@ class TailMeasure:
             raise DomainError("component 2 needs delta_in > 0")
         c1 = self.derived.c1
         return math.exp(gammaln(rin + 1.0 / c1) - gammaln(rin) - math.log(x_lo) / c1)
-
-
-@dataclass(frozen=True)
-class StandardizedSample:
-    """Pairs mapped to common scaling by the power method: (x, y) -> (x**c, y)."""
-
-    u: np.ndarray
-    v: np.ndarray
-    c: float
-
-
-def standardize(pairs, derived: DerivedConstants) -> StandardizedSample:
-    """Raise the first coordinate to c = gamma_in/gamma_out.
-
-    After the map both coordinates share the scaling t**(1/gamma_out),
-    so the transformed sample has a standard regularly varying tail.
-    """
-    x, y = pairs
-    x = np.asarray(x, np.float64)
-    y = np.asarray(y, np.float64)
-    if np.any(x < 0) or np.any(y < 0):
-        raise DomainError("standardize expects nonnegative pairs")
-    c = derived.gamma_in / derived.gamma_out
-    return StandardizedSample(u=x**c, v=y, c=c)
-
-
-@dataclass(frozen=True)
-class AngularHistogram:
-    """Normalized histogram of L1 angles among threshold exceedances."""
-
-    bin_edges: np.ndarray
-    masses: np.ndarray
-    exceedances: int
-    threshold: float
-    norm: str
-
-
-def angular_histogram(
-    sample: StandardizedSample,
-    radius_threshold: float,
-    bins: int,
-    norm: str = "l1",
-    min_exceedances: int = 50,
-) -> AngularHistogram:
-    """Histogram of v/(u+v) over pairs with ||(u, v)|| above the threshold."""
-    if bins < 2:
-        raise DomainError("need at least 2 bins")
-    if radius_threshold <= 0:
-        raise DomainError("radius threshold must be positive")
-    if norm != "l1":
-        raise DomainError(f"unsupported norm {norm!r}; only 'l1' is implemented")
-    u, v = sample.u, sample.v
-    radius = u + v
-    keep = radius > radius_threshold
-    count = int(keep.sum())
-    if count < min_exceedances:
-        raise InsufficientExceedances(f"only {count} exceedances above {radius_threshold}")
-    angle = v[keep] / radius[keep]
-    hist, edges = np.histogram(angle, bins=bins, range=(0.0, 1.0))
-    return AngularHistogram(
-        bin_edges=edges,
-        masses=hist / count,
-        exceedances=count,
-        threshold=radius_threshold,
-        norm=norm,
-    )

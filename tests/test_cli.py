@@ -81,19 +81,20 @@ def test_sample_limit_and_angular(tmp_path):
     assert rows[:, 2].sum() == pytest.approx(1.0, abs=1e-9)
 
 
-def test_estimate_hill_json(tmp_path):
+def test_estimate_hill_json(tmp_path, monkeypatch):
     counts = tmp_path / "counts.csv"
     out = tmp_path / "est.json"
     assert run(["simulate", "--edges", "300000", "--seed", "9", "--counts", str(counts)]) == 0
-    assert (
-        run(["estimate", "--counts", str(counts), "--margin", "in", "--method", "hill",
-             "--out", str(out)])
-        == 0
-    )
+    monkeypatch.setattr(sys, "argv", ["host", "extra-arg-of-host"])
+    argv = ["estimate", "--counts", str(counts), "--margin", "in", "--method", "hill",
+            "--out", str(out)]
+    assert run(argv) == 0
     payload = json.loads(out.read_text())
     assert payload["method"] == "hill"
     assert 1.3 < payload["index_estimate"] < 2.5
     assert payload["k_used"] >= 2 and payload["stderr"] > 0
+    assert payload["numpy"] == np.__version__ and payload["scipy"] == scipy.__version__
+    assert payload["argv"] == argv and payload["counts"] == str(counts)
 
 
 def test_density_grid(tmp_path):
@@ -124,12 +125,14 @@ def test_verify_uhat_reduced_grid(tmp_path):
     assert payload["config"]["scipy"] == scipy.__version__
 
 
-def test_verify_truncation_default_protocol(tmp_path):
+def test_verify_truncation_default_protocol(tmp_path, monkeypatch):
     out = tmp_path / "trunc.json"
-    code = run(["verify", "--check", "truncation", "--out", str(out)])
-    assert code == 0
+    monkeypatch.setattr(sys, "argv", ["host", "extra-arg-of-host"])
+    argv = ["verify", "--check", "truncation", "--out", str(out)]
+    assert run(argv) == 0
     payload = json.loads(out.read_text())
     assert payload["passed"] is True
+    assert payload["config"]["argv"] == argv
 
 
 def test_simulate_allows_tail_degenerate_params(tmp_path):
@@ -238,16 +241,59 @@ def test_exit_code_on_usage_error(capsys):
     assert exc.value.code == 1
 
 
-def test_package_import_skips_scipy_stats():
+# the names the package exported when it imported every module eagerly
+PUBLIC_NAMES = (
+    "AngularHistogram", "DEFAULT_QUAD", "DEFAULT_SEED", "DegenerateTail", "DegenerateTailSample",
+    "DerivativeMeasure", "DerivedConstants", "DirectedMultigraph", "DomainError", "EmptyInput",
+    "GrowthCase", "GrowthStepOutcome", "HeavytailError", "InsufficientData",
+    "InsufficientExceedances", "InvalidK", "InvalidParams", "InvalidSeed", "JointCountTable",
+    "JointPMF", "LatticeMeasure", "LimitDistribution", "ModelParams", "NonPositiveSample",
+    "PMFComparison", "QuadratureFailure", "QuadratureSpec", "ResourceLimit", "ScalingFunctions",
+    "SeedSpec", "StandardizedSample", "TailFit", "TailMeasure", "angular_histogram",
+    "build_derivative_measure", "choose_by_in", "choose_by_out", "compare_pmf", "default_hill_k",
+    "degree_counts", "derivative_limit_rect", "derivative_marginal_normalizer", "derive",
+    "empirical_pmf", "grow", "hill_estimate", "load_params", "loglog_slope", "marginal_check",
+    "marginal_condition", "measure_check", "measure_scaling", "save_params", "seed_graph",
+    "simulate", "split_probability", "standardize", "step", "transform_scaling",
+    "truncation_check", "truncation_condition", "uhat_check", "uhat_limit_rhs", "validate",
+)
+
+
+def test_package_import_skips_scipy_stats(tmp_path):
     """scipy.stats, scipy.integrate and scipy.optimize each cost a large part
-    of the import time; nothing needs them."""
+    of the import time; nothing needs them.  scipy.special costs most of the
+    rest: the package and the commands that evaluate no special function
+    leave it unloaded, and its names still resolve on first use."""
     import heavytail_pa
 
     root = os.path.dirname(os.path.dirname(heavytail_pa.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([root, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, heavytail_pa; "
-            "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize') "
-            "if m in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True)
-    assert proc.stdout.strip() == "[]"
+    probe = ("import atexit, sys; atexit.register(lambda: print(sorted(m for m in ("
+             "'scipy.stats', 'scipy.integrate', 'scipy.optimize', 'scipy.special') "
+             "if m in sys.modules))); ")
+    cli = "from heavytail_pa.cli import main; sys.exit(main(sys.argv[1:]))"
+
+    def loaded(code, *argv):
+        proc = subprocess.run([sys.executable, "-c", probe + code, *map(str, argv)], env=env,
+                              capture_output=True, text=True, check=True)
+        return proc.stdout.splitlines()[-1]
+
+    counts, samples = tmp_path / "counts.csv", tmp_path / "samples.csv"
+    assert run(["simulate", "--edges", "2000", "--seed", "3", "--counts", str(counts)]) == 0
+    assert run(["sample-limit", "--n", "2000", "--out", str(samples)]) == 0
+    assert loaded("import heavytail_pa") == "[]"
+    assert loaded(cli, "--version") == "[]"
+    assert loaded(cli, "simulate", "--edges", "100", "--counts", tmp_path / "c.csv") == "[]"
+    assert loaded(cli, "estimate", "--counts", counts, "--out", tmp_path / "e.json") == "[]"
+    assert loaded(cli, "angular", "--samples", samples, "--threshold-quantile", "0.9",
+                  "--out", tmp_path / "a.csv") == "[]"
+    assert loaded(cli, "density", "--grid-x", "1", "--grid-y", "1",
+                  "--out", tmp_path / "d.csv") == "['scipy.special']"
+
+    code = ("import types, heavytail_pa as pa; star = {}; "
+            "exec('from heavytail_pa import *', star); "
+            f"names = {PUBLIC_NAMES!r}; "
+            "assert sorted(pa.__all__) == sorted(names), sorted(set(pa.__all__) ^ set(names)); "
+            "assert all(getattr(pa, n) is star[n] for n in names); "
+            "assert isinstance(pa.simulate, types.FunctionType), pa.simulate")
+    assert loaded(code) == "['scipy.special']"
