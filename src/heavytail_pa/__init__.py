@@ -6,9 +6,10 @@ functions, masses, an exact sampler), evaluate the joint tail measures
 in closed quadrature form, and verify the transform-side scaling limits
 on concrete discrete measures.
 
-limit_dist, tail_measure and tauberian import scipy.special, most of the
-package's import time, so their names load on first use (PEP 562
-__getattr__).  The numpy-only modules load with the package: `simulate`
+The names of limit_dist, tail_measure and tauberian load on first use
+(PEP 562 __getattr__): tauberian imports scipy.special, most of the
+package's import time, and limit_dist the thread pool of
+concurrent.futures.  The other modules load with the package: `simulate`
 names both a submodule and a function, and a lazily loaded submodule
 would take over the name.
 """
@@ -73,7 +74,9 @@ __version__ = "0.1.0"
 
 DEFAULT_SEED = 1618033
 
-# Names whose modules import scipy.special, by module.
+# Names loaded on first use, by module: tauberian imports scipy.special and
+# limit_dist concurrent.futures; tail_measure, whose rect_mass loads
+# scipy.special, is loaded the same way.
 _LAZY_MODULES = {
     "limit_dist": ("LimitDistribution",),
     "tail_measure": ("TailMeasure",),

@@ -17,7 +17,9 @@ Every pgf and pmf is an expectation over Z, taken by the one trapezoid
 rule of `quadrature` in s = log(Z - 1), with the mixing weight written
 as a log.  The NB factors are at most 1, so the weight bounds every
 integrand, and the window ends where that bound is e^-WINDOW below its
-peak.
+peak.  An NB pmf needs only log Gamma of its shape shifted by integers;
+math.lgamma gives it, once per table, so the module needs no
+scipy.special.
 
 The sampler draws in blocks of SAMPLE_BLOCK pairs into preallocated
 int32 outputs, each block from its own child stream spawned once from
@@ -32,11 +34,11 @@ each component's pairs in one unblocked pass.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, ResourceLimit
 from .params import DerivedConstants, ModelParams, derive, split_probability, validate
@@ -57,16 +59,33 @@ _COMPONENT_SHAPES = {
 }
 
 
+def _nb_log_coef(m, r: float) -> np.ndarray:
+    """log Gamma(r+m) - log Gamma(r) - log Gamma(m+1), the p-free term of nb_logpmf.
+
+    numpy has no log-gamma ufunc, so math.lgamma runs elementwise.  -inf
+    where m < 0 (mass 0); r = 0 degenerates at 0.
+    """
+    m = np.asarray(m, np.float64)
+    if r == 0.0:
+        return np.where(m == 0, 0.0, -np.inf)
+    lg_r = math.lgamma(r)
+    terms = [math.lgamma(r + v) - lg_r - math.lgamma(v + 1.0) if v >= 0 else -math.inf
+             for v in m.ravel().tolist()]
+    return np.reshape(terms, m.shape)
+
+
 def nb_logpmf(m, r: float, p) -> np.ndarray:
     """log NB(m; r, p) on the support {0, 1, ...}; r = 0 degenerates at 0."""
     m = np.asarray(m, np.float64)
+    return _nb_logpmf(_nb_log_coef(m, r), m, r, p)
+
+
+def _nb_logpmf(coef, m: np.ndarray, r: float, p) -> np.ndarray:
+    """nb_logpmf given coef = _nb_log_coef(m, r), for callers that reuse one m at many p."""
     p = np.asarray(p, np.float64)
-    if r == 0.0:
-        return np.where(m == 0, 0.0, -np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        base = gammaln(r + m) - gammaln(r) - gammaln(m + 1.0) + r * np.log(p)
         tail = np.where(m > 0, m * np.log1p(-p), 0.0)
-    return base + tail
+        return coef + (r * np.log(p) if r else 0.0) + tail
 
 
 def nb_pmf(m, r: float, p) -> np.ndarray:
@@ -183,10 +202,11 @@ class LimitDistribution:
         a = self.derived.a
         iarr = np.arange(i_max + 1, dtype=np.float64)
         jarr = np.arange(j_max + 1, dtype=np.float64)
+        icoef, jcoef = _nb_log_coef(iarr, rin), _nb_log_coef(jarr, rout)
 
         def weighted_sum(z, w):
-            A = nb_pmf(iarr[None, :], rin, (1.0 / z)[:, None])
-            B = nb_pmf(jarr[None, :], rout, (z**-a)[:, None])
+            A = np.exp(_nb_logpmf(icoef, iarr, rin, (1.0 / z)[:, None]))
+            B = np.exp(_nb_logpmf(jcoef, jarr, rout, (z**-a)[:, None]))
             return np.einsum("q,qi,qj->ij", w, A, B, optimize=True)
 
         return np.clip(self._mix(weighted_sum), 0.0, None)

@@ -13,8 +13,10 @@ log-space integrand: z-powers cannot overflow, an underflowed factor gives 0.
 Homogeneity: scaling a rectangle corner by (c**c1, c**c2) divides the
 mass by c.
 
-The sample side, `standardize` and `angular_histogram`, lives in census:
-it needs no special function.
+Only rect_mass loads scipy.special (gammaincc), when it first runs; the
+densities and the closed-form marginal need only log Gamma of scalars,
+from math.lgamma.  The sample side, `standardize` and
+`angular_histogram`, lives in census: it needs no special function.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
 
 from .errors import DomainError
 from .params import DerivedConstants, ModelParams, derive, split_probability, tail_ready
@@ -52,10 +53,10 @@ class TailMeasure:
         lx, ly = math.log(x), math.log(y)
         if component == 1:
             zexp = 2.0 + 1.0 / c1 + din + a * dout
-            log_pref = din * lx + (dout - 1.0) * ly - gammaln(din + 1.0) - gammaln(dout)
+            log_pref = din * lx + (dout - 1.0) * ly - math.lgamma(din + 1.0) - math.lgamma(dout)
         elif component == 2:
             zexp = 1.0 + a + 1.0 / c1 + din + a * dout
-            log_pref = (din - 1.0) * lx + dout * ly - gammaln(din) - gammaln(dout + 1.0)
+            log_pref = (din - 1.0) * lx + dout * ly - math.lgamma(din) - math.lgamma(dout + 1.0)
         else:
             raise DomainError(f"component must be 1, 2 or 'combined', got {component!r}")
 
@@ -85,6 +86,8 @@ class TailMeasure:
         else:
             raise DomainError(f"component must be 1, 2 or 'combined', got {component!r}")
         c1, a = self.derived.c1, self.derived.a
+        # imported here: the rest of the module needs no scipy.special, whose import is slow
+        from scipy.special import gammaincc
 
         def log_f(s):
             val = -s / c1
@@ -112,4 +115,4 @@ class TailMeasure:
         if rin <= 0:
             raise DomainError("component 2 needs delta_in > 0")
         c1 = self.derived.c1
-        return math.exp(gammaln(rin + 1.0 / c1) - gammaln(rin) - math.log(x_lo) / c1)
+        return math.exp(math.lgamma(rin + 1.0 / c1) - math.lgamma(rin) - math.log(x_lo) / c1)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import betainc, gammainc, gammaln
+from scipy.special import betainc, gammainc, gammaln, hyp1f1
 from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, InvalidK, QuadratureFailure
@@ -425,12 +425,15 @@ def uhat_limit_rhs(
     din, dout = params.delta_in, params.delta_out
     c1, a = d.c1, d.a
     log_const = _log_mix_const(params, k)
+    log_lam1, log_lam2 = math.log(lam1), math.log(lam2)
 
     def log_f(s):
-        tilt = (din + k + 1.0) * np.log1p(lam1 * np.exp(s)) + dout * np.log1p(lam2 * np.exp(a * s))
+        # log1p(lam e^s) as logaddexp(0, log lam + s): it cannot overflow at the far scale
+        tilt = ((din + k + 1.0) * np.logaddexp(0.0, log_lam1 + s)
+                + dout * np.logaddexp(0.0, log_lam2 + a * s))
         return log_const + (k - 1.0 / c1) * s - tilt
 
-    return log_semiinfinite(log_f, max(-math.log(lam1), -math.log(lam2) / a, 0.0), quad)
+    return log_semiinfinite(log_f, max(-log_lam1, -log_lam2 / a, 0.0), quad)
 
 
 def derivative_limit_rect(
@@ -455,16 +458,35 @@ def derivative_limit_rect(
     din, dout = params.delta_in, params.delta_out
     c1, a = d.c1, d.a
     log_const = _log_mix_const(params, k)
+    log_x, log_y = math.log(x), math.log(y)
 
     def log_f(s):
         return (
             log_const
             + (k - 1.0 / c1) * s
-            + np.log(gammainc(din + k + 1.0, x * np.exp(-s)))
-            + np.log(gammainc(dout, y * np.exp(-a * s)))
+            + _log_gammainc(din + k + 1.0, log_x - s)
+            + _log_gammainc(dout, log_y - a * s)
         )
 
-    return log_semiinfinite(log_f, max(math.log(x), math.log(y) / a, 0.0), quad)
+    return log_semiinfinite(log_f, max(log_x, log_y / a, 0.0), quad)
+
+
+def _log_gammainc(r: float, log_u: np.ndarray) -> np.ndarray:
+    """log P(r, u) at u = e^log_u, P the regularized lower incomplete gamma function.
+
+    Where P underflows, log P comes from the series
+    P(r, u) = u^r e^-u M(1, r+1, u) / Gamma(r+1), which stays finite
+    while u itself underflows; each branch is evaluated only where it is used.
+    """
+    p = gammainc(r, np.exp(log_u))
+    under = p < np.finfo(np.float64).tiny
+    if not under.any():
+        return np.log(p)
+    out = np.log(p, out=np.empty_like(p), where=~under)
+    lu = log_u[under]
+    u = np.exp(lu)
+    out[under] = r * lu - u - math.lgamma(r + 1.0) + np.log(hyp1f1(1.0, r + 1.0, u))
+    return out
 
 
 def truncation_condition(measure, b: ScalingFunctions, x, y_grid, t_grid) -> list:

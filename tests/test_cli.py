@@ -262,15 +262,17 @@ PUBLIC_NAMES = (
 def test_package_import_skips_scipy_stats(tmp_path):
     """scipy.stats, scipy.integrate and scipy.optimize each cost a large part
     of the import time; nothing needs them.  scipy.special costs most of the
-    rest: the package and the commands that evaluate no special function
-    leave it unloaded, and its names still resolve on first use."""
+    rest: it loads only where an incomplete gamma or beta function is
+    evaluated (verify, TailMeasure.rect_mass), and its names still resolve on
+    first use.  The commands that use no evaluator also leave the thread pool
+    of concurrent.futures unloaded."""
     import heavytail_pa
 
     root = os.path.dirname(os.path.dirname(heavytail_pa.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([root, os.environ.get("PYTHONPATH", "")]))
     probe = ("import atexit, sys; atexit.register(lambda: print(sorted(m for m in ("
-             "'scipy.stats', 'scipy.integrate', 'scipy.optimize', 'scipy.special') "
-             "if m in sys.modules))); ")
+             "'scipy.stats', 'scipy.integrate', 'scipy.optimize', 'scipy.special', "
+             "'concurrent.futures') if m in sys.modules))); ")
     cli = "from heavytail_pa.cli import main; sys.exit(main(sys.argv[1:]))"
 
     def loaded(code, *argv):
@@ -288,7 +290,19 @@ def test_package_import_skips_scipy_stats(tmp_path):
     assert loaded(cli, "angular", "--samples", samples, "--threshold-quantile", "0.9",
                   "--out", tmp_path / "a.csv") == "[]"
     assert loaded(cli, "density", "--grid-x", "1", "--grid-y", "1",
-                  "--out", tmp_path / "d.csv") == "['scipy.special']"
+                  "--out", tmp_path / "d.csv") == "[]"
+    pool = "['concurrent.futures']"
+    assert loaded(cli, "analytic-pmf", "--imax", "3", "--jmax", "3",
+                  "--out", tmp_path / "p.csv") == pool
+    assert loaded(cli, "sample-limit", "--n", "100", "--out", tmp_path / "s.csv") == pool
+    assert loaded(cli, "compare", "--counts", counts, "--imax", "3", "--jmax", "3",
+                  "--out", tmp_path / "cmp.json") == pool
+    # scipy.special itself imports concurrent.futures
+    special = "['concurrent.futures', 'scipy.special']"
+    assert loaded(cli, "verify", "--check", "truncation", "--out", tmp_path / "v.json") == special
+    assert loaded("from heavytail_pa import ModelParams, TailMeasure; "
+                  "TailMeasure(ModelParams(0.3, 0.5, 0.2, 1.0, 1.0)).rect_mass(1, 1.0, 1.0)"
+                  ) == special
 
     code = ("import types, heavytail_pa as pa; star = {}; "
             "exec('from heavytail_pa import *', star); "
@@ -296,4 +310,4 @@ def test_package_import_skips_scipy_stats(tmp_path):
             "assert sorted(pa.__all__) == sorted(names), sorted(set(pa.__all__) ^ set(names)); "
             "assert all(getattr(pa, n) is star[n] for n in names); "
             "assert isinstance(pa.simulate, types.FunctionType), pa.simulate")
-    assert loaded(code) == "['scipy.special']"
+    assert loaded(code) == special

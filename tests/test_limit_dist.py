@@ -6,7 +6,7 @@ import pytest
 
 from heavytail_pa import DEFAULT_SEED, DomainError, LimitDistribution, ModelParams, ResourceLimit
 from heavytail_pa import limit_dist
-from heavytail_pa.limit_dist import BLOCK_BYTES, SAMPLE_BLOCK, draw_block, nb_pmf
+from heavytail_pa.limit_dist import BLOCK_BYTES, SAMPLE_BLOCK, draw_block, nb_logpmf, nb_pmf
 
 
 def mc_pgf(x, y, xs, ys):
@@ -32,14 +32,36 @@ def test_pgf_vanishes_at_origin(dist):
 
 
 def test_nb_pgf_identity_grid():
-    """sum_m nb(m; r, 1/z) x^m equals (x + (1-x) z)^-r."""
+    """sum_m nb(m; r, 1/z) x^m equals (x + (1-x) z)^-r, r = 0 included.
+
+    The mass is 0 at m < 0, a scalar m gives a scalar, and log nb matches
+    40-digit mpmath for m <= 2000: the log Gamma cancellation at large m,
+    not the log Gamma routine, bounds its error.
+    """
     m = np.arange(0, 6000)
-    for z in (1.2, 2.0, 5.0, 20.0):
-        for x in (0.0, 0.3, 0.8, 1.0):
-            for r in (0.5, 1.0, 2.0, 3.7):
-                series = float((nb_pmf(m, r, 1.0 / z) * x**m).sum())
+    for r in (0.0, 0.153, 0.5, 1.0, 2.0, 3.7, 6.0, 19.67):
+        for z in (1.2, 2.0, 5.0, 20.0):
+            pmf = nb_pmf(m, r, 1.0 / z)
+            for x in (0.0, 0.3, 0.8, 1.0):
+                series = float((pmf * x**m).sum())
                 closed = (x + (1.0 - x) * z) ** -r
                 assert abs(series - closed) < 1e-12
+        assert np.all(nb_pmf(np.array([-3, -1]), r, 0.4) == 0.0)
+        assert nb_logpmf(-1, r, 0.4) == -np.inf
+        value = nb_pmf(2, r, 0.4)
+        assert np.ndim(value) == 0 and value == nb_pmf(np.arange(3), r, 0.4)[2]
+    assert nb_pmf(0, 0.0, 0.4) == 1.0 and nb_pmf(1, 0.0, 0.4) == 0.0
+
+    mm = np.arange(0, 2001)
+    with mp.workdps(40):
+        log_fact = [mp.loggamma(k + 1) for k in mm]
+    for r in (0.153, 1.0, 2.0, 6.0, 19.67):
+        for p in (0.3, 0.01):
+            with mp.workdps(40):
+                rr, pp = mp.mpf(r), mp.mpf(p)
+                head, step = rr * mp.log(pp) - mp.loggamma(rr), mp.log1p(-pp)
+                oracle = [float(mp.loggamma(rr + k) - log_fact[k] + head + k * step) for k in mm]
+            assert np.max(np.abs(nb_logpmf(mm, r, p) - oracle)) <= 5e-12
 
 
 def test_pgf_component_matches_mixture_monte_carlo(dist):

@@ -6,7 +6,6 @@ import pytest
 
 from heavytail_pa import (
     DomainError,
-    HeavytailError,
     InvalidK,
     LatticeMeasure,
     ModelParams,
@@ -393,20 +392,28 @@ def test_scaling_overflow_is_a_domain_error():
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, expected",
     [
-        lambda p: uhat_limit_rhs(3, p, 1.0, 1e-300),
-        lambda p: derivative_limit_rect(3, p, 1.0, 1e300),
-        lambda p: TailMeasure(p).density(1, 1.0, 1e300),
-        lambda p: TailMeasure(p).rect_mass(1, 1.0, 1e300),
+        (lambda p: uhat_limit_rhs(3, p, 1.0, 1e-300), 9.075460508201404),
+        (lambda p: derivative_limit_rect(3, p, 1.0, 1e300), 8.566114723881174),
+        (lambda p: TailMeasure(p).density(1, 1.0, 1e300), 0.0),
+        (lambda p: TailMeasure(p).rect_mass(1, 1.0, 1e300), 0.0),
+        *[(lambda p, lam2=lam2: uhat_limit_rhs(3, p, 1.0, lam2), 9.075460508201404)
+          for lam2 in (1e-30, 1e-250, 1e-290)],
+        *[(lambda p, y=y: derivative_limit_rect(3, p, 1.0, y), 8.566114723881174)
+          for y in (1e10, 1e30, 1e100)],
+        (lambda p: uhat_limit_rhs(3, p, 1.0, 1.0), 6.85854611783196),
+        (lambda p: derivative_limit_rect(3, p, 1.0, 2.0), 8.523982598802991),
     ],
-    ids=["uhat", "limit-rect", "density", "rect-mass"],
+    ids=["uhat", "limit-rect", "density", "rect-mass", "uhat-1e-30", "uhat-1e-250", "uhat-1e-290",
+         "limit-rect-1e10", "limit-rect-1e30", "limit-rect-1e100", "uhat-near", "limit-rect-near"],
 )
-def test_far_window_split_is_finite_or_typed(params, call):
-    """The window split is taken in logs: y**(1/a) at y = 1e300 overflowed before any integral."""
-    try:
-        value = call(params)
-    except HeavytailError:
-        return
-    assert math.isfinite(value)
+def test_far_window_split_is_finite_or_typed(params, call, expected):
+    """The window split is taken in logs: y**(1/a) at y = 1e300 overflowed before any integral.
+
+    At the far scale the limit integrands are evaluated in logs too: the
+    tilt as logaddexp, and log P(r, u) from its series where P underflows,
+    so the values settle to their lambda2 -> 0 and y -> inf limits.
+    """
+    assert call(params) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
