@@ -33,7 +33,7 @@ print(f"derivative measure at k = {k}: scaling indices "
 
 print("\ndivergent total mass (partial sums over growing squares):")
 for s in (100, 400, 1600):
-    print(f"  [0,{s}]^2: {u.captured_mass(s):.2f}")
+    print(f"  [0,{s}]^2: {u.rect_mass_below(s, s):.2f}")
 
 print("\ntransform scaling vs the limit integral at lambda = (1, 1):")
 rhs = uhat_limit_rhs(k, params, 1.0, 1.0)

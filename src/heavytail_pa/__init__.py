@@ -6,12 +6,12 @@ functions, masses, an exact sampler), evaluate the joint tail measures
 in closed quadrature form, and verify the transform-side scaling limits
 on concrete discrete measures.
 
-The names of limit_dist, tail_measure and tauberian load on first use
-(PEP 562 __getattr__): tauberian imports scipy.special, most of the
-package's import time, and limit_dist the thread pool of
-concurrent.futures.  The other modules load with the package: `simulate`
-names both a submodule and a function, and a lazily loaded submodule
-would take over the name.
+The names of limit_dist and tauberian load on first use (PEP 562
+__getattr__): tauberian imports scipy.special, most of the package's
+import time, and limit_dist the thread pool of concurrent.futures.  The
+other modules, tail_measure among them, need only numpy and load with
+the package: `simulate` names both a submodule and a function, and a
+lazily loaded submodule would take over the name.
 """
 
 import importlib
@@ -69,20 +69,18 @@ from .simulate import (
     simulate,
     step,
 )
+from .tail_measure import TailMeasure
 
 __version__ = "0.1.0"
 
 DEFAULT_SEED = 1618033
 
 # Names loaded on first use, by module: tauberian imports scipy.special and
-# limit_dist concurrent.futures; tail_measure, whose rect_mass loads
-# scipy.special, is loaded the same way.
+# limit_dist concurrent.futures.
 _LAZY_MODULES = {
     "limit_dist": ("LimitDistribution",),
-    "tail_measure": ("TailMeasure",),
     "tauberian": (
         "DerivativeMeasure",
-        "LatticeMeasure",
         "ScalingFunctions",
         "build_derivative_measure",
         "derivative_limit_rect",
@@ -127,5 +125,7 @@ __all__ = [
     # simulate
     "DirectedMultigraph", "GrowthCase", "GrowthStepOutcome", "SeedSpec", "choose_by_in",
     "choose_by_out", "grow", "seed_graph", "simulate", "step",
+    # tail_measure
+    "TailMeasure",
     *_LAZY,
 ]

@@ -13,17 +13,17 @@ converge to an explicit one-dimensional integral.  The routines here
 evaluate both sides by independent paths so the convergence can be
 observed numerically.
 
-Evaluation strategy for the derivative measure: the factorial weights
-shift the NB shape, giving for fixed latent z an i-section proportional
-to NB(delta_in + k + 1, 1/z) and a j-section NB(delta_out, z**-a).
-Rectangle masses, marginal masses and transforms therefore factor, per
-quadrature node of the mixing integral, into products of exponentially
-tilted NB sections, and each section has a closed form through the
-regularized incomplete beta function (see _nb_section).  Nothing is
-summed termwise and no index range is truncated.  The mixing integral
-runs on the trapezoid rule of `quadrature` in s = log(z - 1), on a
-window bounded by the decay rates of the weight and the sections
-(DerivativeMeasure._mix).
+Evaluation: the factorial weights shift the NB shape, so given the
+latent z the derivative measure is an i-section NB(delta_in + k + 1, 1/z)
+times a j-section NB(delta_out, z**-a) under the mixing weight.  That is
+the order-k measure of limit_dist's NB-mixture kernel, whose order-0
+measure is the limit law's first component; the kernel holds the
+weight, the closed-form window and the sections once.  Rectangle
+masses, marginal masses and transforms are products of exponentially
+tilted NB sections per node, each in closed form through the
+regularized incomplete beta function, so nothing is summed termwise and
+no index range is truncated.  The limit integrals share the kernel's
+weight constant and run on `quadrature.log_semiinfinite`.
 """
 
 from __future__ import annotations
@@ -33,13 +33,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import betainc, gammainc, gammaln, hyp1f1
+from scipy.special import gammainc, hyp1f1
 from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, InvalidK, QuadratureFailure
-from .limit_dist import LimitDistribution, nb_pmf
+from .limit_dist import _log_mix_const, _NBMixture
 from .params import ModelParams, derive, tail_ready
-from .quadrature import DEFAULT_QUAD, WINDOW, QuadratureSpec, log_semiinfinite, trapezoid
+from .quadrature import DEFAULT_QUAD, QuadratureSpec, log_semiinfinite
 
 
 @dataclass(frozen=True)
@@ -94,12 +94,6 @@ def _scaling_power(t: float, scale: float, gamma: float) -> float:
     return b
 
 
-def _log_mix_const(params: ModelParams, k: int) -> float:
-    """log(prod_{d=1..k}(delta_in + d) / c1), as a gammaln difference."""
-    din = params.delta_in
-    return gammaln(din + k + 1.0) - gammaln(din + 1.0) - math.log(derive(params).c1)
-
-
 def derivative_marginal_normalizer(params: ModelParams, k: int) -> float:
     """The constant K with U_1(x) ~ K x**gamma1 for the derivative measure.
 
@@ -112,22 +106,6 @@ def derivative_marginal_normalizer(params: ModelParams, k: int) -> float:
     c1 = d.c1
     big_c1 = gamma_fn(din + 1.0 + 1.0 / c1) / (c1 * gamma_fn(din + 1.0))
     return big_c1 / (k - d.alpha_in + 1.0)
-
-
-def _nb_section(r: float, p: np.ndarray, s: float, m: float) -> np.ndarray:
-    """sum_{i <= m} nb(i; r, p) e^(-s i), elementwise over the array p.
-
-    Tilting by e^(-s) maps the section to another NB law:
-    nb(i; r, p) e^(-s i) = (p/p~)^r nb(i; r, p~) with 1 - p~ = (1-p) e^(-s),
-    and the NB cdf at m is I_p~(r, m+1).  m may be +inf (the whole
-    section) or negative (empty); it stays a float because scaled cut
-    indices can exceed the int64 range.
-    """
-    if m < 0:
-        return np.zeros_like(p)
-    pt = -np.expm1(np.log1p(-p) - s)
-    scale = np.exp(r * (np.log(p) - np.log(pt)))
-    return scale if math.isinf(m) else scale * betainc(r, m + 1.0, pt)
 
 
 @dataclass(frozen=True)
@@ -144,82 +122,13 @@ class TransformReport:
     s2: float
 
 
-class LatticeMeasure:
-    """A measure given by a finite dense table of atoms at (i, j)."""
-
-    def __init__(self, atoms: np.ndarray):
-        atoms = np.asarray(atoms, np.float64)
-        if atoms.ndim != 2:
-            raise ValueError("atoms must be a 2-d table")
-        if np.any(atoms < 0):
-            raise ValueError("atom weights must be nonnegative")
-        self.atoms = atoms
-
-    @classmethod
-    def from_dict(cls, weights: dict) -> "LatticeMeasure":
-        imax = max(i for i, _ in weights)
-        jmax = max(j for _, j in weights)
-        table = np.zeros((imax + 1, jmax + 1))
-        for (i, j), w in weights.items():
-            table[i, j] += w
-        return cls(table)
-
-    @property
-    def support_shape(self):
-        return self.atoms.shape
-
-    def atom(self, i: int, j: int) -> float:
-        if 0 <= i < self.atoms.shape[0] and 0 <= j < self.atoms.shape[1]:
-            return float(self.atoms[i, j])
-        return 0.0
-
-    def rect_mass_below(self, x: float, y: float) -> float:
-        if x < 0 or y < 0:
-            return 0.0
-        si, sj = self.atoms.shape
-        ix, jy = int(math.floor(x)), int(math.floor(y))
-        return float(self.atoms[: min(ix + 1, si), : min(jy + 1, sj)].sum())
-
-    def laplace(self, s1: float, s2: float) -> TransformReport:
-        val = self._weighted_sum(s1, s2)
-        return TransformReport(value=val, remainder=0.0, s1=s1, s2=s2)
-
-    def laplace_with_boxes(self, s1: float, s2: float, boxes) -> tuple:
-        """Full transform plus open-box parts; returns (full, [boxes])."""
-        full = self._weighted_sum(s1, s2)
-        si, sj = self.atoms.shape
-        vals = []
-        for i_below, j_below in boxes:
-            bi, bj = min(max(i_below, 0), si), min(max(j_below, 0), sj)
-            vals.append(self._weighted_sum(s1, s2, block=(bi, bj)) if bi > 0 and bj > 0 else 0.0)
-        return full, vals
-
-    def marginal_mass(self, component: int, x: float) -> float:
-        if component not in (1, 2):
-            raise DomainError("component must be 1 or 2")
-        if x < 0:
-            return 0.0
-        axis = 1 if component == 1 else 0
-        marg = self.atoms.sum(axis=axis)
-        ix = int(math.floor(x))
-        return float(marg[: ix + 1].sum())
-
-    def _weighted_sum(self, s1: float, s2: float, block=None) -> float:
-        si, sj = self.atoms.shape if block is None else block
-        wi = np.exp(-s1 * np.arange(si))
-        wj = np.exp(-s2 * np.arange(sj))
-        return float(wi @ self.atoms[:si, :sj] @ wj)
-
-
 class DerivativeMeasure:
     """The order-k factorial-weighted measure of mixture component 1.
 
-    atom() evaluates the definitional product (i+1)...(i+k) times the
-    component pmf.  Rectangle masses, marginal masses and transforms use
-    the equivalent shifted-NB kernel instead: per node of the mixing
-    quadrature each is a product of closed-form NB sections, so every
-    evaluation costs one pass over the nodes whatever the index range
-    (equality with the atoms is covered by the tests).
+    Its atoms are (i+1)...(i+k) P[X1 = i+k, Y1 = j].  Rectangle masses,
+    marginal masses and transforms are sums of NB sections under one
+    mixing integral (limit_dist._NBMixture), so every evaluation costs one
+    pass over the nodes whatever the index range.
     """
 
     def __init__(self, params: ModelParams, k: int, quad: QuadratureSpec = DEFAULT_QUAD):
@@ -233,92 +142,24 @@ class DerivativeMeasure:
             )
         self.k = int(k)
         self.quad = quad
-
-        din, dout = self.params.delta_in, self.params.delta_out
-        self._r_i = din + self.k + 1.0  # shifted in-section NB shape
-        self._r_j = dout
-        self._log_const = _log_mix_const(self.params, self.k)
-        # every integrand is at least g = weight * (1 + e^s)^-(r_i + a r_j) (the
-        # sections' values at i = j = 0), whose peak relative to e^log_const is
-        # (k+1) log q - n log1p(q) at e^s = q; windows end e^-WINDOW below it
-        n = 1.0 + 1.0 / self.derived.c1 + self._r_i + self.derived.a * dout
-        q = (self.k + 1.0) / (n - self.k - 1.0)
-        self._log_floor = (self.k + 1.0) * math.log(q) - n * math.log1p(q) - WINDOW
-        self._limit = LimitDistribution(self.params, quad)
-
-    # -- atoms ---------------------------------------------------------------
-
-    def atom(self, i: int, j: int) -> float:
-        """m_ij by the definition: prod_{d=1..k}(i+d) * P[X1 = i+k, Y1 = j]."""
-        if i < 0 or j < 0:
-            raise DomainError("atom indices must be nonnegative")
-        weight = float(np.prod(np.arange(i + 1, i + self.k + 1, dtype=np.float64)))
-        return weight * self._limit.pmf_component(1, i + self.k, j)
-
-    def dense_atoms(self, i_max: int, j_max: int) -> np.ndarray:
-        """Materialize atoms on [0, i_max] x [0, j_max]."""
-        a = self.derived.a
-        iarr = np.arange(i_max + 1, dtype=np.float64)
-        jarr = np.arange(j_max + 1, dtype=np.float64)
-
-        def weighted_sum(z, w):
-            A = nb_pmf(iarr[None, :], self._r_i, (1.0 / z)[:, None])
-            B = nb_pmf(jarr[None, :], self._r_j, (z**-a)[:, None])
-            return np.einsum("q,qi,qj->ij", w, A, B, optimize=True)
-
-        return np.clip(self._mix(weighted_sum, self._r_i * math.log1p(i_max), self._r_i), 0.0, None)
-
-    def captured_mass(self, half_size: float) -> float:
-        """Total atom weight on the square [0, half_size]^2."""
-        return self.rect_mass_below(half_size, half_size)
-
-    # -- closed-form evaluations -----------------------------------------
+        self._kernel = _NBMixture(self.derived, self.params.delta_in + 1.0,
+                                  self.params.delta_out, self.k, quad)
 
     def rect_mass_below(self, x: float, y: float) -> float:
-        """Sum of atoms with i <= x and j <= y (closed-form NB sections per node)."""
+        """Sum of atoms with i <= x and j <= y."""
         if x < 0 or y < 0:
             return 0.0
-        ix, jy = np.floor(x), np.floor(y)
-        a = self.derived.a
-
-        def weighted_sum(z, w):
-            return float(w @ (_nb_section(self._r_i, 1.0 / z, 0.0, ix)
-                              * _nb_section(self._r_j, z**-a, 0.0, jy)))
-
-        return self._mix(weighted_sum, self._r_i * math.log1p(ix), self._r_i)
+        return float(self._kernel.mass([(np.floor(x), np.floor(y))])[0])
 
     def marginal_mass(self, component: int, x: float) -> float:
-        """Cumulative marginal weight; the full cross-sum is exactly 1 per node."""
+        """Cumulative marginal weight; the out-marginal is infinite, a DomainError,
+        where k >= alpha_in - 1 + a*delta_out."""
         if component not in (1, 2):
             raise DomainError("component must be 1 or 2")
-        if component == 2:
-            return self._out_marginal_mass(x)
         if x < 0:
             return 0.0
-        ix = np.floor(x)
-
-        def weighted_sum(z, w):
-            return float(w @ _nb_section(self._r_i, 1.0 / z, 0.0, ix))
-
-        return self._mix(weighted_sum, self._r_i * math.log1p(ix), self._r_i)
-
-    def _out_marginal_mass(self, y: float) -> float:
-        d = self.derived
-        margin = (d.alpha_in - 1.0) + d.a * self.params.delta_out - self.k
-        if margin <= 0:
-            raise DomainError(
-                "the out-marginal of the derivative measure is infinite: "
-                f"k = {self.k} >= alpha_in - 1 + a*delta_out = {self.k + margin:.6g}"
-            )
-        if y < 0:
-            return 0.0
-        jy = np.floor(y)
-        a = d.a
-
-        def weighted_sum(z, w):
-            return float(w @ _nb_section(self._r_j, z**-a, 0.0, jy))
-
-        return self._mix(weighted_sum, self._r_j * math.log1p(jy), a * self._r_j)
+        cut = (np.floor(x), math.inf) if component == 1 else (math.inf, np.floor(x))
+        return float(self._kernel.mass([cut])[0])
 
     def laplace(self, s1: float, s2: float) -> TransformReport:
         full, _ = self.laplace_with_boxes(s1, s2, ())
@@ -331,40 +172,9 @@ class DerivativeMeasure:
         """
         if s1 <= 0 or s2 <= 0:
             raise DomainError("transform decay rates must be positive")
-        a = self.derived.a
         cuts = [(math.inf, math.inf)] + [(float(bi) - 1.0, float(bj) - 1.0) for bi, bj in boxes]
-
-        def weighted_sum(z, w):
-            p1, p2 = 1.0 / z, z**-a
-            return np.array([w @ (_nb_section(self._r_i, p1, s1, icut)
-                                  * _nb_section(self._r_j, p2, s2, jcut)) for icut, jcut in cuts])
-
-        # the whole tilted in-section is (1 + e^s (1 - e^-s1))^-r_i
-        vals = self._mix(weighted_sum, -self._r_i * math.log(-math.expm1(-s1)), self._r_i)
+        vals = self._kernel.mass(cuts, s1, s2)
         return float(vals[0]), [float(v) for v in vals[1:]]
-
-    # -- numerical machinery ----------------------------------------------
-
-    def _mix(self, weighted_sum, log_tail: float, shape: float):
-        """Mix NB sections over Z by the trapezoid rule in s = log(z - 1).
-
-        ``weighted_sum(z, w)`` returns sum_q w_q f(z_q), a float or a
-        table, for a product f of sections with values in [0, 1], one of
-        which the caller bounds by e^(log_tail - shape*s).  The weight
-        exp(log_const + (k+1)s - (1+1/c1) log1p(e^s)) is at most
-        e^(log_const + (k+1)s) and e^(log_const + (k - 1/c1)s), so the
-        integrand decays like e^((k+1)s) towards z = 1 and at least like
-        e^(-(shape - k + 1/c1)s) above.  The window ends where those bounds
-        reach the floor e^-WINDOW below the least possible peak.
-        """
-        c1, k1 = self.derived.c1, self.k + 1.0
-
-        def sum_f(s):
-            w = np.exp(self._log_const + k1 * s - (1.0 + 1.0 / c1) * np.logaddexp(0.0, s))
-            return weighted_sum(1.0 + np.exp(s), w)
-
-        hi = (log_tail - self._log_floor) / (shape - self.k + 1.0 / c1)
-        return trapezoid(sum_f, self._log_floor / k1, hi, self.quad)
 
 
 def build_derivative_measure(k: int, params: ModelParams,
@@ -424,7 +234,7 @@ def uhat_limit_rhs(
         raise InvalidK(f"k = {k} must exceed alpha_in - 1 = {d.alpha_in - 1.0:.6g}")
     din, dout = params.delta_in, params.delta_out
     c1, a = d.c1, d.a
-    log_const = _log_mix_const(params, k)
+    log_const = _log_mix_const(din + 1.0, k, c1)
     log_lam1, log_lam2 = math.log(lam1), math.log(lam2)
 
     def log_f(s):
@@ -457,7 +267,7 @@ def derivative_limit_rect(
         raise InvalidK(f"k = {k} must exceed alpha_in - 1 = {d.alpha_in - 1.0:.6g}")
     din, dout = params.delta_in, params.delta_out
     c1, a = d.c1, d.a
-    log_const = _log_mix_const(params, k)
+    log_const = _log_mix_const(din + 1.0, k, c1)
     log_x, log_y = math.log(x), math.log(y)
 
     def log_f(s):

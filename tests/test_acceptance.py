@@ -22,7 +22,7 @@ from heavytail_pa import (
     uhat_check,
 )
 from heavytail_pa.census import JointPMF
-from heavytail_pa.limit_dist import nb_pmf
+from oracles import nb_pmf
 
 ALPHA_IN = 2.875
 ALPHA_OUT = 22.0 / 7.0

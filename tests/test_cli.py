@@ -247,7 +247,7 @@ PUBLIC_NAMES = (
     "DerivativeMeasure", "DerivedConstants", "DirectedMultigraph", "DomainError", "EmptyInput",
     "GrowthCase", "GrowthStepOutcome", "HeavytailError", "InsufficientData",
     "InsufficientExceedances", "InvalidK", "InvalidParams", "InvalidSeed", "JointCountTable",
-    "JointPMF", "LatticeMeasure", "LimitDistribution", "ModelParams", "NonPositiveSample",
+    "JointPMF", "LimitDistribution", "ModelParams", "NonPositiveSample",
     "PMFComparison", "QuadratureFailure", "QuadratureSpec", "ResourceLimit", "ScalingFunctions",
     "SeedSpec", "StandardizedSample", "TailFit", "TailMeasure", "angular_histogram",
     "build_derivative_measure", "choose_by_in", "choose_by_out", "compare_pmf", "default_hill_k",

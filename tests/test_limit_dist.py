@@ -6,7 +6,8 @@ import pytest
 
 from heavytail_pa import DEFAULT_SEED, DomainError, LimitDistribution, ModelParams, ResourceLimit
 from heavytail_pa import limit_dist
-from heavytail_pa.limit_dist import BLOCK_BYTES, SAMPLE_BLOCK, draw_block, nb_logpmf, nb_pmf
+from heavytail_pa.limit_dist import BLOCK_BYTES, SAMPLE_BLOCK, draw_block, nb_logpmf
+from oracles import nb_pmf
 
 
 def mc_pgf(x, y, xs, ys):
@@ -100,6 +101,20 @@ def test_far_pmf_cell_matches_mpmath(dist):
 
         oracle = float(mp.quad(f, [1, 10, 100, 1000, 1e4, 1e5, mp.inf]) / c1)
     assert dist.pmf_component(2, i, j) == pytest.approx(oracle, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("point", [(0.3, 0.5, 0.2, 1.0, 1.0), (0.1, 0.1, 0.8, 5.0, 1.0),
+                                   (0.3, 0.5, 0.2, 0.0, 2.5)])
+def test_pmf_table_partial_sums_equal_cdf_sections(point):
+    """P[I <= i, O <= j] = pb F1(i-1, j) + (1-pb) F2(i, j-1), each F a cdf
+    section of the order-0 kernel: the NB cdf, not a sum of pmf cells."""
+    dist = LimitDistribution(ModelParams(*point))
+    sums = dist.pmf_table(30, 30).cumsum(0).cumsum(1)
+    cells = [(0, 0), (0, 7), (7, 0), (1, 1), (3, 12), (12, 3), (30, 30)]
+    f1 = dist._kernel(1).mass([(i - 1, j) for i, j in cells])
+    f2 = dist._kernel(2).mass([(i, j - 1) for i, j in cells])
+    for (i, j), m1, m2 in zip(cells, f1, f2):
+        assert abs(dist.split * m1 + (1.0 - dist.split) * m2 - sums[i, j]) <= 1e-12
 
 
 def test_component_mass_capture(dist):

@@ -70,7 +70,12 @@ def test_invariants_over_the_parameter_domain(point):
         "uhat_limit_rhs": lambda: uhat_limit_rhs(k, params, 1.0, 1.0),
         "derivative_limit_rect": lambda: derivative_limit_rect(k, params, 1.0, 1.0),
         "transform_scaling": transform,
+        "marginal_mass_in": lambda: build_derivative_measure(k, params).marginal_mass(1, 10.0),
     }
+    d = derive(params)
+    if d.alpha_in - 1.0 + d.a * params.delta_out > k:  # the out-marginal is finite
+        positive["marginal_mass_out"] = (
+            lambda: build_derivative_measure(k, params).marginal_mass(2, 10.0))
     for name, evaluate in positive.items():
         value = _value(evaluate)
         assert value is None or (math.isfinite(value) and value > 0), (name, value)

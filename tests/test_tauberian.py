@@ -7,7 +7,6 @@ import pytest
 from heavytail_pa import (
     DomainError,
     InvalidK,
-    LatticeMeasure,
     ModelParams,
     QuadratureFailure,
     QuadratureSpec,
@@ -26,6 +25,7 @@ from heavytail_pa import (
     uhat_limit_rhs,
 )
 from heavytail_pa.tauberian import TransformReport
+from oracles import LatticeMeasure, atom, dense_atoms
 
 
 @pytest.fixture(scope="module")
@@ -43,20 +43,21 @@ def test_k_validation(params):
 
 
 def test_corner_atom_is_k_factorial_times_pmf(deriv_measure, dist):
-    assert deriv_measure.atom(0, 0) == pytest.approx(
+    """The shifted-shape kernel's corner mass equals the definition's atom."""
+    assert deriv_measure.rect_mass_below(0, 0) == pytest.approx(
         6.0 * dist.pmf_component(1, 3, 0), rel=1e-10
     )
 
 
 def test_dense_atoms_match_definition(deriv_measure):
-    table = deriv_measure.dense_atoms(12, 8)
+    table = dense_atoms(deriv_measure, 12, 8)
     for i, j in [(0, 0), (1, 2), (5, 3), (12, 8)]:
-        assert table[i, j] == pytest.approx(deriv_measure.atom(i, j), rel=1e-9)
+        assert table[i, j] == pytest.approx(atom(deriv_measure, i, j), rel=1e-9)
 
 
 def test_series_rectangles_match_dense_atoms(deriv_measure):
     """Closed-form NB sections equal the materialized atom sums, plain and tilted."""
-    table = deriv_measure.dense_atoms(200, 200)
+    table = dense_atoms(deriv_measure, 200, 200)
     assert deriv_measure.rect_mass_below(60, 40) == pytest.approx(table[:61, :41].sum(), rel=1e-9)
     assert deriv_measure.rect_mass_below(25, 10) == pytest.approx(
         table[:26, :11].sum(), rel=1e-9
@@ -73,14 +74,14 @@ def test_series_rectangles_match_dense_atoms(deriv_measure):
 
 def test_partial_sums_diverge(deriv_measure):
     """Total mass grows without plateau over increasing square supports."""
-    sums = [deriv_measure.captured_mass(s) for s in (100, 200, 400, 800)]
+    sums = [deriv_measure.rect_mass_below(s, s) for s in (100, 200, 400, 800)]
     assert all(b > a for a, b in zip(sums, sums[1:]))
     increments = np.diff(sums)
     assert all(b > 0.5 * a for a, b in zip(increments, increments[1:]))
 
 
 def test_marginal_mass_matches_row_sums(deriv_measure):
-    table = deriv_measure.dense_atoms(40, 3000)
+    table = dense_atoms(deriv_measure, 40, 3000)
     series = deriv_measure.marginal_mass(1, 40)
     assert series == pytest.approx(table.sum(), rel=1e-6)
 
@@ -94,12 +95,35 @@ def test_out_marginal_infinite_at_k3(deriv_measure):
 def test_out_marginal_finite_at_k2(params):
     u2 = build_derivative_measure(2, params)
     val = u2.marginal_mass(2, 10.0)
-    table = u2.dense_atoms(20000, 10)
+    table = dense_atoms(u2, 20000, 10)
     assert val > 0
     # column sums decay like i^(-1.75), so truncating the table at
     # i = 2e4 still leaves just under one percent in the tail
     assert table.sum() < val
     assert table.sum() == pytest.approx(val, rel=2e-2)
+
+
+def test_slow_out_marginal_matches_mpmath():
+    """The out-marginal here decays like e^(-0.073 s), so its window runs to
+    s = 800, where z^-a underflows: the cut section comes from log z^-a and
+    the incomplete beta series.  Forming z = 1 + e^s there once raised
+    QuadratureFailure ("non-finite integrand value")."""
+    p = ModelParams(0.296, 0.662, 0.042, 7.48, 0.655)
+    d = derive(p)
+    with mp.workdps(30):
+        c1, a = mp.mpf(d.c1), mp.mpf(d.a)
+        din, dout = mp.mpf(p.delta_in), mp.mpf(p.delta_out)
+        const = mp.gamma(din + 6) / (mp.gamma(din + 1) * c1)
+
+        def f(s):
+            log_z = mp.log1p(mp.exp(s))
+            cdf = mp.betainc(dout, 11, 0, mp.exp(-a * log_z), regularized=True)
+            return mp.exp(6 * s - (1 + 1 / c1) * log_z) * cdf
+
+        want = float(const * mp.quad(f, _CUTS[:-1] + [100, 200, 400, 800, 1600, 3200, mp.inf]))
+    assert want == pytest.approx(27050619.3182673, rel=1e-13)
+    got = build_derivative_measure(5, p).marginal_mass(2, 10)
+    assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def test_scaling_function_indices(params, scaling):
