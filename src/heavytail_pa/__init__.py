@@ -7,11 +7,13 @@ in closed quadrature form, and verify the transform-side scaling limits
 on concrete discrete measures.
 
 The names of limit_dist and tauberian load on first use (PEP 562
-__getattr__): tauberian imports scipy.special, most of the package's
-import time, and limit_dist the thread pool of concurrent.futures.  The
-other modules, tail_measure among them, need only numpy and load with
-the package: `simulate` names both a submodule and a function, and a
-lazily loaded submodule would take over the name.
+__getattr__): limit_dist imports the thread pool of concurrent.futures,
+and tauberian imports limit_dist.  Neither imports scipy.special, most
+of the package's import time; it loads only inside the sections that
+evaluate an incomplete gamma or beta function.  The other modules,
+tail_measure among them, need only numpy and load with the package:
+`simulate` names both a submodule and a function, and a lazily loaded
+submodule would take over the name.
 """
 
 import importlib
@@ -62,8 +64,6 @@ from .simulate import (
     GrowthCase,
     GrowthStepOutcome,
     SeedSpec,
-    choose_by_in,
-    choose_by_out,
     grow,
     seed_graph,
     simulate,
@@ -75,8 +75,7 @@ __version__ = "0.1.0"
 
 DEFAULT_SEED = 1618033
 
-# Names loaded on first use, by module: tauberian imports scipy.special and
-# limit_dist concurrent.futures.
+# Names loaded on first use, by module: both load concurrent.futures.
 _LAZY_MODULES = {
     "limit_dist": ("LimitDistribution",),
     "tauberian": (
@@ -100,7 +99,7 @@ _LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in nam
 
 
 def __getattr__(name):
-    """Load the module behind a scipy.special name on its first use (PEP 562)."""
+    """Load the module behind a lazy name on its first use (PEP 562)."""
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -123,8 +122,8 @@ __all__ = [
     "DerivedConstants", "ModelParams", "derive", "load_params", "save_params",
     "split_probability", "validate", "DEFAULT_QUAD", "QuadratureSpec",
     # simulate
-    "DirectedMultigraph", "GrowthCase", "GrowthStepOutcome", "SeedSpec", "choose_by_in",
-    "choose_by_out", "grow", "seed_graph", "simulate", "step",
+    "DirectedMultigraph", "GrowthCase", "GrowthStepOutcome", "SeedSpec", "grow",
+    "seed_graph", "simulate", "step",
     # tail_measure
     "TailMeasure",
     *_LAZY,

@@ -7,7 +7,8 @@ structured reports are JSON.  Every report embeds its provenance: the
 package, numpy and scipy versions, the argv, and where they apply the
 resolved parameters, derived constants and seed.
 Commands import their evaluators when they run, and only verify loads
-scipy.special: the others need at most log Gamma, from math.lgamma.
+scipy.special, except for its uhat check: the others need at most log
+Gamma, from math.lgamma.
 Exit codes: 0 success, 1 validation or usage error, 2 numerical
 failure.  Randomness comes only from the --seed flag (default a fixed
 constant, never the clock).

@@ -43,6 +43,7 @@ import numpy as np
 from .errors import DomainError, ResourceLimit
 from .params import DerivedConstants, ModelParams, derive, split_probability, validate
 from .quadrature import DEFAULT_QUAD, WINDOW, QuadratureSpec, trapezoid
+from .tail_measure import _TINY, _log_mix_const
 
 # draws per sampler block; with the seed it fixes every sample
 SAMPLE_BLOCK = 1 << 16
@@ -52,11 +53,10 @@ COUNT_LIMIT = 2**31  # sampled degrees are int32
 # Poisson means are clipped here: a draw at this mean always exceeds
 # COUNT_LIMIT, and numpy refuses means near 2**63
 _MEAN_CAP = 2.0**40
-_TINY = np.finfo(np.float64).tiny  # the least normal float
 
 
 def _nb_log_coef(m, r: float) -> np.ndarray:
-    """log Gamma(r+m) - log Gamma(r) - log Gamma(m+1), the p-free term of nb_logpmf.
+    """log Gamma(r+m) - log Gamma(r) - log Gamma(m+1), the p-free term of _nb_logpmf.
 
     numpy has no log-gamma ufunc, so math.lgamma runs elementwise.  -inf
     where m < 0 (mass 0); r = 0 degenerates at 0.
@@ -70,21 +70,9 @@ def _nb_log_coef(m, r: float) -> np.ndarray:
     return np.reshape(terms, m.shape)
 
 
-def nb_logpmf(m, r: float, p) -> np.ndarray:
-    """log NB(m; r, p) on the support {0, 1, ...}; r = 0 degenerates at 0."""
-    m, p = np.asarray(m, np.float64), np.asarray(p, np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _nb_logpmf(_nb_log_coef(m, r), m, r, np.log(p), np.log1p(-p))
-
-
 def _nb_logpmf(coef, m: np.ndarray, r: float, log_p, log_1mp) -> np.ndarray:
-    """nb_logpmf from coef = _nb_log_coef(m, r), log p and log(1 - p)."""
+    """log NB(m; r, p) from coef = _nb_log_coef(m, r), log p and log(1 - p)."""
     return coef + r * log_p + np.where(m > 0, m * log_1mp, 0.0)
-
-
-def _log_mix_const(r: float, k: int, c1: float) -> float:
-    """log(Gamma(r+k) / (Gamma(r) c1)): the weight constant of the order-k measure."""
-    return (math.lgamma(r + k) - math.lgamma(r) if k else 0.0) - math.log(c1)
 
 
 def _section(r: float, log_p, log_odds, tilt: float):

@@ -49,33 +49,34 @@ def trapezoid(sum_f, lo: float, hi: float, spec: QuadratureSpec = DEFAULT_QUAD):
     evaluating only the new midpoints, until the max-norm change is
     within max(tol_abs, tol_rel * max|value|).  The ends are never
     evaluated: every window ends where f is negligible.  A non-finite
-    sum, or more than MAX_NODES nodes, raises QuadratureFailure.
+    sum raises QuadratureFailure, and so does a level that would take
+    the nodes past MAX_NODES, before its nodes are built.
     """
     n = max(2, math.ceil(4.0 * (hi - lo)))
     h = (hi - lo) / n
-    used = 0
+    used, change = 0, math.inf
 
-    def checked_sum(nodes):
+    def checked_sum(offset: float, count: int):
+        """The sum of f over lo + h (offset + arange(count)), after the node budget allows it."""
         nonlocal used
-        used += nodes.size
-        part = sum_f(nodes)
+        if used + count > MAX_NODES:
+            raise QuadratureFailure(f"trapezoid rule not converged at {used} nodes (last change "
+                                    f"{change:.2e}): {count} more would pass {MAX_NODES}")
+        used += count
+        part = sum_f(lo + h * (offset + np.arange(count)))
         if not np.all(np.isfinite(part)):
             raise QuadratureFailure(f"non-finite integrand value at {used} nodes")
         return part
 
-    total = checked_sum(lo + h * np.arange(1, n))
+    total = checked_sum(1.0, n - 1)
     value = h * total
     while True:
-        total = total + checked_sum(lo + h * (np.arange(n) + 0.5))
+        total = total + checked_sum(0.5, n)
         n, h = 2 * n, 0.5 * h
         prev, value = value, h * total
         change = float(np.max(np.abs(value - prev)))
         if change <= max(spec.tol_abs, spec.tol_rel * float(np.max(np.abs(value)))):
             return value
-        if used + n > MAX_NODES:
-            raise QuadratureFailure(
-                f"trapezoid rule not converged at {used} nodes (last change {change:.2e})"
-            )
 
 
 def log_semiinfinite(log_f, log_split: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:

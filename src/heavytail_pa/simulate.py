@@ -250,25 +250,6 @@ def _choose(coin: float, index: float, endpoint: np.ndarray, n: int, N: int, del
     return min(int(index * N), N - 1)
 
 
-def _choose_by(graph: DirectedMultigraph, endpoint, delta: float, which: str, rng) -> int:
-    n, N = graph.edge_count, graph.node_count
-    if N < 1:
-        raise InvalidSeed("cannot choose from an empty graph")
-    if n == 0 and delta * N <= 0:
-        raise InvalidSeed(f"zero-edge graph with delta_{which} = 0 has no {which}-attachment law")
-    return _choose(rng.random(), rng.random(), endpoint, n, N, delta)
-
-
-def choose_by_in(graph: DirectedMultigraph, delta_in: float, rng: np.random.Generator) -> int:
-    """Sample a node with probability (D_in + delta_in)/(n + delta_in*N)."""
-    return _choose_by(graph, graph._heads, delta_in, "in", rng)
-
-
-def choose_by_out(graph: DirectedMultigraph, delta_out: float, rng: np.random.Generator) -> int:
-    """Sample a node with probability (D_out + delta_out)/(n + delta_out*N)."""
-    return _choose_by(graph, graph._tails, delta_out, "out", rng)
-
-
 def step(graph: DirectedMultigraph, params: ModelParams, rng: np.random.Generator) -> GrowthStepOutcome:
     """Advance the graph by one edge and report what happened.
 

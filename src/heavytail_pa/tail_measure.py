@@ -1,21 +1,32 @@
-"""Limit tail measures of the standardized degree pair.
+"""Limit tail measures of the standardized degree pair, and the one gamma-mixture kernel.
 
-Both component measures are gamma mixtures: against the improper
-density c1^-1 z^(-1-1/c1) dz on (0, inf), component 1 mixes independent
-Gamma(delta_in + 1, scale z) and Gamma(delta_out, scale z**a) margins,
-component 2 shifts the +1 to the out margin.  That structure gives a
-one-dimensional reduction for rectangle masses through regularized
-upper incomplete gamma factors, which is the default evaluation path
-(validated against raw 2-d quadrature of the densities in the tests).
-Densities and rectangle masses are integrated in s = log z as exp of a
-log-space integrand: z-powers cannot overflow, an underflowed factor gives 0.
+Against the improper weight c1^-1 Gamma(r_in+k)/Gamma(r_in) z^(k-1-1/c1) dz
+on (0, inf), the order-k measure of a component with gamma shapes
+(r_in, r_out) mixes independent Gamma(r_in + k, scale z) and
+Gamma(r_out, scale z**a) margins.  Component 1 has the shapes
+(delta_in + 1, delta_out), component 2 (delta_in, delta_out + 1), and at
+order 0 they are the joint tail measure's components (Samorodnitsky,
+Resnick, Towsley, Davis, Willis and Wan, J. Appl. Probab. 53, 2016).
+Since u^k times the Gamma(r, scale z) density is
+Gamma(r+k)/Gamma(r) z^k times the Gamma(r + k, scale z) density, the
+order-k measure of component 1 is x^k times the order-0 one: the scaling
+limit of tauberian's order-k derivative measure.
+
+`_GammaMixture` holds that integral once.  A density, a tail rectangle
+[x_lo, inf) x [y_lo, inf), a box [0, x] x [0, y] and a Laplace transform
+are each one section kind on both margins (the gamma density, the
+regularized upper and lower incomplete gamma functions Q and P, and
+(1 + lambda z)^-r) mixed over z.  The mixture is integrated in s = log z
+as exp of a log-space integrand: z-powers cannot overflow, and an
+underflowed factor gives 0.  The in-marginal is closed form, from
+int_0^inf t^(s-1) Q(r, t) dt = Gamma(r+s)/(s Gamma(r)) with s = 1/c1.
 
 Homogeneity: scaling a rectangle corner by (c**c1, c**c2) divides the
-mass by c.
+order-0 mass by c.
 
-Only rect_mass loads scipy.special (gammaincc), when it first runs; the
-densities and the closed-form marginal need only log Gamma of scalars,
-from math.lgamma.  The sample side, `standardize` and
+Only the Q and P sections load scipy.special, when they run; the
+densities, the transforms and the closed-form marginal need only log
+Gamma of scalars, from math.lgamma.  The sample side, `standardize` and
 `angular_histogram`, lives in census: it needs no special function.
 """
 
@@ -29,7 +40,92 @@ from .errors import DomainError
 from .params import DerivedConstants, ModelParams, derive, split_probability, tail_ready
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, log_semiinfinite
 
-COMPONENTS = (1, 2, "combined")
+_TINY = np.finfo(np.float64).tiny  # the least normal float
+
+
+def _log_mix_const(r: float, k: float, c1: float) -> float:
+    """log(Gamma(r+k) / (Gamma(r) c1)): the weight constant of the order-k measure."""
+    return (math.lgamma(r + k) - math.lgamma(r) if k else 0.0) - math.log(c1)
+
+
+# Section kinds: kind(r, log_sigma) returns the log of a Gamma(r, scale theta)
+# section as a function of log u, u = sigma/theta, at the nodes.
+
+
+def _log_density(r: float, log_sigma: float):
+    """The density at sigma: u^r e^-u / (Gamma(r) sigma)."""
+    shift = math.lgamma(r) + log_sigma
+    return lambda log_u: r * log_u - np.exp(log_u) - shift
+
+
+def _log_upper(r: float, log_sigma: float):
+    """The mass of [sigma, inf): Q(r, u), 1 at sigma = 0."""
+    from scipy.special import gammaincc  # slow to import, so loaded only where it runs
+
+    return lambda log_u: np.log(gammaincc(r, np.exp(log_u)))
+
+
+def _log_lower(r: float, log_sigma: float):
+    """The mass of [0, sigma]: P(r, u).
+
+    Where P underflows, log P comes from the series
+    P(r, u) = u^r e^-u M(1, r+1, u) / Gamma(r+1), which stays finite
+    while u itself underflows; each branch is evaluated only where it is used.
+    """
+    from scipy.special import gammainc, hyp1f1
+
+    log_norm = math.lgamma(r + 1.0)
+
+    def log_p(log_u):
+        p = gammainc(r, np.exp(log_u))
+        under = p < _TINY
+        if not under.any():
+            return np.log(p)
+        out = np.log(p, out=np.empty_like(p), where=~under)
+        lu = log_u[under]
+        u = np.exp(lu)
+        out[under] = r * lu - u - log_norm + np.log(hyp1f1(1.0, r + 1.0, u))
+        return out
+
+    return log_p
+
+
+def _log_laplace(r: float, log_sigma: float):
+    """The transform at lambda = 1/sigma: (1 + 1/u)^-r, as a logaddexp that cannot overflow."""
+    return lambda log_u: -r * np.logaddexp(0.0, -log_u)
+
+
+class _GammaMixture:
+    """The order-k measure of a component with gamma shapes (r_in, r_out), as one integral over z.
+
+    `integral` mixes one section kind on both margins, at sigma_in = e^log_in
+    and sigma_out = e^log_out; the unit-step scan of `log_semiinfinite`
+    starts at max(log sigma_in, log sigma_out / a, 0), where the sections
+    turn.  `log_marginal_const` is the closed-form in-marginal.
+    """
+
+    def __init__(self, derived: DerivedConstants, r_in: float, r_out: float, k: float,
+                 quad: QuadratureSpec):
+        self.c1, self.a, self.k, self.quad = derived.c1, derived.a, k, quad
+        self.r = r_in  # the order-0 in-shape
+        self.shapes = (r_in + k, r_out)
+        self.power = k - 1.0 / self.c1
+        self.log_const = _log_mix_const(r_in, k, self.c1)
+
+    def integral(self, kind, log_in: float, log_out: float) -> float:
+        sec_in, sec_out = kind(self.shapes[0], log_in), kind(self.shapes[1], log_out)
+        log_const, power, a = self.log_const, self.power, self.a
+
+        def log_f(s):
+            return log_const + power * s + sec_in(log_in - s) + sec_out(log_out - a * s)
+
+        return log_semiinfinite(log_f, max(log_in, log_out / a, 0.0), self.quad)
+
+    def log_marginal_const(self) -> float:
+        """log C, with the in-marginal C x^(k - 1/c1): the mass of [x, inf) at k = 0,
+        of [0, x] at k > 1/c1."""
+        inv = 1.0 / self.c1
+        return _log_mix_const(self.r, inv, self.c1) - math.log(abs(self.k - inv))
 
 
 class TailMeasure:
@@ -40,37 +136,24 @@ class TailMeasure:
         self.derived: DerivedConstants = derive(self.params)
         self.split = split_probability(self.params)
         self.quad = quad
+        din, dout = self.params.delta_in, self.params.delta_out
+        self._kernels = {1: _GammaMixture(self.derived, din + 1.0, dout, 0, quad),
+                         2: _GammaMixture(self.derived, din, dout + 1.0, 0, quad)}
 
     def density(self, component, x: float, y: float) -> float:
-        """Lebesgue density at (x, y), both > 0; prefactor and integrand are summed in logs."""
+        """Lebesgue density at (x, y), both > 0: gamma density sections under the mixture."""
         if x <= 0 or y <= 0:
             raise DomainError("density is defined on the open quadrant x, y > 0")
         if component == "combined":
             pb = self.split
             return pb * self.density(1, x, y) + (1.0 - pb) * self.density(2, x, y)
-        din, dout = self.params.delta_in, self.params.delta_out
-        c1, a = self.derived.c1, self.derived.a
-        lx, ly = math.log(x), math.log(y)
-        if component == 1:
-            zexp = 2.0 + 1.0 / c1 + din + a * dout
-            log_pref = din * lx + (dout - 1.0) * ly - math.lgamma(din + 1.0) - math.lgamma(dout)
-        elif component == 2:
-            zexp = 1.0 + a + 1.0 / c1 + din + a * dout
-            log_pref = (din - 1.0) * lx + dout * ly - math.lgamma(din) - math.lgamma(dout + 1.0)
-        else:
-            raise DomainError(f"component must be 1, 2 or 'combined', got {component!r}")
-
-        def log_f(s):
-            return log_pref + (1.0 - zexp) * s - x * np.exp(-s) - y * np.exp(-a * s)
-
-        return log_semiinfinite(log_f, max(lx, ly / a, 0.0), self.quad) / c1
+        return self._kernel(component).integral(_log_density, math.log(x), math.log(y))
 
     def rect_mass(self, component, x_lo: float, y_lo: float) -> float:
         """Mass of [x_lo, inf) x [y_lo, inf); at least one bound positive.
 
         Computed by the 1-d reduction: the gamma survival functions
         Q(r, x_lo/z) and Q(r', y_lo/z**a) replace the inner integrals.
-        The integrand is exp of -s/c1 + log Q + log Q' at s = log z.
         """
         if x_lo < 0 or y_lo < 0:
             raise DomainError("rectangle corners must be nonnegative")
@@ -79,40 +162,20 @@ class TailMeasure:
         if component == "combined":
             pb = self.split
             return pb * self.rect_mass(1, x_lo, y_lo) + (1.0 - pb) * self.rect_mass(2, x_lo, y_lo)
-        if component == 1:
-            rin, rout = self.params.delta_in + 1.0, self.params.delta_out
-        elif component == 2:
-            rin, rout = self.params.delta_in, self.params.delta_out + 1.0
-        else:
-            raise DomainError(f"component must be 1, 2 or 'combined', got {component!r}")
-        c1, a = self.derived.c1, self.derived.a
-        # imported here: the rest of the module needs no scipy.special, whose import is slow
-        from scipy.special import gammaincc
-
-        def log_f(s):
-            val = -s / c1
-            if x_lo > 0:
-                val = val + np.log(gammaincc(rin, x_lo * np.exp(-s)))
-            if y_lo > 0:
-                val = val + np.log(gammaincc(rout, y_lo * np.exp(-a * s)))
-            return val
-
-        # max(log x_lo, log y_lo / a, 0), with log 0 = -inf
-        log_split = max(math.log(max(x_lo, 1.0)), math.log(max(y_lo, 1.0)) / a)
-        return log_semiinfinite(log_f, log_split, self.quad) / c1
+        log_in, log_out = (math.log(v) if v > 0 else -math.inf for v in (x_lo, y_lo))
+        return self._kernel(component).integral(_log_upper, log_in, log_out)
 
     def marginal_mass_closed_form(self, component, x_lo: float) -> float:
-        """Closed form of rect_mass(component, x_lo, 0).
-
-        Follows from int_0^inf t^(s-1) Q(r, t) dt = Gamma(r+s)/(s*Gamma(r))
-        with s = 1/c1.
-        """
+        """Closed form of rect_mass(component, x_lo, 0)."""
         if x_lo <= 0:
             raise DomainError("x_lo must be positive")
-        rin = self.params.delta_in + (1.0 if component == 1 else 0.0)
-        if component not in (1, 2):
+        if component not in self._kernels:
             raise DomainError("closed form available for components 1 and 2")
-        if rin <= 0:
-            raise DomainError("component 2 needs delta_in > 0")
-        c1 = self.derived.c1
-        return math.exp(math.lgamma(rin + 1.0 / c1) - math.lgamma(rin) - math.log(x_lo) / c1)
+        kernel = self._kernels[component]
+        return math.exp(kernel.log_marginal_const() - math.log(x_lo) / self.derived.c1)
+
+    def _kernel(self, component) -> _GammaMixture:
+        try:
+            return self._kernels[component]
+        except KeyError:
+            raise DomainError(f"component must be 1, 2 or 'combined', got {component!r}") from None

@@ -13,17 +13,19 @@ converge to an explicit one-dimensional integral.  The routines here
 evaluate both sides by independent paths so the convergence can be
 observed numerically.
 
-Evaluation: the factorial weights shift the NB shape, so given the
-latent z the derivative measure is an i-section NB(delta_in + k + 1, 1/z)
-times a j-section NB(delta_out, z**-a) under the mixing weight.  That is
-the order-k measure of limit_dist's NB-mixture kernel, whose order-0
-measure is the limit law's first component; the kernel holds the
-weight, the closed-form window and the sections once.  Rectangle
-masses, marginal masses and transforms are products of exponentially
-tilted NB sections per node, each in closed form through the
-regularized incomplete beta function, so nothing is summed termwise and
-no index range is truncated.  The limit integrals share the kernel's
-weight constant and run on `quadrature.log_semiinfinite`.
+Both sides rest on one kernel each.  The discrete side: the factorial
+weights shift the NB shape, so given the latent z the derivative measure
+is an i-section NB(delta_in + k + 1, 1/z) times a j-section
+NB(delta_out, z**-a) under the mixing weight, the order-k measure of
+limit_dist's NB-mixture kernel.  Rectangle masses, marginal masses and
+transforms are products of exponentially tilted NB sections per node,
+each in closed form through the regularized incomplete beta function, so
+nothing is summed termwise and no index range is truncated.  The limit
+side: the limit of U_t is x^k times component 1 of the joint tail
+measure, the order-k measure of tail_measure's gamma-mixture kernel.
+Its transform, rectangle masses and marginal normalizer are that
+kernel's Laplace and lower incomplete gamma sections and its closed-form
+in-marginal; the transform needs no scipy.special.
 """
 
 from __future__ import annotations
@@ -33,13 +35,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammainc, hyp1f1
-from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, InvalidK, QuadratureFailure
-from .limit_dist import _log_mix_const, _NBMixture
+from .limit_dist import _NBMixture
 from .params import ModelParams, derive, tail_ready
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, log_semiinfinite
+from .quadrature import DEFAULT_QUAD, QuadratureSpec
+from .tail_measure import _GammaMixture, _log_laplace, _log_lower
 
 
 @dataclass(frozen=True)
@@ -97,15 +98,29 @@ def _scaling_power(t: float, scale: float, gamma: float) -> float:
 def derivative_marginal_normalizer(params: ModelParams, k: int) -> float:
     """The constant K with U_1(x) ~ K x**gamma1 for the derivative measure.
 
-    The in-marginal atoms behave like C1 * i**(k - alpha_in) with
-    C1 = Gamma(delta_in + 1 + 1/c1)/(c1 * Gamma(delta_in + 1)), so the
-    partial sums grow like (C1/gamma1) x**gamma1.
+    The in-marginal of the limit measure is K x**gamma1 with
+    K = Gamma(delta_in + 1 + 1/c1)/(c1 Gamma(delta_in + 1) gamma1), the
+    gamma mixture's closed form, taken in logs; a K beyond the float
+    range is a DomainError.
     """
-    d = derive(params)
-    din = params.delta_in
-    c1 = d.c1
-    big_c1 = gamma_fn(din + 1.0 + 1.0 / c1) / (c1 * gamma_fn(din + 1.0))
-    return big_c1 / (k - d.alpha_in + 1.0)
+    log_norm = _limit_kernel(k, params, DEFAULT_QUAD).log_marginal_const()
+    try:
+        return math.exp(log_norm)
+    except OverflowError:
+        raise DomainError(f"the marginal normalizer K = e^{log_norm:.6g} overflows at k = {k}") from None
+
+
+def _check_order(k, derived) -> None:
+    if k <= derived.alpha_in - 1.0:
+        raise InvalidK(f"k = {k} must exceed alpha_in - 1 = {derived.alpha_in - 1.0:.6g}")
+
+
+def _limit_kernel(k, params: ModelParams, quad: QuadratureSpec) -> _GammaMixture:
+    """The limit of U_t: the order-k gamma mixture of component 1, for real k > alpha_in - 1."""
+    params = tail_ready(params)
+    derived = derive(params)
+    _check_order(k, derived)
+    return _GammaMixture(derived, params.delta_in + 1.0, params.delta_out, k, quad)
 
 
 @dataclass(frozen=True)
@@ -136,10 +151,7 @@ class DerivativeMeasure:
         self.derived = derive(self.params)
         if k != int(k) or k < 1:
             raise InvalidK("k must be a positive integer")
-        if k <= self.derived.alpha_in - 1.0:
-            raise InvalidK(
-                f"k = {k} must exceed alpha_in - 1 = {self.derived.alpha_in - 1.0:.6g}"
-            )
+        _check_order(k, self.derived)
         self.k = int(k)
         self.quad = quad
         self._kernel = _NBMixture(self.derived, self.params.delta_in + 1.0,
@@ -223,27 +235,13 @@ def uhat_limit_rhs(
     """The limiting transform: an explicit integral over the mixing scale.
 
     c1^-1 prod_{d=1..k}(delta_in + d) int_0^inf z^(k-1-1/c1)
-    (1 + z lam1)^-(delta_in+k+1) (1 + z^a lam2)^-delta_out dz, summed in s = log z
-    as exp of the log of the integrand, so z^(k-1/c1) cannot overflow at large k.
+    (1 + z lam1)^-(delta_in+k+1) (1 + z^a lam2)^-delta_out dz, the Laplace
+    sections of the order-k gamma mixture.
     """
-    params = tail_ready(params)
-    d = derive(params)
+    kernel = _limit_kernel(k, params, quad)
     if lam1 <= 0 or lam2 <= 0:
         raise DomainError("decay parameters must be positive")
-    if k <= d.alpha_in - 1.0:
-        raise InvalidK(f"k = {k} must exceed alpha_in - 1 = {d.alpha_in - 1.0:.6g}")
-    din, dout = params.delta_in, params.delta_out
-    c1, a = d.c1, d.a
-    log_const = _log_mix_const(din + 1.0, k, c1)
-    log_lam1, log_lam2 = math.log(lam1), math.log(lam2)
-
-    def log_f(s):
-        # log1p(lam e^s) as logaddexp(0, log lam + s): it cannot overflow at the far scale
-        tilt = ((din + k + 1.0) * np.logaddexp(0.0, log_lam1 + s)
-                + dout * np.logaddexp(0.0, log_lam2 + a * s))
-        return log_const + (k - 1.0 / c1) * s - tilt
-
-    return log_semiinfinite(log_f, max(-log_lam1, -log_lam2 / a, 0.0), quad)
+    return kernel.integral(_log_laplace, -math.log(lam1), -math.log(lam2))
 
 
 def derivative_limit_rect(
@@ -256,47 +254,13 @@ def derivative_limit_rect(
     """Rectangle mass [0,x] x [0,y] of the limiting measure of U_t.
 
     The limit density is a gamma mixture, so the rectangle mass reduces
-    to regularized lower incomplete gamma factors under the mixing
-    integral, summed in s = log z as exp of (k - 1/c1) s + log P + log P'.
+    to regularized lower incomplete gamma sections under the mixing
+    integral.
     """
-    params = tail_ready(params)
-    d = derive(params)
+    kernel = _limit_kernel(k, params, quad)
     if x <= 0 or y <= 0:
         raise DomainError("rectangle corners must be positive")
-    if k <= d.alpha_in - 1.0:
-        raise InvalidK(f"k = {k} must exceed alpha_in - 1 = {d.alpha_in - 1.0:.6g}")
-    din, dout = params.delta_in, params.delta_out
-    c1, a = d.c1, d.a
-    log_const = _log_mix_const(din + 1.0, k, c1)
-    log_x, log_y = math.log(x), math.log(y)
-
-    def log_f(s):
-        return (
-            log_const
-            + (k - 1.0 / c1) * s
-            + _log_gammainc(din + k + 1.0, log_x - s)
-            + _log_gammainc(dout, log_y - a * s)
-        )
-
-    return log_semiinfinite(log_f, max(log_x, log_y / a, 0.0), quad)
-
-
-def _log_gammainc(r: float, log_u: np.ndarray) -> np.ndarray:
-    """log P(r, u) at u = e^log_u, P the regularized lower incomplete gamma function.
-
-    Where P underflows, log P comes from the series
-    P(r, u) = u^r e^-u M(1, r+1, u) / Gamma(r+1), which stays finite
-    while u itself underflows; each branch is evaluated only where it is used.
-    """
-    p = gammainc(r, np.exp(log_u))
-    under = p < np.finfo(np.float64).tiny
-    if not under.any():
-        return np.log(p)
-    out = np.log(p, out=np.empty_like(p), where=~under)
-    lu = log_u[under]
-    u = np.exp(lu)
-    out[under] = r * lu - u - math.lgamma(r + 1.0) + np.log(hyp1f1(1.0, r + 1.0, u))
-    return out
+    return kernel.integral(_log_lower, math.log(x), math.log(y))
 
 
 def truncation_condition(measure, b: ScalingFunctions, x, y_grid, t_grid) -> list:

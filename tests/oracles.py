@@ -9,8 +9,15 @@ import math
 import numpy as np
 
 from heavytail_pa import DomainError, LimitDistribution
-from heavytail_pa.limit_dist import nb_logpmf
+from heavytail_pa.limit_dist import _nb_log_coef, _nb_logpmf
 from heavytail_pa.tauberian import TransformReport
+
+
+def nb_logpmf(m, r: float, p) -> np.ndarray:
+    """log NB(m; r, p) on the support {0, 1, ...}; r = 0 degenerates at 0."""
+    m, p = np.asarray(m, np.float64), np.asarray(p, np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _nb_logpmf(_nb_log_coef(m, r), m, r, np.log(p), np.log1p(-p))
 
 
 def nb_pmf(m, r: float, p) -> np.ndarray:

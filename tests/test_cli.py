@@ -250,7 +250,7 @@ PUBLIC_NAMES = (
     "JointPMF", "LimitDistribution", "ModelParams", "NonPositiveSample",
     "PMFComparison", "QuadratureFailure", "QuadratureSpec", "ResourceLimit", "ScalingFunctions",
     "SeedSpec", "StandardizedSample", "TailFit", "TailMeasure", "angular_histogram",
-    "build_derivative_measure", "choose_by_in", "choose_by_out", "compare_pmf", "default_hill_k",
+    "build_derivative_measure", "compare_pmf", "default_hill_k",
     "degree_counts", "derivative_limit_rect", "derivative_marginal_normalizer", "derive",
     "empirical_pmf", "grow", "hill_estimate", "load_params", "loglog_slope", "marginal_check",
     "marginal_condition", "measure_check", "measure_scaling", "save_params", "seed_graph",
@@ -263,9 +263,10 @@ def test_package_import_skips_scipy_stats(tmp_path):
     """scipy.stats, scipy.integrate and scipy.optimize each cost a large part
     of the import time; nothing needs them.  scipy.special costs most of the
     rest: it loads only where an incomplete gamma or beta function is
-    evaluated (verify, TailMeasure.rect_mass), and its names still resolve on
-    first use.  The commands that use no evaluator also leave the thread pool
-    of concurrent.futures unloaded."""
+    evaluated (verify's truncation, measure and marginal checks,
+    TailMeasure.rect_mass), and its names still resolve on first use.  The
+    commands that use no evaluator also leave the thread pool of
+    concurrent.futures unloaded."""
     import heavytail_pa
 
     root = os.path.dirname(os.path.dirname(heavytail_pa.__file__))
@@ -300,6 +301,7 @@ def test_package_import_skips_scipy_stats(tmp_path):
     # scipy.special itself imports concurrent.futures
     special = "['concurrent.futures', 'scipy.special']"
     assert loaded(cli, "verify", "--check", "truncation", "--out", tmp_path / "v.json") == special
+    assert loaded(cli, "verify", "--check", "uhat", "--out", tmp_path / "u.json") == pool
     assert loaded("from heavytail_pa import ModelParams, TailMeasure; "
                   "TailMeasure(ModelParams(0.3, 0.5, 0.2, 1.0, 1.0)).rect_mass(1, 1.0, 1.0)"
                   ) == special
@@ -310,4 +312,4 @@ def test_package_import_skips_scipy_stats(tmp_path):
             "assert sorted(pa.__all__) == sorted(names), sorted(set(pa.__all__) ^ set(names)); "
             "assert all(getattr(pa, n) is star[n] for n in names); "
             "assert isinstance(pa.simulate, types.FunctionType), pa.simulate")
-    assert loaded(code) == special
+    assert loaded(code) == pool

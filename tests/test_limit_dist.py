@@ -6,8 +6,8 @@ import pytest
 
 from heavytail_pa import DEFAULT_SEED, DomainError, LimitDistribution, ModelParams, ResourceLimit
 from heavytail_pa import limit_dist
-from heavytail_pa.limit_dist import BLOCK_BYTES, SAMPLE_BLOCK, draw_block, nb_logpmf
-from oracles import nb_pmf
+from heavytail_pa.limit_dist import BLOCK_BYTES, SAMPLE_BLOCK, draw_block
+from oracles import nb_logpmf, nb_pmf
 
 
 def mc_pgf(x, y, xs, ys):

@@ -6,6 +6,7 @@ import pytest
 
 from heavytail_pa import (
     ModelParams,
+    build_derivative_measure,
     QuadratureFailure,
     QuadratureSpec,
     TailMeasure,
@@ -39,6 +40,25 @@ def test_table_rule_rejects_an_unresolved_integrand():
     with pytest.raises(QuadratureFailure, match="not converged"):
         trapezoid(sum_f, 0.0, 1.0, spec)
     assert sum(calls) <= MAX_NODES
+
+
+def test_rule_refuses_a_level_past_the_node_budget():
+    """The budget is checked before a level's nodes are built: a window of
+    length 1e5 needs 4e5 nodes at the first level, and none is evaluated."""
+    calls = []
+
+    def spy(nodes):
+        calls.append(nodes.size)
+        return 0.0
+
+    with pytest.raises(QuadratureFailure, match="not converged at 0 nodes"):
+        trapezoid(spy, 0.0, 1e5)
+    assert calls == []
+    # an out-marginal with a slow tail: its window is [-14.7, 44362], and the
+    # rule once evaluated 5.4 times MAX_NODES and returned a value
+    slow = build_derivative_measure(2, ModelParams(0.4510, 0.0997, 0.4493, 0.0743, 0.063264))
+    with pytest.raises(QuadratureFailure, match="not converged"):
+        slow.marginal_mass(2, 10.0)
 
 
 def test_trapezoid_gaussian_integrals():

@@ -11,15 +11,13 @@ from heavytail_pa import (
     ModelParams,
     ResourceLimit,
     SeedSpec,
-    choose_by_in,
-    choose_by_out,
     degree_counts,
     grow,
     seed_graph,
     simulate,
     step,
 )
-from heavytail_pa.simulate import CHUNK_STEPS, DEFAULT_EDGE_BUDGET, FORMAT_VERSION, MAGIC
+from heavytail_pa.simulate import CHUNK_STEPS, DEFAULT_EDGE_BUDGET, FORMAT_VERSION, MAGIC, _choose
 
 P = ModelParams(0.3, 0.5, 0.2, 1.0, 1.0)
 # zero deltas: every choice is an endpoint of an earlier edge, so most
@@ -49,17 +47,23 @@ def test_zero_edge_seed_needs_positive_deltas():
     assert g.edge_count == 0 and g.node_count == 2
 
 
+def choose_by(graph, delta, rng, which):
+    """One preferential draw by in- or out-degree, as step() and grow() make it."""
+    endpoint = graph._heads if which == "in" else graph._tails
+    return _choose(rng.random(), rng.random(), endpoint, graph.edge_count, graph.node_count, delta)
+
+
 def test_choose_single_node_graph():
     g = seed_graph()
     rng = np.random.default_rng(0)
-    assert choose_by_in(g, 1.0, rng) == 0
-    assert choose_by_out(g, 1.0, rng) == 0
+    assert choose_by(g, 1.0, rng, "in") == 0
+    assert choose_by(g, 1.0, rng, "out") == 0
 
 
 def test_choose_by_in_zero_delta_picks_positive_degree():
     g = seed_graph(SeedSpec.single_edge())
     rng = np.random.default_rng(1)
-    assert all(choose_by_in(g, 0.0, rng) == 1 for _ in range(200))
+    assert all(choose_by(g, 0.0, rng, "in") == 1 for _ in range(200))
 
 
 def test_choose_by_in_two_node_probability():
@@ -67,7 +71,7 @@ def test_choose_by_in_two_node_probability():
     g = seed_graph(SeedSpec.single_edge())
     rng = np.random.default_rng(7)
     n = 10**6
-    hits = sum(choose_by_in(g, 1.0, rng) == 1 for _ in range(n))
+    hits = sum(choose_by(g, 1.0, rng, "in") == 1 for _ in range(n))
     p = 2.0 / 3.0
     sigma = np.sqrt(p * (1 - p) * n)
     assert abs(hits - p * n) < 3 * sigma
@@ -77,7 +81,7 @@ def test_choose_by_out_two_node_probability():
     g = seed_graph(SeedSpec.single_edge())
     rng = np.random.default_rng(8)
     n = 10**6
-    hits = sum(choose_by_out(g, 1.0, rng) == 0 for _ in range(n))
+    hits = sum(choose_by(g, 1.0, rng, "out") == 0 for _ in range(n))
     p = 2.0 / 3.0
     sigma = np.sqrt(p * (1 - p) * n)
     assert abs(hits - p * n) < 3 * sigma
@@ -95,7 +99,7 @@ def test_choose_mixture_matches_formula_exactly():
     draws = 10**6
     observed = np.zeros(N)
     for _ in range(draws):
-        observed[choose_by_in(g, delta, rng)] += 1
+        observed[choose_by(g, delta, rng, "in")] += 1
     expected = expected_p * draws
     chi2 = float(((observed - expected) ** 2 / expected).sum())
     # 99.9% quantile of chi-square with 4 degrees of freedom

@@ -3,10 +3,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import integrate
 
 from heavytail_pa import (
     DomainError,
     InvalidK,
+    InvalidParams,
     ModelParams,
     QuadratureFailure,
     QuadratureSpec,
@@ -16,6 +18,7 @@ from heavytail_pa import (
     derivative_limit_rect,
     derivative_marginal_normalizer,
     derive,
+    marginal_check,
     marginal_condition,
     measure_check,
     measure_scaling,
@@ -278,6 +281,64 @@ def test_marginal_normalizer_matches_partial_sums(deriv_measure, params):
     g1 = 3 - 2.875 + 1.0
     X = 2e4
     assert deriv_measure.marginal_mass(1, X) / X**g1 == pytest.approx(K, rel=0.02)
+
+
+def test_normalizer_refuses_k_below_the_order_bound(params):
+    """k = 1 < alpha_in - 1 = 1.875: the closed form once returned -11.0136."""
+    with pytest.raises(InvalidK):
+        derivative_marginal_normalizer(params, 1)
+
+
+def test_normalizer_refuses_params_the_limit_refuses():
+    """delta_in = 0: the normalizer once returned 0.8093 where uhat_limit_rhs
+    raised InvalidParams."""
+    p = ModelParams(0.3, 0.5, 0.2, 0.0, 1.0)
+    for call in (lambda: uhat_limit_rhs(3, p, 1.0, 1.0),
+                 lambda: derivative_marginal_normalizer(p, 3)):
+        with pytest.raises(InvalidParams):
+            call()
+
+
+@pytest.mark.parametrize("k", [391, 400])
+def test_normalizer_beyond_the_float_range_is_a_domain_error(k):
+    """log K is about 2,077 and 2,075 here.  K once overflowed to inf, and
+    marginal_check then reported a non-finite integrand value."""
+    p = ModelParams(0.05, 0.05, 0.9, 40.0, 1.0)
+    for call in (lambda: derivative_marginal_normalizer(p, k), lambda: marginal_check(p, k=k)):
+        with pytest.raises(DomainError, match="marginal normalizer"):
+            call()
+
+
+# -- the limit measure is x^k times component 1 of the tail measure ----------------
+
+
+def test_limit_rect_integrates_x_to_the_k_times_the_tail_density(params):
+    """A 2-d adaptive quadrature of u^k TailMeasure.density(1, u, v); a fixed
+    Gauss-Legendre rule is not accurate enough at the singular v -> 0 edge."""
+    tm = TailMeasure(params)
+    want, _ = integrate.dblquad(lambda v, u: u**3 * tm.density(1, u, v), 0.0, 1.0, 0.0, 1.0,
+                                epsrel=1e-9)
+    assert derivative_limit_rect(3, params, 1.0, 1.0) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "point, ks",
+    [
+        ((0.3, 0.5, 0.2, 1.0, 1.0), (2, 3, 4, 6)),
+        ((0.6528359676866025, 0.2855359132201604, 0.06162811909323712,
+          7.906018585756149, 15.113581296628022), (10,)),
+    ],
+    ids=["canonical", "k10-peak-left-of-split"],
+)
+def test_limit_in_marginal_is_the_normalizer_power(point, ks):
+    """The limit rectangle with y = 1e300 is the closed-form in-marginal K x**gamma1."""
+    p = ModelParams(*point)
+    for k in ks:
+        norm = derivative_marginal_normalizer(p, k)
+        gamma1 = ScalingFunctions.for_derivative_measure(p, k).gamma1
+        for x in (0.5, 1.0, 2.0):
+            want = norm * x**gamma1
+            assert derivative_limit_rect(k, p, x, 1e300) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # -- regressions against 30-digit mpmath -----------------------------------------
