@@ -43,7 +43,7 @@ import numpy as np
 from .errors import DomainError, ResourceLimit
 from .params import DerivedConstants, ModelParams, derive, split_probability, validate
 from .quadrature import DEFAULT_QUAD, WINDOW, QuadratureSpec, trapezoid
-from .tail_measure import _TINY, _log_mix_const
+from .tail_measure import _TINY, _log_lower, _log_mix_const
 
 # draws per sampler block; with the seed it fixes every sample
 SAMPLE_BLOCK = 1 << 16
@@ -108,21 +108,27 @@ def _log_betainc(r: float, b: float, log_x: np.ndarray) -> np.ndarray:
     Where x or I is not a normal float, log I comes from the series
     I_x(r, b) = x^r (1-x)^b 2F1(r+b, 1; r+1; x) / (r B(r, b)), which stays
     exact in log x while x itself underflows (a subnormal x has lost its
-    precision before betainc sees it).  scipy.special loads here, when a
-    cut section first runs.
+    precision before betainc sees it).  For a huge b both return NaN
+    where b x is moderate; there log I is its gamma limit log P(r, b x),
+    exact to O(1/b).  scipy.special loads here, when a cut section first
+    runs.
     """
     from scipy.special import betainc, betaln, hyp2f1
 
     x = np.exp(log_x)
     val = betainc(r, b, x)
-    under = np.minimum(x, val) < _TINY
-    if not under.any():
+    normal = np.minimum(x, val) >= _TINY  # False where betainc gave NaN
+    if normal.all():
         return np.log(val)
-    out = np.log(val, out=np.empty_like(val), where=~under)
+    under = ~normal
+    out = np.log(val, out=np.empty_like(val), where=normal)
     lx = log_x[under]
     x = np.exp(lx)  # here x is small, or I underflows at a moderate x: log1p(-x) is exact
     out[under] = (r * lx + b * np.log1p(-x) - math.log(r) - betaln(r, b)
                   + np.log(hyp2f1(r + b, 1.0, r + 1.0, x)))
+    lost = np.isnan(out)
+    if lost.any():
+        out[lost] = _log_lower(r, 0.0)(math.log(b) + log_x[lost])
     return out
 
 

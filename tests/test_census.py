@@ -1,13 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from heavytail_pa import (
+    DEFAULT_SEED,
     DegenerateTailSample,
     DirectedMultigraph,
     EmptyInput,
+    HeavytailError,
     InsufficientData,
     JointCountTable,
     JointPMF,
+    ModelParams,
     NonPositiveSample,
     ResourceLimit,
     compare_pmf,
@@ -15,6 +20,7 @@ from heavytail_pa import (
     empirical_pmf,
     hill_estimate,
     loglog_slope,
+    simulate,
 )
 
 
@@ -140,9 +146,71 @@ def test_count_table_csv_roundtrip(tmp_path, graphs_1m):
     assert np.array_equal(back.counts, counts.counts)
 
 
-def test_degree_counts_refuses_a_huge_table():
-    # one node with 2**14 self-loops needs a (2**14 + 1)**2-cell table
+def test_degree_counts_holds_a_huge_degree_as_one_cell():
+    # one node with 2**14 self-loops: one cell, where a dense table needs (2**14 + 1)**2 cells
     loops = np.zeros(2**14, np.int64)
     g = DirectedMultigraph.from_edges(1, loops, loops)
+    t = degree_counts(g)
+    assert (t.i.tolist(), t.j.tolist(), t.values.tolist()) == ([2**14], [2**14], [1])
+    assert t.shape == (2**14 + 1, 2**14 + 1) and t.get(2**14, 2**14) == 1 and t.total_nodes == 1
+    assert t.marginal("in")[-1] == 1 and t.marginal("out").sum() == 1
+    pmf = empirical_pmf(t)
+    assert pmf.get(2**14, 2**14) == 1.0 and pmf.box(10, 10).sum() == 0.0
+    with pytest.raises(ResourceLimit):  # the dense view alone is capped
+        t.counts
+
+
+def test_census_where_a_dense_table_cannot_be_held():
+    # in- and out-degree grow like different powers of n: at 1e6 edges the
+    # largest are 60,320 and 242,958, so a dense table needs 1.5e10 cells
+    g = simulate(10**6, ModelParams(0.053, 0.793, 0.154, 0.406, 0.097), seed=DEFAULT_SEED)
+    t = degree_counts(g)
+    assert t.shape == (60_321, 242_959)
+    assert 0 < t.values.size < 5_000
+    assert t.total_nodes == g.node_count
+    assert int((t.i * t.values).sum()) == g.edge_count
+    assert int((t.j * t.values).sum()) == g.edge_count
+    assert np.array_equal(t.marginal("in"), np.bincount(g.in_degree))
+    assert np.array_equal(t.marginal("out"), np.bincount(g.out_degree))
+
+
+def test_census_memory_is_stated_per_node(graphs_1m):
+    # degree_counts states a peak under 20 bytes per node; normalizing adds only O(cells)
+    g = graphs_1m[0]
+    tracemalloc.start()
+    try:
+        empirical_pmf(degree_counts(g))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * g.node_count
+
+
+def test_cells_are_unique_and_row_major(tmp_path):
+    # repeated rows add up, zero rows drop but still span the shape, and the
+    # cells come back in the order np.nonzero gives the dense table
+    path = tmp_path / "counts.csv"
+    path.write_text("i,j,N_ij\n2,0,1\n0,3,2\n2,0,4\n5,1,0\n0,1,1\n")
+    t = JointCountTable.from_csv(path)
+    dense = np.zeros((6, 4), np.int32)
+    dense[2, 0], dense[0, 3], dense[0, 1] = 5, 2, 1
+    assert t.shape == (6, 4) and np.array_equal(t.counts, dense)
+    cells = (t.i.tolist(), t.j.tolist(), t.values.tolist())
+    assert cells == ([0, 0, 2], [1, 3, 0], [1, 2, 5])
+    back = JointCountTable(dense)
+    assert (back.i.tolist(), back.j.tolist(), back.values.tolist()) == cells
+    assert t.marginal("in").tolist() == [3, 0, 5, 0, 0, 0]
+    assert t.marginal("out").tolist() == [5, 1, 0, 2]
+
+
+def test_count_file_limits(tmp_path):
+    # a degree is an int32; a marginal spans every degree, so it is a dense view too
+    path = tmp_path / "counts.csv"
+    path.write_text("i,j,N_ij\n2147483648,0,1\n")
+    with pytest.raises(HeavytailError, match="degree above 2147483647"):
+        JointCountTable.from_csv(path)
+    path.write_text("i,j,N_ij\n200000000,3,1\n1,0,2\n")
+    t = JointCountTable.from_csv(path)
+    assert t.total_nodes == 3 and t.marginal("out").tolist() == [2, 0, 0, 1]
     with pytest.raises(ResourceLimit):
-        degree_counts(g)
+        t.marginal("in")

@@ -1,4 +1,5 @@
-"""Invariants over the parameter domain, at hypothesis-drawn points.
+"""Invariants over the parameter domain, at hypothesis-drawn points, and
+growth against the limit law at named ones.
 
 Every evaluation either raises a typed HeavytailError or satisfies its
 invariant; nothing may return a non-finite or non-positive value where
@@ -8,18 +9,25 @@ the quantity is positive.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heavytail_pa import (
+    DEFAULT_SEED,
     HeavytailError,
+    JointPMF,
     LimitDistribution,
     ModelParams,
     ScalingFunctions,
     TailMeasure,
     build_derivative_measure,
+    compare_pmf,
+    degree_counts,
     derivative_limit_rect,
     derive,
+    empirical_pmf,
+    simulate,
     transform_scaling,
     uhat_limit_rhs,
 )
@@ -83,3 +91,32 @@ def test_invariants_over_the_parameter_domain(point):
     for x in (0.5, 2.0):
         rect = _value(lambda: tm.rect_mass(1, x, 0.0))
         assert rect is None or abs(rect / tm.marginal_mass_closed_form(1, x) - 1.0) <= 1e-8
+
+
+# Growth against the limit law over the domain: named points with simplex
+# weights >= W_MIN and offsets in [0.05, 20], each with its seed-to-seed
+# spread: the largest TV distance on the 10x10 box between the empirical
+# pmfs of seeds DEFAULT_SEED, +1 and +2 at GROWTH_EDGES edges.  At the
+# first three a dense census exceeds 2**27 cells at every one of those seeds.
+GROWTH_EDGES = 200_000
+SPREAD_MULTIPLE = 1.5  # the measured TV / spread was 0.49-0.72 at DEFAULT_SEED
+GROWTH_POINTS = {
+    "dense-9.3e8-cells": ((0.053, 0.793, 0.154, 0.406, 0.097), 0.0162),
+    "delta-in-0.05": ((0.074, 0.749, 0.177, 0.051, 0.385), 0.0126),
+    "beta-0.89": ((0.059, 0.892, 0.049, 0.229, 0.056), 0.0196),
+    "small-delta-in": ((0.207, 0.532, 0.261, 0.109, 0.73), 0.0101),
+    "alpha-heavy": ((0.865, 0.074, 0.061, 0.101, 5.363), 0.0045),
+    "gamma-heavy": ((0.056, 0.079, 0.865, 1.308, 0.06), 0.0031),
+    "large-deltas": ((0.286, 0.643, 0.071, 4.065, 8.594), 0.0191),
+    "delta-in-19": ((0.239, 0.669, 0.092, 19.133, 4.196), 0.0186),
+    "canonical": ((0.3, 0.5, 0.2, 1.0, 1.0), 0.0105),
+}
+
+
+@pytest.mark.parametrize("point, spread", GROWTH_POINTS.values(), ids=GROWTH_POINTS.keys())
+def test_growth_matches_the_limit_law_over_the_domain(point, spread):
+    params = ModelParams(*point)
+    graph = simulate(GROWTH_EDGES, params, seed=DEFAULT_SEED)
+    emp = empirical_pmf(degree_counts(graph))
+    limit = JointPMF(LimitDistribution(params).pmf_table(10, 10))
+    assert compare_pmf(emp, limit, 10, 10).tv_distance <= SPREAD_MULTIPLE * spread

@@ -27,6 +27,7 @@ from heavytail_pa import (
     uhat_check,
     uhat_limit_rhs,
 )
+from heavytail_pa.limit_dist import _log_betainc
 from heavytail_pa.tauberian import TransformReport
 from oracles import LatticeMeasure, atom, dense_atoms
 
@@ -381,6 +382,27 @@ def _mp_rect(params, k, x, y):
         params, k, lambda s, a, din, dout: _mp_lower(din + k + 1, x * mp.exp(-s))
         * _mp_lower(dout, y * mp.exp(-a * s))
     )
+
+
+def test_nb_cut_at_a_huge_shape_takes_the_gamma_limit():
+    # betainc(r, b, x) and the 2F1 series are NaN at b = 4.76e292 where b x is moderate;
+    # there I_x(r, b) is P(r, b x) to O(1/b)
+    r, b = 2.3243, 4.76e292
+    log_x = np.array([-700.0, -680.0, -675.0, -674.0])
+    want = [float(mp.log(mp.gammainc(r, 0, mp.mpf(b) * mp.exp(v), regularized=True))) for v in log_x]
+    assert _log_betainc(r, b, log_x) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("point, k", [((0.1717, 0.5192, 0.3091, 13.60, 2.324), 11)],
+                         ids=["k11-huge-out-cut"])
+def test_measure_check_where_the_out_cut_is_huge(point, k):
+    """b2(t) y reaches about 5e292 at t = 1e4: the NB cdf of that cut was NaN,
+    and the check raised a non-finite integrand."""
+    params = ModelParams(*point)
+    assert measure_check(params, k)["passed"] is True
+    target = derivative_limit_rect(k, params, 1.0, 1.0)
+    u, b = build_derivative_measure(k, params), ScalingFunctions.for_derivative_measure(params, k)
+    assert measure_scaling(u, b, 1e6, 1.0, 1.0) == pytest.approx(target, rel=1e-5)
 
 
 def test_k2_limits_match_mpmath(params):
