@@ -59,16 +59,7 @@ from .params import (
     validate,
 )
 from .quadrature import DEFAULT_QUAD, QuadratureSpec
-from .simulate import (
-    DirectedMultigraph,
-    GrowthCase,
-    GrowthStepOutcome,
-    SeedSpec,
-    grow,
-    seed_graph,
-    simulate,
-    step,
-)
+from .simulate import DirectedMultigraph, SeedSpec, grow, seed_graph, simulate
 from .tail_measure import TailMeasure
 
 __version__ = "0.1.0"
@@ -122,8 +113,7 @@ __all__ = [
     "DerivedConstants", "ModelParams", "derive", "load_params", "save_params",
     "split_probability", "validate", "DEFAULT_QUAD", "QuadratureSpec",
     # simulate
-    "DirectedMultigraph", "GrowthCase", "GrowthStepOutcome", "SeedSpec", "grow",
-    "seed_graph", "simulate", "step",
+    "DirectedMultigraph", "SeedSpec", "grow", "seed_graph", "simulate",
     # tail_measure
     "TailMeasure",
     *_LAZY,

@@ -37,6 +37,7 @@ from .simulate import DirectedMultigraph
 
 MAX_TABLE_CELLS = 1 << 27  # a dense view: 512 MiB of int32 counts
 COUNT_MAX = np.iinfo(np.int32).max
+MIN_EXCEEDANCES = 50  # the fewest exceedances an angular histogram is drawn from
 
 
 class _Cells:
@@ -220,6 +221,18 @@ def hill_estimate(samples, k: int) -> TailFit:
     return TailFit(index_estimate=est, k_used=k, stderr=est / np.sqrt(k))
 
 
+def top_order_statistics(counts, m: int) -> np.ndarray:
+    """The m largest positive values, descending, of the sample that holds
+    counts[v] copies of each value v (all of them when there are fewer).
+
+    A cumulative sum from the largest value down finds them, so the
+    sample is never expanded: its size may far exceed memory.
+    """
+    desc = np.asarray(counts, np.int64)[:0:-1]
+    take = np.clip(m - (np.cumsum(desc) - desc), 0, desc)  # the copies still wanted, capped
+    return np.repeat(np.arange(desc.size, 0, -1), take).astype(np.float64)
+
+
 def default_hill_k(n_samples: int) -> int:
     """The CLI default k = floor(sqrt(n_samples))."""
     return max(2, int(np.sqrt(n_samples)))
@@ -310,35 +323,25 @@ class AngularHistogram:
     masses: np.ndarray
     exceedances: int
     threshold: float
-    norm: str
 
 
-def angular_histogram(
-    sample: StandardizedSample,
-    radius_threshold: float,
-    bins: int,
-    norm: str = "l1",
-    min_exceedances: int = 50,
-) -> AngularHistogram:
-    """Histogram of v/(u+v) over pairs with ||(u, v)|| above the threshold."""
+def angular_histogram(sample: StandardizedSample, radius_threshold: float, bins: int) -> AngularHistogram:
+    """Histogram of v/(u+v) over pairs with u + v above the threshold.
+
+    Needs at least MIN_EXCEEDANCES such pairs.
+    """
     if bins < 2:
         raise DomainError("need at least 2 bins")
     if radius_threshold <= 0:
         raise DomainError("radius threshold must be positive")
-    if norm != "l1":
-        raise DomainError(f"unsupported norm {norm!r}; only 'l1' is implemented")
     u, v = sample.u, sample.v
     radius = u + v
     keep = radius > radius_threshold
     count = int(keep.sum())
-    if count < min_exceedances:
+    if count < MIN_EXCEEDANCES:
         raise InsufficientExceedances(f"only {count} exceedances above {radius_threshold}")
     angle = v[keep] / radius[keep]
     hist, edges = np.histogram(angle, bins=bins, range=(0.0, 1.0))
     return AngularHistogram(
-        bin_edges=edges,
-        masses=hist / count,
-        exceedances=count,
-        threshold=radius_threshold,
-        norm=norm,
+        bin_edges=edges, masses=hist / count, exceedances=count, threshold=radius_threshold
     )

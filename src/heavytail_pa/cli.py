@@ -35,6 +35,7 @@ from .census import (
     hill_estimate,
     loglog_slope,
     standardize,
+    top_order_statistics,
 )
 from .csvfile import read_csv, write_csv
 from .errors import HeavytailError, QuadratureFailure
@@ -149,14 +150,23 @@ def _cmd_sample_limit(args) -> int:
     return 0
 
 
-def _parse_points(spec: str):
-    """Accept 'lo:hi:count' (log-spaced when lo > 0) or comma lists."""
-    if ":" in spec:
-        lo, hi, count = spec.split(":")
-        lo, hi, count = float(lo), float(hi), int(count)
-        pts = np.geomspace(lo, hi, count) if lo > 0 else np.linspace(lo, hi, count)
-        return [float(v) for v in pts]
-    return [float(v) for v in spec.split(",")]
+def _parse_points(spec: str, flag: str):
+    """Accept 'lo:hi:count' (log-spaced when lo > 0) or comma lists of finite numbers."""
+    try:
+        if ":" in spec:
+            lo, hi, count = spec.split(":")
+            lo, hi, count = float(lo), float(hi), int(count)
+            if count < 1:
+                raise ValueError
+            pts = np.geomspace(lo, hi, count) if lo > 0 else np.linspace(lo, hi, count)
+        else:
+            pts = np.array([float(v) for v in spec.split(",")])
+        if not np.isfinite(pts).all():
+            raise ValueError
+    except ValueError:
+        raise HeavytailError(f"{flag} {spec!r} is neither lo:hi:count with count >= 1 "
+                             "nor a comma list of finite numbers") from None
+    return [float(v) for v in pts]
 
 
 def _cmd_density(args) -> int:
@@ -164,8 +174,8 @@ def _cmd_density(args) -> int:
 
     params = _resolve_params(args)
     tm = TailMeasure(params, _quad(args))
-    xs = _parse_points(args.grid_x)
-    ys = _parse_points(args.grid_y)
+    xs = _parse_points(args.grid_x, "--grid-x")
+    ys = _parse_points(args.grid_y, "--grid-y")
     component = args.component if args.component == "combined" else int(args.component)
     meta = _meta_lines(_config_block(args, params))
     meta["component"] = component
@@ -197,10 +207,8 @@ def _cmd_estimate(args) -> int:
     pmf = empirical_pmf(counts)
     if args.method == "hill":
         marg_counts = counts.marginal(args.margin)
-        degrees = np.repeat(np.arange(marg_counts.size), marg_counts)
-        degrees = degrees[degrees > 0].astype(np.float64)
-        k = args.k if args.k else default_hill_k(degrees.size)
-        fit = hill_estimate(degrees, k)
+        k = args.k if args.k else default_hill_k(int(marg_counts[1:].sum()))
+        fit = hill_estimate(top_order_statistics(marg_counts, k + 1), k)
     else:
         fit = loglog_slope(pmf.marginal(args.margin), args.i_min)
     report = {
@@ -266,7 +274,8 @@ def _cmd_verify(args) -> int:
     for name in flags:
         value = getattr(args, name)
         if value is not None:
-            kwargs[name] = _parse_points(value) if name.endswith("_grid") else value
+            flag = "--" + name.replace("_", "-")
+            kwargs[name] = _parse_points(value, flag) if name.endswith("_grid") else value
     report = getattr(tauberian, f"{args.check}_check")(params, **kwargs)
     report["config"] = _config_block(args, params)
     _write_json(args.out, report)

@@ -19,13 +19,14 @@ probability D_in(w)/n, so a coin with success n/(n + delta*N) between
 exactly, in O(1) per draw.
 
 Every step consumes exactly five uniforms, (case, out-coin, out-index,
-in-coin, in-index), used or not.  step() draws one row at a time and is
-the row-wise oracle for grow(), which draws CHUNK_STEPS rows at a time
-and runs a chunk as array operations: the edge count before a step is
-its index, the node count a cumulative sum of the new-node cases, and
-an "endpoint of a uniform earlier edge" points backwards, so references
-into the chunk resolve by pointer jumping.  Edge endpoints and degrees
-are int32 (node ids below 2**31); the binary format stores them as u32.
+in-coin, in-index), used or not.  grow() is the only growth path: it
+draws CHUNK_STEPS rows at a time and runs a chunk as array operations.
+The edge count before a step is its index, the node count a cumulative
+sum of the new-node cases, and an "endpoint of a uniform earlier edge"
+points backwards, so references into the chunk resolve by pointer
+jumping.  The row-wise reference step() in tests/oracles.py checks it
+draw for draw.  Edge endpoints and degrees are int32 (node ids below
+2**31); the binary format stores them as u32.
 
 The RNG is numpy's PCG64 (via default_rng); a graph is fully determined
 by (seed spec, params, rng seed, target).
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,21 +49,6 @@ DEFAULT_EDGE_BUDGET = 200_000_000
 DRAWS_PER_STEP = 5
 CHUNK_STEPS = 1 << 16
 ID_LIMIT = 2**31  # node ids and degrees are int32
-
-
-class GrowthCase(Enum):
-    ALPHA = "alpha"
-    BETA = "beta"
-    GAMMA = "gamma"
-
-
-@dataclass(frozen=True)
-class GrowthStepOutcome:
-    """What a single growth step did."""
-
-    case: GrowthCase
-    new_node: Optional[int]
-    edge: tuple
 
 
 @dataclass(frozen=True)
@@ -90,13 +75,6 @@ class SeedSpec:
         return SeedSpec(node_count=node_count)
 
 
-def _resized(a: np.ndarray, size: int) -> np.ndarray:
-    """The contents of a, zero-padded to an int32 array of the given size."""
-    out = np.zeros(size, np.int32)
-    out[: a.shape[0]] = a
-    return out
-
-
 def _check_ids(node_count: int, *ids: np.ndarray) -> None:
     for a in ids:
         if a.size and (a.min() < 0 or a.max() >= node_count):
@@ -104,11 +82,11 @@ def _check_ids(node_count: int, *ids: np.ndarray) -> None:
 
 
 class DirectedMultigraph:
-    """Append-only int32 edge list with per-node int32 degree arrays.
+    """An int32 edge list with per-node int32 degree arrays, all of exact size.
 
-    Invariants maintained by every mutation:
-    len(tails) == len(heads) == edge_count and
-    sum(in_degree) == sum(out_degree) == edge_count.
+    _set_edges is the only writer of tails, heads, in_degree and
+    out_degree, so len(tails) == len(heads) == edge_count and
+    sum(in_degree) == sum(out_degree) == edge_count always hold.
     """
 
     def __init__(self, node_count: int = 0):
@@ -116,14 +94,8 @@ class DirectedMultigraph:
             raise ValueError("node_count must be nonnegative")
         if node_count >= ID_LIMIT:
             raise ResourceLimit(f"{node_count} nodes exceed the 32-bit node ids")
-        self._tails = np.zeros(16, np.int32)
-        self._heads = np.zeros(16, np.int32)
-        self._in = np.zeros(max(node_count, 1), np.int32)
-        self._out = np.zeros(max(node_count, 1), np.int32)
-        self.edge_count = 0
         self.node_count = node_count
-
-    # -- construction ---------------------------------------------------
+        self._set_edges(np.zeros(0, np.int32), np.zeros(0, np.int32))
 
     @classmethod
     def from_edges(cls, node_count: int, tails, heads) -> "DirectedMultigraph":
@@ -138,53 +110,13 @@ class DirectedMultigraph:
 
     def _set_edges(self, tails: np.ndarray, heads: np.ndarray) -> None:
         """Take int32 edge arrays as they are and count the degrees."""
-        self._tails, self._heads = tails, heads
-        self.edge_count = tails.shape[0]
-        self._count_degrees()
-
-    def _count_degrees(self) -> None:
-        size = max(self.node_count, 1)
-        self._in = np.bincount(self.heads, minlength=size).astype(np.int32)
-        self._out = np.bincount(self.tails, minlength=size).astype(np.int32)
-
-    def add_node(self) -> int:
-        nid = self.node_count
-        if nid >= self._in.shape[0]:
-            self._in = _resized(self._in, 2 * self._in.shape[0])
-            self._out = _resized(self._out, 2 * self._out.shape[0])
-        self.node_count += 1
-        return nid
-
-    def add_edge(self, tail: int, head: int) -> None:
-        if not (0 <= tail < self.node_count and 0 <= head < self.node_count):
-            raise ValueError(f"edge ({tail}, {head}) references a missing node")
-        n = self.edge_count
-        if n >= self._tails.shape[0]:
-            self._tails = _resized(self._tails, max(2 * n, 16))
-            self._heads = _resized(self._heads, max(2 * n, 16))
-        self._tails[n] = tail
-        self._heads[n] = head
-        self._out[tail] += 1
-        self._in[head] += 1
-        self.edge_count += 1
-
-    # -- views ------------------------------------------------------------
+        self.tails, self.heads = tails, heads
+        self.in_degree = np.bincount(heads, minlength=self.node_count).astype(np.int32)
+        self.out_degree = np.bincount(tails, minlength=self.node_count).astype(np.int32)
 
     @property
-    def tails(self) -> np.ndarray:
-        return self._tails[: self.edge_count]
-
-    @property
-    def heads(self) -> np.ndarray:
-        return self._heads[: self.edge_count]
-
-    @property
-    def in_degree(self) -> np.ndarray:
-        return self._in[: self.node_count]
-
-    @property
-    def out_degree(self) -> np.ndarray:
-        return self._out[: self.node_count]
+    def edge_count(self) -> int:
+        return self.tails.shape[0]
 
     def check_invariants(self) -> None:
         assert self.tails.shape == self.heads.shape == (self.edge_count,)
@@ -239,41 +171,6 @@ def seed_graph(spec: Optional[SeedSpec] = None, params: Optional[ModelParams] = 
     return DirectedMultigraph.from_edges(spec.node_count, spec.tails, spec.heads)
 
 
-def _choose(coin: float, index: float, endpoint: np.ndarray, n: int, N: int, delta: float) -> int:
-    """One preferential draw via the edge/node mixture, from two uniforms.
-
-    endpoint is the heads array for in-degree choices, tails for
-    out-degree choices.  Requires n > 0 or delta*N > 0.
-    """
-    if coin * (n + delta * N) < n:
-        return int(endpoint[min(int(index * n), n - 1)])
-    return min(int(index * N), N - 1)
-
-
-def step(graph: DirectedMultigraph, params: ModelParams, rng: np.random.Generator) -> GrowthStepOutcome:
-    """Advance the graph by one edge and report what happened.
-
-    Consumes one row of five uniforms (case, out-coin, out-index,
-    in-coin, in-index) whatever the case, so a sequence of step() calls
-    reproduces grow() draw for draw.  The new node of an alpha or gamma
-    step is created after both choices are made.
-    """
-    n, N = graph.edge_count, graph.node_count
-    r, out_coin, out_index, in_coin, in_index = rng.random(DRAWS_PER_STEP).tolist()
-    if r < params.alpha:
-        case, tail = GrowthCase.ALPHA, N
-    else:
-        case = GrowthCase.BETA if r < params.alpha + params.beta else GrowthCase.GAMMA
-        tail = _choose(out_coin, out_index, graph._tails, n, N, params.delta_out)
-    if case is GrowthCase.GAMMA:
-        head = N
-    else:
-        head = _choose(in_coin, in_index, graph._heads, n, N, params.delta_in)
-    new_node = None if case is GrowthCase.BETA else graph.add_node()
-    graph.add_edge(tail, head)
-    return GrowthStepOutcome(case=case, new_node=new_node, edge=(tail, head))
-
-
 def _endpoints(end, n0, n, N, coin, index, delta, new_node) -> np.ndarray:
     """One endpoint (tail or head) of each step of a chunk starting at edge n0.
 
@@ -307,8 +204,17 @@ def grow(
     """Grow the graph in place until it has target_edges edges.
 
     One vectorised pass per rng.random((m, 5)) block of at most
-    CHUNK_STEPS steps; draw for draw the same as repeated step().  A
-    target above DEFAULT_EDGE_BUDGET raises ResourceLimit up front.
+    CHUNK_STEPS steps.  A target above DEFAULT_EDGE_BUDGET raises
+    ResourceLimit up front.
+
+    Memory (tracemalloc, canonical parameters, grown from one node): the
+    graph keeps 12 B per edge, the int32 tails and heads plus the two
+    int32 degree arrays at about one node per two edges.  The peak comes
+    when the degrees are counted, since np.bincount copies the endpoints
+    to int64: 22 B per edge plus under 1 MiB (23.0 B per edge at 1e6
+    edges, 22.0 at 4e6).  While the edges are drawn it holds the 8 B
+    per edge of the endpoint arrays plus about 7 MiB of transients for
+    one chunk.
     """
     params = validate(params)
     n0, N = graph.edge_count, graph.node_count
@@ -321,7 +227,8 @@ def grow(
     if n0 == 0 and target_edges > 0 and (params.delta_in == 0 or params.delta_out == 0):
         raise InvalidSeed("growth from a zero-edge graph needs positive deltas")
 
-    tails, heads = _resized(graph.tails, target_edges), _resized(graph.heads, target_edges)
+    tails, heads = np.zeros(target_edges, np.int32), np.zeros(target_edges, np.int32)
+    tails[:n0], heads[:n0] = graph.tails, graph.heads
     for start in range(n0, target_edges, CHUNK_STEPS):
         u = rng.random((min(CHUNK_STEPS, target_edges - start), DRAWS_PER_STEP))
         is_alpha = u[:, 0] < params.alpha

@@ -31,7 +31,7 @@ in-marginal; the transform needs no scipy.special.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -45,29 +45,28 @@ from .tail_measure import _GammaMixture, _log_laplace, _log_lower
 
 @dataclass(frozen=True)
 class ScalingFunctions:
-    """Power scaling functions b_i(t) = (t/scale_i)**(1/gamma_i).
+    """Power scaling functions b1(t) = (t/scale1)**(1/gamma1), b2(t) = t**(1/gamma2).
 
-    The scale factors do not change the regular-variation index; they
-    normalize so that marginal scaling limits hit x**gamma_i with
-    constant one.
+    The scale factor does not change the regular-variation index; it
+    normalizes so that the component-1 marginal scaling limit hits
+    x**gamma1 with constant one.
     """
 
     gamma1: float
     gamma2: float
     scale1: float = 1.0
-    scale2: float = 1.0
 
     def __post_init__(self):
         if self.gamma1 <= 0 or self.gamma2 <= 0:
             raise DomainError("scaling indices must be positive")
-        if self.scale1 <= 0 or self.scale2 <= 0:
-            raise DomainError("scaling normalizers must be positive")
+        if self.scale1 <= 0:
+            raise DomainError("the scaling normalizer must be positive")
 
     def b1(self, t: float) -> float:
         return _scaling_power(t, self.scale1, self.gamma1)
 
     def b2(self, t: float) -> float:
-        return _scaling_power(t, self.scale2, self.gamma2)
+        return _scaling_power(t, 1.0, self.gamma2)
 
     @staticmethod
     def for_derivative_measure(params: ModelParams, k: int) -> "ScalingFunctions":
@@ -79,12 +78,7 @@ class ScalingFunctions:
     @staticmethod
     def normalized_for_derivative_measure(params: ModelParams, k: int) -> "ScalingFunctions":
         base = ScalingFunctions.for_derivative_measure(params, k)
-        return ScalingFunctions(
-            gamma1=base.gamma1,
-            gamma2=base.gamma2,
-            scale1=derivative_marginal_normalizer(params, k),
-            scale2=1.0,
-        )
+        return replace(base, scale1=derivative_marginal_normalizer(params, k))
 
 
 def _scaling_power(t: float, scale: float, gamma: float) -> float:

@@ -99,3 +99,30 @@ class LatticeMeasure:
         wi = np.exp(-s1 * np.arange(si))
         wj = np.exp(-s2 * np.arange(sj))
         return float(wi @ self.atoms[:si, :sj] @ wj)
+
+
+def choose(coin: float, index: float, endpoint: list, n: int, N: int, delta: float) -> int:
+    """One preferential draw via the edge/node mixture, from two uniforms.
+
+    endpoint lists the heads for in-degree choices, the tails for
+    out-degree choices.
+    """
+    if coin * (n + delta * N) < n:
+        return endpoint[min(int(index * n), n - 1)]
+    return min(int(index * N), N - 1)
+
+
+def step(tails: list, heads: list, node_count: int, params, rng) -> int:
+    """Append one growth step's edge to the lists; return the new node count.
+
+    Draws one row of five uniforms (case, out-coin, out-index, in-coin,
+    in-index) whatever the case, as grow() does, so the two agree draw
+    for draw.
+    The new node of an alpha or gamma step is id node_count.
+    """
+    n, N = len(tails), node_count
+    r, out_coin, out_index, in_coin, in_index = rng.random(5).tolist()
+    alpha, gamma = r < params.alpha, r >= params.alpha + params.beta
+    tails.append(N if alpha else choose(out_coin, out_index, tails, n, N, params.delta_out))
+    heads.append(N if gamma else choose(in_coin, in_index, heads, n, N, params.delta_in))
+    return N + (alpha or gamma)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,40 @@ def test_huge_degree_cell_passes_through(tmp_path, command):
     assert json.loads(out.read_text())
 
 
+def test_hill_estimate_does_not_expand_the_marginal(tmp_path):
+    # the Hill fit reads its top order statistics off the count marginal: a row
+    # of 1e7 nodes costs no per-node array
+    path = tmp_path / "in.csv"
+    rows = "".join(f"{i},{i % 7},{1 + i % 3}\n" for i in range(1, 400))
+    path.write_text("i,j,N_ij\n" + rows + "1,0,10000000\n")
+    out = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        assert run(["estimate", "--counts", str(path), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22
+    assert json.loads(out.read_text())["k_used"] == int(np.sqrt(10**7 + 798))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--check", "uhat", "--h-grid", "abc"],
+        ["verify", "--check", "uhat", "--h-grid", "1:10:0"],
+        ["density", "--grid-x", "1:2:0"],
+    ],
+    ids=["not-a-number", "count-zero", "empty-grid"],
+)
+def test_bad_grid_is_an_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_density_at_high_alpha_in(tmp_path):
     # alpha_in = 28.5: the density integrand only stays finite in log space
     out = tmp_path / "density.csv"
@@ -251,20 +286,20 @@ def test_exit_code_on_usage_error(capsys):
     assert exc.value.code == 1
 
 
-# the names the package exported when it imported every module eagerly
+# the names the package exports, the lazily loaded ones included
 PUBLIC_NAMES = (
     "AngularHistogram", "DEFAULT_QUAD", "DEFAULT_SEED", "DegenerateTail", "DegenerateTailSample",
     "DerivativeMeasure", "DerivedConstants", "DirectedMultigraph", "DomainError", "EmptyInput",
-    "GrowthCase", "GrowthStepOutcome", "HeavytailError", "InsufficientData",
-    "InsufficientExceedances", "InvalidK", "InvalidParams", "InvalidSeed", "JointCountTable",
-    "JointPMF", "LimitDistribution", "ModelParams", "NonPositiveSample",
+    "HeavytailError", "InsufficientData", "InsufficientExceedances", "InvalidK", "InvalidParams",
+    "InvalidSeed", "JointCountTable", "JointPMF", "LimitDistribution", "ModelParams",
+    "NonPositiveSample",
     "PMFComparison", "QuadratureFailure", "QuadratureSpec", "ResourceLimit", "ScalingFunctions",
     "SeedSpec", "StandardizedSample", "TailFit", "TailMeasure", "angular_histogram",
     "build_derivative_measure", "compare_pmf", "default_hill_k",
     "degree_counts", "derivative_limit_rect", "derivative_marginal_normalizer", "derive",
     "empirical_pmf", "grow", "hill_estimate", "load_params", "loglog_slope", "marginal_check",
     "marginal_condition", "measure_check", "measure_scaling", "save_params", "seed_graph",
-    "simulate", "split_probability", "standardize", "step", "transform_scaling",
+    "simulate", "split_probability", "standardize", "transform_scaling",
     "truncation_check", "truncation_condition", "uhat_check", "uhat_limit_rhs", "validate",
 )
 

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from heavytail_pa import (
     DEFAULT_SEED,
     DirectedMultigraph,
-    GrowthCase,
     InvalidSeed,
     ModelParams,
     ResourceLimit,
@@ -15,9 +15,10 @@ from heavytail_pa import (
     grow,
     seed_graph,
     simulate,
-    step,
 )
-from heavytail_pa.simulate import CHUNK_STEPS, DEFAULT_EDGE_BUDGET, FORMAT_VERSION, MAGIC, _choose
+from heavytail_pa.simulate import CHUNK_STEPS, DEFAULT_EDGE_BUDGET, FORMAT_VERSION, MAGIC, _endpoints
+
+from oracles import step
 
 P = ModelParams(0.3, 0.5, 0.2, 1.0, 1.0)
 # zero deltas: every choice is an endpoint of an earlier edge, so most
@@ -47,23 +48,30 @@ def test_zero_edge_seed_needs_positive_deltas():
     assert g.edge_count == 0 and g.node_count == 2
 
 
-def choose_by(graph, delta, rng, which):
-    """One preferential draw by in- or out-degree, as step() and grow() make it."""
-    endpoint = graph._heads if which == "in" else graph._tails
-    return _choose(rng.random(), rng.random(), endpoint, graph.edge_count, graph.node_count, delta)
+def choose_by(graph, delta, rng, which, draws):
+    """Preferential draws by in- or out-degree on a fixed graph, as grow() makes them.
+
+    n and N stay at the graph's counts and no step creates a node, so
+    every edge reference resolves to an edge of the graph.
+    """
+    end = graph.heads if which == "in" else graph.tails
+    n, N = graph.edge_count, graph.node_count
+    u = rng.random((draws, 2))
+    return _endpoints(end, n, np.full(draws, n), np.full(draws, N), u[:, 0], u[:, 1], delta,
+                      np.zeros(draws, bool))
 
 
 def test_choose_single_node_graph():
     g = seed_graph()
     rng = np.random.default_rng(0)
-    assert choose_by(g, 1.0, rng, "in") == 0
-    assert choose_by(g, 1.0, rng, "out") == 0
+    assert np.all(choose_by(g, 1.0, rng, "in", 100) == 0)
+    assert np.all(choose_by(g, 1.0, rng, "out", 100) == 0)
 
 
 def test_choose_by_in_zero_delta_picks_positive_degree():
     g = seed_graph(SeedSpec.single_edge())
     rng = np.random.default_rng(1)
-    assert all(choose_by(g, 0.0, rng, "in") == 1 for _ in range(200))
+    assert np.all(choose_by(g, 0.0, rng, "in", 200) == 1)
 
 
 def test_choose_by_in_two_node_probability():
@@ -71,7 +79,7 @@ def test_choose_by_in_two_node_probability():
     g = seed_graph(SeedSpec.single_edge())
     rng = np.random.default_rng(7)
     n = 10**6
-    hits = sum(choose_by(g, 1.0, rng, "in") == 1 for _ in range(n))
+    hits = int((choose_by(g, 1.0, rng, "in", n) == 1).sum())
     p = 2.0 / 3.0
     sigma = np.sqrt(p * (1 - p) * n)
     assert abs(hits - p * n) < 3 * sigma
@@ -81,7 +89,7 @@ def test_choose_by_out_two_node_probability():
     g = seed_graph(SeedSpec.single_edge())
     rng = np.random.default_rng(8)
     n = 10**6
-    hits = sum(choose_by(g, 1.0, rng, "out") == 0 for _ in range(n))
+    hits = int((choose_by(g, 1.0, rng, "out", n) == 0).sum())
     p = 2.0 / 3.0
     sigma = np.sqrt(p * (1 - p) * n)
     assert abs(hits - p * n) < 3 * sigma
@@ -97,46 +105,51 @@ def test_choose_mixture_matches_formula_exactly():
     expected_p = (g.in_degree + delta) / (n + delta * N)
     rng = np.random.default_rng(11)
     draws = 10**6
-    observed = np.zeros(N)
-    for _ in range(draws):
-        observed[choose_by(g, delta, rng, "in")] += 1
+    observed = np.bincount(choose_by(g, delta, rng, "in", draws), minlength=N)
     expected = expected_p * draws
     chi2 = float(((observed - expected) ** 2 / expected).sum())
     # 99.9% quantile of chi-square with 4 degrees of freedom
     assert chi2 < 18.47
 
 
+def step_cases(g):
+    """The alpha and gamma steps of a graph grown from the self-loop seed.
+
+    Node ids are dense in creation order, so a step's endpoint is the
+    node it creates exactly when it exceeds every id seen before: the
+    tail of an alpha step, the head of a gamma step.
+    """
+    seen = np.maximum.accumulate(np.maximum(g.tails, g.heads))[:-1]
+    return g.tails[1:] > seen, g.heads[1:] > seen
+
+
 def test_step_alpha_only_always_adds_source_node():
-    g = seed_graph()
-    rng = np.random.default_rng(2)
     p = ModelParams(0.999999999999, 0.0, 0.0, 1.0, 1.0)
-    for _ in range(50):
-        out = step(g, p, rng)
-        assert out.case is GrowthCase.ALPHA
-        assert out.new_node == out.edge[0]
+    g = grow(seed_graph(), 51, p, np.random.default_rng(2))
+    alpha, gamma = step_cases(g)
+    assert alpha.all() and not gamma.any()
+    assert g.tails[1:].tolist() == list(range(1, 51))
     assert g.node_count == 51
 
 
 def test_step_beta_only_keeps_node_count():
-    g = seed_graph()
-    rng = np.random.default_rng(3)
     p = ModelParams(0.0, 0.999999999999, 0.0, 1.0, 1.0)
-    for _ in range(50):
-        out = step(g, p, rng)
-        assert out.case is GrowthCase.BETA and out.new_node is None
+    g = grow(seed_graph(), 51, p, np.random.default_rng(3))
+    alpha, gamma = step_cases(g)
+    assert not alpha.any() and not gamma.any()
     assert g.node_count == 1
 
 
 def test_step_case_frequencies():
-    g = seed_graph()
-    rng = np.random.default_rng(4)
     n = 10**6
-    counts = {GrowthCase.ALPHA: 0, GrowthCase.BETA: 0, GrowthCase.GAMMA: 0}
-    for _ in range(n):
-        counts[step(g, P, rng).case] += 1
-    for case, prob in ((GrowthCase.ALPHA, 0.3), (GrowthCase.BETA, 0.5), (GrowthCase.GAMMA, 0.2)):
+    g = grow(seed_graph(), n + 1, P, np.random.default_rng(4))
+    alpha, gamma = step_cases(g)
+    assert not (alpha & gamma).any()
+    assert int(alpha.sum() + gamma.sum()) == g.node_count - 1
+    counts = (int(alpha.sum()), n - int(alpha.sum() + gamma.sum()), int(gamma.sum()))
+    for count, prob in zip(counts, (0.3, 0.5, 0.2)):
         sigma = np.sqrt(prob * (1 - prob) * n)
-        assert abs(counts[case] - prob * n) < 4 * sigma
+        assert abs(count - prob * n) < 4 * sigma
 
 
 def test_graph_invariants_after_growth():
@@ -156,16 +169,18 @@ def test_graph_invariants_after_growth():
     ids=["self-loop-2000", "crosses-chunk", "zero-edge-seed", "near-pure-beta", "split-target"],
 )
 def test_grow_matches_repeated_step(params, spec, targets):
-    """grow() in one call, grow() in several calls and repeated step() agree draw for draw."""
+    """grow() in one call, grow() in several calls and the row-wise reference agree draw for draw."""
     split = seed_graph(spec, params)
     rng = np.random.default_rng(42)
     for target in targets:
         grow(split, target, params, rng)
     whole = grow(seed_graph(spec, params), targets[-1], params, np.random.default_rng(42))
-    stepped = seed_graph(spec, params)
+    seed = seed_graph(spec, params)
+    tails, heads, N = seed.tails.tolist(), seed.heads.tolist(), seed.node_count
     rng = np.random.default_rng(42)
-    while stepped.edge_count < targets[-1]:
-        step(stepped, params, rng)
+    while len(tails) < targets[-1]:
+        N = step(tails, heads, N, params, rng)
+    stepped = DirectedMultigraph.from_edges(N, tails, heads)
     for g in (split, whole):
         assert g.node_count == stepped.node_count
         assert np.array_equal(g.tails, stepped.tails) and np.array_equal(g.heads, stepped.heads)
@@ -198,6 +213,23 @@ def test_grow_respects_edge_budget():
     g = seed_graph()
     with pytest.raises(ResourceLimit):
         grow(g, DEFAULT_EDGE_BUDGET + 1, P, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_growth_memory_is_stated_per_edge(seed):
+    # grow() states that the graph keeps 12 B per edge and peaks at
+    # 23.0 B per edge at 1e6 edges (22 B per edge plus under 1 MiB)
+    n = 10**6
+    grow(seed_graph(), 2 * CHUNK_STEPS, P, np.random.default_rng(seed))  # first-call caches
+    g = seed_graph()
+    tracemalloc.start()
+    try:
+        grow(g, n, P, np.random.default_rng(seed))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 12.01 * n
+    assert peak < 23.05 * n
 
 
 def test_node_count_limit(graphs_1m):
