@@ -48,7 +48,7 @@ frac = np.mean((i_draws > h**d.c1) & (o_draws > h**d.c2))
 print(f"\nh * P[I > h^c1, O > h^c2] at h = {h:.0f}: {h * frac:.3f} "
       f"vs combined mass {tm.rect_mass('combined', 1.0, 1.0):.3f}")
 
-std = standardize((i_draws.astype(float), o_draws.astype(float)), d)
+std = standardize((i_draws, o_draws), d)
 radius = std.u + std.v
 hist = angular_histogram(std, float(np.quantile(radius, 0.999)), bins=10)
 print(f"\nangular histogram of {hist.exceedances} standardized exceedances "

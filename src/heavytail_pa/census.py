@@ -293,7 +293,12 @@ def compare_pmf(p: JointPMF, q: JointPMF, i_max: int, j_max: int) -> PMFComparis
 
 @dataclass(frozen=True)
 class StandardizedSample:
-    """Pairs mapped to common scaling by the power method: (x, y) -> (x**c, y)."""
+    """Pairs mapped to common scaling by the power method: (x, y) -> (x**c, y).
+
+    u is float64.  v is the second coordinate as given, not a copy: the
+    map is the identity on it, and u + v and v / (u + v) promote integer
+    counts to float64 exactly.
+    """
 
     u: np.ndarray
     v: np.ndarray
@@ -305,14 +310,26 @@ def standardize(pairs, derived: DerivedConstants) -> StandardizedSample:
 
     After the map both coordinates share the scaling t**(1/gamma_out),
     so the transformed sample has a standard regularly varying tail.
+
+    Integer counts whose largest value m is below the sample size are
+    raised through a power table: u = (arange(m + 1) ** c)[x], the same
+    np.power on the same float64 values as x.astype(float64) ** c, so u
+    is bit-identical to it, with m + 1 powers in place of one per pair
+    and no float64 copy of x.  The call then holds 8 B per pair for u
+    plus at most 8 B per pair for the table.  Other input is converted
+    to float64 and raised elementwise.
     """
     x, y = pairs
-    x = np.asarray(x, np.float64)
-    y = np.asarray(y, np.float64)
-    if np.any(x < 0) or np.any(y < 0):
+    x, y = np.asarray(x), np.asarray(y)
+    if any(a.size and a.min() < 0 for a in (x, y)):
         raise DomainError("standardize expects nonnegative pairs")
     c = derived.gamma_in / derived.gamma_out
-    return StandardizedSample(u=x**c, v=y, c=c)
+    top = int(x.max()) if x.size and x.dtype.kind in "iu" else x.size
+    if top < x.size:
+        u = (np.arange(top + 1, dtype=np.float64) ** c)[x]
+    else:
+        u = np.asarray(x, np.float64) ** c
+    return StandardizedSample(u=u, v=y, c=c)
 
 
 @dataclass(frozen=True)

@@ -191,8 +191,8 @@ def _cmd_angular(args) -> int:
     d = derive(params)
     data = read_csv(args.samples, 2)
     std = standardize((data[:, 0], data[:, 1]), d)
-    radius = std.u + std.v
-    threshold = float(np.quantile(radius, args.threshold_quantile))
+    # angular_histogram forms u + v itself, so the quantile may reorder this copy
+    threshold = float(np.quantile(std.u + std.v, args.threshold_quantile, overwrite_input=True))
     hist = angular_histogram(std, threshold, args.bins)
     meta = _meta_lines(_config_block(args, params))
     meta.update(threshold=threshold, exceedances=hist.exceedances)

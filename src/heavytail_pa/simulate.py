@@ -34,6 +34,7 @@ by (seed spec, params, rng seed, target).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -48,7 +49,10 @@ FORMAT_VERSION = 1
 DEFAULT_EDGE_BUDGET = 200_000_000
 DRAWS_PER_STEP = 5
 CHUNK_STEPS = 1 << 16
-ID_LIMIT = 2**31  # node ids and degrees are int32
+# Each node costs 8 B kept and 20 B while its degrees are counted.  Grown
+# graphs hold their seed's nodes plus at most one per edge; the budget lies
+# below 2**31, so node ids and degrees fit int32.
+NODE_BUDGET = 2 * DEFAULT_EDGE_BUDGET
 
 
 @dataclass(frozen=True)
@@ -92,8 +96,8 @@ class DirectedMultigraph:
     def __init__(self, node_count: int = 0):
         if node_count < 0:
             raise ValueError("node_count must be nonnegative")
-        if node_count >= ID_LIMIT:
-            raise ResourceLimit(f"{node_count} nodes exceed the 32-bit node ids")
+        if node_count > NODE_BUDGET:
+            raise ResourceLimit(f"{node_count} nodes exceed the node budget {NODE_BUDGET}")
         self.node_count = node_count
         self._set_edges(np.zeros(0, np.int32), np.zeros(0, np.int32))
 
@@ -144,12 +148,13 @@ class DirectedMultigraph:
             version, node_count, edge_count = struct.unpack("<IQQ", fh.read(20))
             if version != FORMAT_VERSION:
                 raise ValueError(f"unsupported format version {version}")
+            # np.fromfile allocates the count it is given before reading
+            if 8 * edge_count > os.fstat(fh.fileno()).st_size - fh.tell():
+                raise ValueError("truncated graph file")
             g = cls(int(node_count))
             # ids of 2**31 and above read as negative and fail the id check
             tails = np.fromfile(fh, dtype="<u4", count=edge_count).view("<i4")
             heads = np.fromfile(fh, dtype="<u4", count=edge_count).view("<i4")
-        if len(tails) != edge_count or len(heads) != edge_count:
-            raise ValueError("truncated graph file")
         _check_ids(g.node_count, tails, heads)
         g._set_edges(tails, heads)
         return g

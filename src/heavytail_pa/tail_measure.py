@@ -21,6 +21,12 @@ as exp of a log-space integrand: z-powers cannot overflow, and an
 underflowed factor gives 0.  The in-marginal is closed form, from
 int_0^inf t^(s-1) Q(r, t) dt = Gamma(r+s)/(s Gamma(r)) with s = 1/c1.
 
+The combined measure pb mu_1 + (1 - pb) mu_2, pb = gamma/(alpha+gamma),
+is one mixture integral too: both components share the weight's power
+and the z-scan, so its integrand is
+logaddexp(log pb + log f_1, log(1 - pb) + log f_2), integrated once, and
+the quadrature tolerance applies to the combined value returned.
+
 Homogeneity: scaling a rectangle corner by (c**c1, c**c2) divides the
 order-0 mass by c.
 
@@ -112,14 +118,22 @@ class _GammaMixture:
         self.power = k - 1.0 / self.c1
         self.log_const = _log_mix_const(r_in, k, self.c1)
 
-    def integral(self, kind, log_in: float, log_out: float) -> float:
+    def log_integrand(self, kind, log_in: float, log_out: float):
+        """log of the integrand of one section kind, as a function of s = log z."""
         sec_in, sec_out = kind(self.shapes[0], log_in), kind(self.shapes[1], log_out)
         log_const, power, a = self.log_const, self.power, self.a
 
         def log_f(s):
             return log_const + power * s + sec_in(log_in - s) + sec_out(log_out - a * s)
 
-        return log_semiinfinite(log_f, max(log_in, log_out / a, 0.0), self.quad)
+        return log_f
+
+    def integrate(self, log_f, log_in: float, log_out: float) -> float:
+        """The integral over z of exp(log_f), log_f an integrand at the corner (log_in, log_out)."""
+        return log_semiinfinite(log_f, max(log_in, log_out / self.a, 0.0), self.quad)
+
+    def integral(self, kind, log_in: float, log_out: float) -> float:
+        return self.integrate(self.log_integrand(kind, log_in, log_out), log_in, log_out)
 
     def log_marginal_const(self) -> float:
         """log C, with the in-marginal C x^(k - 1/c1): the mass of [x, inf) at k = 0,
@@ -136,6 +150,8 @@ class TailMeasure:
         self.derived: DerivedConstants = derive(self.params)
         self.split = split_probability(self.params)
         self.quad = quad
+        with np.errstate(divide="ignore"):  # pb is 0 at gamma = 0 and 1 at alpha = 0
+            self._log_split = tuple(np.log([self.split, 1.0 - self.split]).tolist())
         din, dout = self.params.delta_in, self.params.delta_out
         self._kernels = {1: _GammaMixture(self.derived, din + 1.0, dout, 0, quad),
                          2: _GammaMixture(self.derived, din, dout + 1.0, 0, quad)}
@@ -144,10 +160,7 @@ class TailMeasure:
         """Lebesgue density at (x, y), both > 0: gamma density sections under the mixture."""
         if x <= 0 or y <= 0:
             raise DomainError("density is defined on the open quadrant x, y > 0")
-        if component == "combined":
-            pb = self.split
-            return pb * self.density(1, x, y) + (1.0 - pb) * self.density(2, x, y)
-        return self._kernel(component).integral(_log_density, math.log(x), math.log(y))
+        return self._integral(component, _log_density, math.log(x), math.log(y))
 
     def rect_mass(self, component, x_lo: float, y_lo: float) -> float:
         """Mass of [x_lo, inf) x [y_lo, inf); at least one bound positive.
@@ -159,11 +172,8 @@ class TailMeasure:
             raise DomainError("rectangle corners must be nonnegative")
         if x_lo == 0 and y_lo == 0:
             raise DomainError("the tail measure is infinite at the origin rectangle")
-        if component == "combined":
-            pb = self.split
-            return pb * self.rect_mass(1, x_lo, y_lo) + (1.0 - pb) * self.rect_mass(2, x_lo, y_lo)
         log_in, log_out = (math.log(v) if v > 0 else -math.inf for v in (x_lo, y_lo))
-        return self._kernel(component).integral(_log_upper, log_in, log_out)
+        return self._integral(component, _log_upper, log_in, log_out)
 
     def marginal_mass_closed_form(self, component, x_lo: float) -> float:
         """Closed form of rect_mass(component, x_lo, 0)."""
@@ -173,6 +183,15 @@ class TailMeasure:
             raise DomainError("closed form available for components 1 and 2")
         kernel = self._kernels[component]
         return math.exp(kernel.log_marginal_const() - math.log(x_lo) / self.derived.c1)
+
+    def _integral(self, component, kind, log_in: float, log_out: float) -> float:
+        """One mixture integral of a section kind.  The combined measure mixes the
+        two components' integrands, pb f1 + (1 - pb) f2 as a logaddexp, under one rule."""
+        if component != "combined":
+            return self._kernel(component).integral(kind, log_in, log_out)
+        (w1, w2), k1, k2 = self._log_split, self._kernels[1], self._kernels[2]
+        f1, f2 = k1.log_integrand(kind, log_in, log_out), k2.log_integrand(kind, log_in, log_out)
+        return k1.integrate(lambda s: np.logaddexp(w1 + f1(s), w2 + f2(s)), log_in, log_out)
 
     def _kernel(self, component) -> _GammaMixture:
         try:

@@ -293,6 +293,31 @@ def test_from_binary_rejects_ids_beyond_int32(tmp_path):
         DirectedMultigraph.from_binary(path)
 
 
+def _read_peak(path):
+    """The error from_binary raises on path, and the tracemalloc peak while it reads."""
+    tracemalloc.start()
+    try:
+        with pytest.raises((ResourceLimit, ValueError)) as err:
+            DirectedMultigraph.from_binary(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return err.value, peak
+
+
+def test_from_binary_refuses_oversized_headers_before_allocating(tmp_path):
+    """A header is outside input: its counts are checked before any array is built."""
+    path = tmp_path / "huge.bin"
+    # 2**31 - 1 nodes fit int32 ids but would cost about 40 GiB to count
+    path.write_bytes(MAGIC + struct.pack("<IQQ", FORMAT_VERSION, 2**31 - 1, 0))
+    err, peak = _read_peak(path)
+    assert isinstance(err, ResourceLimit) and peak < 2**20
+    # 2**20 edges declared, one present: refused before np.fromfile allocates 4 MiB for them
+    path.write_bytes(MAGIC + struct.pack("<IQQ", FORMAT_VERSION, 2, 2**20) + struct.pack("<II", 0, 1))
+    err, peak = _read_peak(path)
+    assert "truncated" in str(err) and peak < 2**20
+
+
 def test_from_edges_rejects_missing_nodes():
     with pytest.raises(ValueError):
         DirectedMultigraph.from_edges(2, [0, 1], [1, 2])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -14,6 +16,10 @@ from heavytail_pa import (
     standardize,
 )
 from heavytail_pa.census import StandardizedSample
+from test_properties import GROWTH_POINTS
+
+# three named points of test_properties, where c = gamma_in/gamma_out is 0.026, 14.6 and 0.46
+NAMED_POINTS = ("alpha-heavy", "gamma-heavy", "large-deltas")
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +168,20 @@ def test_rect_mass_combined_linearity(tm):
     assert combined == pytest.approx(0.4 * v1 + 0.6 * v2, rel=1e-12)
 
 
+@pytest.mark.parametrize("point", ("canonical",) + NAMED_POINTS)
+def test_combined_measure_is_the_weighted_component_sum(point):
+    """The combined measure, integrated as one mixture, equals pb f1 + (1 - pb) f2
+    of the separately integrated components on a 10 x 10 grid."""
+    tm = TailMeasure(ModelParams(*GROWTH_POINTS[point][0]))
+    pb = tm.split
+    grid = np.geomspace(0.3, 5.0, 10)
+    for x in grid:
+        for y in grid:
+            for evaluate in (tm.density, tm.rect_mass):
+                want = pb * evaluate(1, x, y) + (1.0 - pb) * evaluate(2, x, y)
+                assert evaluate("combined", x, y) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_density_is_mixed_partial_of_rect_mass(tm):
     x0, y0 = 1.3, 0.9
     hx, hy = 1e-3 * x0, 1e-3 * y0
@@ -204,6 +224,45 @@ def test_standardize_power_arithmetic(params):
     # a pure half power example
     half = StandardizedSample(u=x**0.5, v=np.array([1.0]), c=0.5)
     assert half.u[0] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("point", NAMED_POINTS)
+def test_standardize_power_table_is_bit_identical(point):
+    """u equals x.astype(float64) ** c bit for bit, through the table and the fallback alike."""
+    d = derive(ModelParams(*GROWTH_POINTS[point][0]))
+    rng = np.random.default_rng(5)
+    draws = rng.integers(0, 3000, 9000)
+    draws[7] = draws.size - 1  # max == n - 1: the largest table the power path builds
+    inputs = [draws.astype(t) for t in (np.int32, np.int64, np.uint16, np.uint64)]
+    inputs += [a[::3] for a in inputs]  # strided, with max >= n: the float64 fallback
+    inputs.append(np.stack([draws, draws], axis=1)[:, 0])  # strided, through the table
+    inputs += [draws[:0], np.array([0, 2**40])]  # empty; a count far above n
+    for x in inputs:
+        s = standardize((x, x), d)
+        expected = x.astype(np.float64) ** s.c
+        assert s.u.dtype == np.float64 and s.u.shape == x.shape
+        assert np.array_equal(s.u.view(np.int64), expected.view(np.int64)), x.dtype
+
+
+def test_standardize_keeps_v_and_states_its_peak(dist, params):
+    """v is y itself; u costs 8 B per pair, plus 8 B per power-table entry and
+    numpy's fancy-index buffer (float64 copies of x and y would add 16 B per pair)."""
+    i_draws, o_draws = dist.sample(10**6, np.random.default_rng(17))
+    d = derive(params)
+    tracemalloc.start()
+    try:
+        s = standardize((i_draws, o_draws), d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(s.v, o_draws)
+    table = int(i_draws.max()) + 1
+    assert table <= i_draws.size  # the table path ran
+    assert peak <= 8 * i_draws.size + 8 * table + 256 * 1024
+    with pytest.raises(DomainError):
+        standardize((np.array([1, -1]), np.array([1, 1])), d)
+    with pytest.raises(DomainError):
+        standardize((np.array([1, 1]), np.array([1, -1])), d)
 
 
 def test_standardize_preserves_rank_correlation(params):
@@ -252,7 +311,7 @@ def test_standardized_limit_draws_fill_the_angular_interior(dist, params):
     for seed in (101, 202, 303):
         rng = np.random.default_rng(seed)
         i_draws, o_draws = dist.sample(10**6, rng)
-        s = standardize((i_draws.astype(float), o_draws.astype(float)), d)
+        s = standardize((i_draws, o_draws), d)
         radius = s.u + s.v
         threshold = float(np.quantile(radius, 0.999))
         hist = angular_histogram(s, threshold, bins=10)
