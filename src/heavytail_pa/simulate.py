@@ -24,7 +24,11 @@ draws CHUNK_STEPS rows at a time and runs a chunk as array operations.
 The edge count before a step is its index, the node count a cumulative
 sum of the new-node cases, and an "endpoint of a uniform earlier edge"
 points backwards, so references into the chunk resolve by pointer
-jumping.  The row-wise reference step() in tests/oracles.py checks it
+jumping.  Once a chunk's uniforms and node counts are drawn, its tails
+read only earlier tails and its heads only earlier heads, so grow()
+resolves the two sides on two threads at the same time.  Neither reads
+what the other writes, so a graph is byte-identical on any number of
+cores.  The row-wise reference step() in tests/oracles.py checks it
 draw for draw.  Edge endpoints and degrees are int32 (node ids below
 2**31); the binary format stores them as u32.
 
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -79,6 +84,14 @@ class SeedSpec:
         return SeedSpec(node_count=node_count)
 
 
+def _checked_node_count(node_count: int) -> int:
+    if node_count < 0:
+        raise ValueError("node_count must be nonnegative")
+    if node_count > NODE_BUDGET:
+        raise ResourceLimit(f"{node_count} nodes exceed the node budget {NODE_BUDGET}")
+    return node_count
+
+
 def _check_ids(node_count: int, *ids: np.ndarray) -> None:
     for a in ids:
         if a.size and (a.min() < 0 or a.max() >= node_count):
@@ -94,12 +107,16 @@ class DirectedMultigraph:
     """
 
     def __init__(self, node_count: int = 0):
-        if node_count < 0:
-            raise ValueError("node_count must be nonnegative")
-        if node_count > NODE_BUDGET:
-            raise ResourceLimit(f"{node_count} nodes exceed the node budget {NODE_BUDGET}")
-        self.node_count = node_count
+        self.node_count = _checked_node_count(node_count)
         self._set_edges(np.zeros(0, np.int32), np.zeros(0, np.int32))
+
+    @classmethod
+    def _sized(cls, node_count: int) -> "DirectedMultigraph":
+        """A graph of node_count nodes and no arrays yet, for a caller that
+        sets its edges once; the count is checked before anything is made."""
+        g = cls.__new__(cls)
+        g.node_count = _checked_node_count(node_count)
+        return g
 
     @classmethod
     def from_edges(cls, node_count: int, tails, heads) -> "DirectedMultigraph":
@@ -107,7 +124,7 @@ class DirectedMultigraph:
         heads = np.asarray(heads, np.int64)
         if tails.shape != heads.shape:
             raise ValueError("tails and heads must have equal length")
-        g = cls(node_count)
+        g = cls._sized(node_count)
         _check_ids(node_count, tails, heads)
         g._set_edges(tails.astype(np.int32), heads.astype(np.int32))
         return g
@@ -136,8 +153,9 @@ class DirectedMultigraph:
         with open(path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<IQQ", FORMAT_VERSION, self.node_count, self.edge_count))
-            self.tails.astype("<u4").tofile(fh)
-            self.heads.astype("<u4").tofile(fh)
+            # a no-copy view of the int32 arrays on a little-endian host
+            np.asarray(self.tails, "<i4").view("<u4").tofile(fh)
+            np.asarray(self.heads, "<i4").view("<u4").tofile(fh)
 
     @classmethod
     def from_binary(cls, path) -> "DirectedMultigraph":
@@ -151,7 +169,7 @@ class DirectedMultigraph:
             # np.fromfile allocates the count it is given before reading
             if 8 * edge_count > os.fstat(fh.fileno()).st_size - fh.tell():
                 raise ValueError("truncated graph file")
-            g = cls(int(node_count))
+            g = cls._sized(int(node_count))
             # ids of 2**31 and above read as negative and fail the id check
             tails = np.fromfile(fh, dtype="<u4", count=edge_count).view("<i4")
             heads = np.fromfile(fh, dtype="<u4", count=edge_count).view("<i4")
@@ -181,26 +199,62 @@ def _endpoints(end, n0, n, N, coin, index, delta, new_node) -> np.ndarray:
 
     end is the tails or heads array, filled below n0; n and N are the
     edge and node counts before each step; new_node marks the steps
-    whose endpoint is the node the step creates.
+    whose endpoint is the node the step creates.  The result depends on
+    end[:n0] alone and no input is written, so the tails and heads of
+    one chunk can be resolved at the same time.
     """
-    ref = ~new_node & (coin * (n + delta * N) < n)
-    size = np.where(ref, n, N)
-    val = np.minimum((index * size).astype(np.int64), size - 1)
-    val[new_node] = N[new_node]
-    before = ref & (val < n0)
-    val[before] = end[val[before]]
+    # ref: the step takes an endpoint of a uniform earlier edge, when
+    # coin * (n + delta * N) < n, computed in place
+    ref = np.multiply(delta, N)
+    ref += n
+    ref *= coin
+    ref = np.less(ref, n)
+    ref &= ~new_node
+    # work is int64 scratch: the draw's range (N, or n for a reference),
+    # then the terms of two multiply-add blends.  On masks this irregular,
+    # boolean indexing and np.copyto(where=) cost several times as much.
+    # The unsafe cast truncates index * work as astype(np.int64) does.
+    work = n - N
+    work *= ref
+    work += N
+    val = np.multiply(index, work, out=np.empty(work.shape, np.int64), casting="unsafe")
+    work -= 1
+    np.minimum(val, work, out=val)
+    # a new-node step takes N
+    np.subtract(N, val, out=work)
+    work *= new_node
+    val += work
+    # a reference below n0 reads end; ref keeps the others
+    before = np.less(val, n0)
+    before &= ref
+    ref ^= before
+    np.subtract(end.take(val, mode="clip"), val, out=work)
+    work *= before
+    val += work
+    del work, before
     # The rest point at earlier steps of this chunk: follow each chain to
     # a resolved step, doubling the jump length every pass.
-    hops = np.flatnonzero(ref & ~before)
+    hops = np.flatnonzero(ref)
+    jump = val.take(hops)
+    jump -= n0
     ptr = np.arange(val.size)
-    ptr[hops] = val[hops] - n0
+    ptr.put(hops, jump)
     while True:
-        nxt = ptr[ptr[hops]]
-        if np.array_equal(nxt, ptr[hops]):
+        nxt = ptr.take(jump)
+        if np.array_equal(nxt, jump):
             break
-        ptr[hops] = nxt
-    val[hops] = val[ptr[hops]]
+        ptr.put(hops, nxt)
+        jump = nxt
+    val.put(hops, val.take(jump))
     return val
+
+
+def _resolve(failed, end, start, stop, *args) -> None:
+    """Fill end[start:stop] with _endpoints; an exception goes to failed for the caller to raise."""
+    try:
+        end[start:stop] = _endpoints(end, start, *args)
+    except BaseException as exc:
+        failed.append(exc)
 
 
 def grow(
@@ -209,8 +263,10 @@ def grow(
     """Grow the graph in place until it has target_edges edges.
 
     One vectorised pass per rng.random((m, 5)) block of at most
-    CHUNK_STEPS steps.  A target above DEFAULT_EDGE_BUDGET raises
-    ResourceLimit up front.
+    CHUNK_STEPS steps.  In each block a helper thread resolves the tails
+    while the calling thread resolves the heads; they join before the
+    next block, and an exception on the helper is raised here.  A target
+    above DEFAULT_EDGE_BUDGET raises ResourceLimit up front.
 
     Memory (tracemalloc, canonical parameters, grown from one node): the
     graph keeps 12 B per edge, the int32 tails and heads plus the two
@@ -218,8 +274,9 @@ def grow(
     when the degrees are counted, since np.bincount copies the endpoints
     to int64: 22 B per edge plus under 1 MiB (23.0 B per edge at 1e6
     edges, 22.0 at 4e6).  While the edges are drawn it holds the 8 B
-    per edge of the endpoint arrays plus about 7 MiB of transients for
-    one chunk.
+    per edge of the endpoint arrays plus under 8 MiB of transients: one
+    chunk's draws and the scratch of both its sides at once (14.9 to
+    15.9 B per edge at 1e6 edges, as the two sides overlap).
     """
     params = validate(params)
     n0, N = graph.edge_count, graph.node_count
@@ -242,8 +299,16 @@ def grow(
         stop = start + len(u)
         n = np.arange(start, stop)
         Ns = N + np.cumsum(new_node) - new_node
-        tails[start:stop] = _endpoints(tails, start, n, Ns, u[:, 1], u[:, 2], params.delta_out, is_alpha)
-        heads[start:stop] = _endpoints(heads, start, n, Ns, u[:, 3], u[:, 4], params.delta_in, is_gamma)
+        failed = []
+        helper = threading.Thread(target=_resolve, args=(
+            failed, tails, start, stop, n, Ns, u[:, 1], u[:, 2], params.delta_out, is_alpha))
+        helper.start()
+        try:
+            heads[start:stop] = _endpoints(heads, start, n, Ns, u[:, 3], u[:, 4], params.delta_in, is_gamma)
+        finally:
+            helper.join()
+        if failed:
+            raise failed[0]
         N = int(Ns[-1] + new_node[-1])
     graph.node_count = N
     graph._set_edges(tails, heads)

@@ -1,4 +1,7 @@
+import hashlib
+import importlib
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,7 +19,14 @@ from heavytail_pa import (
     seed_graph,
     simulate,
 )
-from heavytail_pa.simulate import CHUNK_STEPS, DEFAULT_EDGE_BUDGET, FORMAT_VERSION, MAGIC, _endpoints
+from heavytail_pa.simulate import (
+    CHUNK_STEPS,
+    DEFAULT_EDGE_BUDGET,
+    FORMAT_VERSION,
+    MAGIC,
+    NODE_BUDGET,
+    _endpoints,
+)
 
 from oracles import step
 
@@ -196,6 +206,45 @@ def test_seed_to_graph_mapping_is_pinned():
     assert g.heads[:10].tolist() == [0, 0, 1, 2, 0, 0, 1, 1, 0, 2]
 
 
+@pytest.mark.parametrize(
+    "params, tails_sha256, heads_sha256",
+    [
+        (P, "d5a6daaf0c49a1798ed838b444cbb1b32251e3b87c5770d63c16d3853b5ef905",
+         "ae3c160ad67a72374187a13cb00af0e9db80bb38b1c51f60cdc2074a6c0c0bdb"),
+        (NEAR_BETA, "75ef4f2b34df792b9acc78a7b1419326382a1f5641e70698abff55eb3fccc4f6",
+         "99f3532e97718b271b1f244b238fef014a9ae0c4186fe7e5a145f68f93480abe"),
+    ],
+    ids=["canonical", "near-pure-beta"],
+)
+def test_seed_to_graph_mapping_is_pinned_across_chunks(params, tails_sha256, heads_sha256):
+    """Four chunks, the last one partial: the whole edge list a seed gives is fixed."""
+    g = simulate(3 * CHUNK_STEPS + 17, params, DEFAULT_SEED)
+    assert hashlib.sha256(np.asarray(g.tails, "<i4").tobytes()).hexdigest() == tails_sha256
+    assert hashlib.sha256(np.asarray(g.heads, "<i4").tobytes()).hexdigest() == heads_sha256
+
+
+def test_grow_raises_what_the_helper_thread_raises(monkeypatch):
+    """The tails side of a chunk runs on a helper thread: its error reaches the caller, and the thread ends."""
+    caller = threading.current_thread()
+
+    class HelperFailure(RuntimeError):
+        pass
+
+    def endpoints_failing_off_the_caller(*args):
+        if threading.current_thread() is not caller:
+            raise HelperFailure("tails side")
+        return _endpoints(*args)
+
+    monkeypatch.setattr(importlib.import_module("heavytail_pa.simulate"), "_endpoints",
+                        endpoints_failing_off_the_caller)
+    g = seed_graph()
+    threads = threading.active_count()
+    with pytest.raises(HelperFailure):
+        grow(g, 2 * CHUNK_STEPS, P, np.random.default_rng(0))
+    assert threading.active_count() == threads
+    assert g.edge_count == 1 and g.node_count == 1
+
+
 def test_grow_is_deterministic():
     a = simulate(5000, P, seed=123)
     b = simulate(5000, P, seed=123)
@@ -323,3 +372,46 @@ def test_from_edges_rejects_missing_nodes():
         DirectedMultigraph.from_edges(2, [0, 1], [1, 2])
     with pytest.raises(ValueError):
         DirectedMultigraph.from_edges(2, [-1], [0])
+
+
+def test_sized_constructor_refuses_bad_node_counts():
+    with pytest.raises(ValueError):
+        DirectedMultigraph.from_edges(-1, [], [])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit):
+            DirectedMultigraph.from_edges(NODE_BUDGET + 1, [], [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_to_binary_writes_the_arrays_without_copies(graphs_1m, tmp_path):
+    g = graphs_1m[0]
+    path = tmp_path / "graph.bin"
+    tracemalloc.start()
+    try:
+        g.to_binary(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    header = MAGIC + struct.pack("<IQQ", FORMAT_VERSION, g.node_count, g.edge_count)
+    assert path.read_bytes() == header + g.tails.astype("<u4").tobytes() + g.heads.astype("<u4").tobytes()
+
+
+def test_from_binary_counts_the_degrees_once(graphs_1m, tmp_path):
+    # the read keeps 12 B per edge and peaks while np.bincount holds an
+    # int64 copy of one endpoint array: 22 B per edge at 1e6 edges
+    g = graphs_1m[0]
+    path = tmp_path / "graph.bin"
+    g.to_binary(path)
+    tracemalloc.start()
+    try:
+        h = DirectedMultigraph.from_binary(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 22.5 * g.edge_count
+    assert np.array_equal(h.in_degree, g.in_degree) and np.array_equal(h.out_degree, g.out_degree)
