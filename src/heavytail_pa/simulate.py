@@ -106,17 +106,17 @@ class DirectedMultigraph:
     sum(in_degree) == sum(out_degree) == edge_count always hold.
     """
 
-    def __init__(self, node_count: int = 0):
-        self.node_count = _checked_node_count(node_count)
-        self._set_edges(np.zeros(0, np.int32), np.zeros(0, np.int32))
+    def __init__(self, node_count: int = 0, tails=None, heads=None):
+        """A graph on node_count nodes with the given int32 edge arrays, or none.
 
-    @classmethod
-    def _sized(cls, node_count: int) -> "DirectedMultigraph":
-        """A graph of node_count nodes and no arrays yet, for a caller that
-        sets its edges once; the count is checked before anything is made."""
-        g = cls.__new__(cls)
-        g.node_count = _checked_node_count(node_count)
-        return g
+        The node count is checked before any array is made, and the ids
+        before the degrees are counted, once.
+        """
+        self.node_count = _checked_node_count(node_count)
+        if tails is None:
+            tails = heads = np.zeros(0, np.int32)
+        _check_ids(self.node_count, tails, heads)
+        self._set_edges(tails, heads)
 
     @classmethod
     def from_edges(cls, node_count: int, tails, heads) -> "DirectedMultigraph":
@@ -124,10 +124,9 @@ class DirectedMultigraph:
         heads = np.asarray(heads, np.int64)
         if tails.shape != heads.shape:
             raise ValueError("tails and heads must have equal length")
-        g = cls._sized(node_count)
+        # checked before the int32 cast could wrap an id into range
         _check_ids(node_count, tails, heads)
-        g._set_edges(tails.astype(np.int32), heads.astype(np.int32))
-        return g
+        return cls(node_count, tails.astype(np.int32), heads.astype(np.int32))
 
     def _set_edges(self, tails: np.ndarray, heads: np.ndarray) -> None:
         """Take int32 edge arrays as they are and count the degrees."""
@@ -169,13 +168,11 @@ class DirectedMultigraph:
             # np.fromfile allocates the count it is given before reading
             if 8 * edge_count > os.fstat(fh.fileno()).st_size - fh.tell():
                 raise ValueError("truncated graph file")
-            g = cls._sized(int(node_count))
+            _checked_node_count(node_count)
             # ids of 2**31 and above read as negative and fail the id check
             tails = np.fromfile(fh, dtype="<u4", count=edge_count).view("<i4")
             heads = np.fromfile(fh, dtype="<u4", count=edge_count).view("<i4")
-        _check_ids(g.node_count, tails, heads)
-        g._set_edges(tails, heads)
-        return g
+        return cls(node_count, tails, heads)
 
 
 def seed_graph(spec: Optional[SeedSpec] = None, params: Optional[ModelParams] = None) -> DirectedMultigraph:
@@ -204,8 +201,9 @@ def _endpoints(end, n0, n, N, coin, index, delta, new_node) -> np.ndarray:
     one chunk can be resolved at the same time.
     """
     # ref: the step takes an endpoint of a uniform earlier edge, when
-    # coin * (n + delta * N) < n, computed in place
-    ref = np.multiply(delta, N)
+    # coin * (n + delta * N) < n, computed in place in float64 (an int
+    # delta would make delta * N int64, which refuses the coin in place)
+    ref = np.multiply(delta, N, dtype=np.float64)
     ref += n
     ref *= coin
     ref = np.less(ref, n)

@@ -223,6 +223,15 @@ def test_seed_to_graph_mapping_is_pinned_across_chunks(params, tails_sha256, hea
     assert hashlib.sha256(np.asarray(g.heads, "<i4").tobytes()).hexdigest() == heads_sha256
 
 
+@pytest.mark.parametrize("params", [P, NEAR_BETA], ids=["canonical", "near-pure-beta"])
+def test_integer_offsets_grow_the_float_offsets_graph(params):
+    """An int delta made the kernel's delta * N an int64 array that the in-place coin multiply refused."""
+    ints = ModelParams(params.alpha, params.beta, params.gamma, int(params.delta_in), int(params.delta_out))
+    g = simulate(3 * CHUNK_STEPS + 17, ints, DEFAULT_SEED)
+    h = simulate(3 * CHUNK_STEPS + 17, params, DEFAULT_SEED)
+    assert np.array_equal(g.tails, h.tails) and np.array_equal(g.heads, h.heads)
+
+
 def test_grow_raises_what_the_helper_thread_raises(monkeypatch):
     """The tails side of a chunk runs on a helper thread: its error reaches the caller, and the thread ends."""
     caller = threading.current_thread()
@@ -374,17 +383,18 @@ def test_from_edges_rejects_missing_nodes():
         DirectedMultigraph.from_edges(2, [-1], [0])
 
 
-def test_sized_constructor_refuses_bad_node_counts():
-    with pytest.raises(ValueError):
-        DirectedMultigraph.from_edges(-1, [], [])
-    tracemalloc.start()
-    try:
-        with pytest.raises(ResourceLimit):
-            DirectedMultigraph.from_edges(NODE_BUDGET + 1, [], [])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+def test_constructor_refuses_bad_node_counts_before_allocating():
+    for make in (DirectedMultigraph, lambda count: DirectedMultigraph.from_edges(count, [], [])):
+        with pytest.raises(ValueError):
+            make(-1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit):
+                make(NODE_BUDGET + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_to_binary_writes_the_arrays_without_copies(graphs_1m, tmp_path):
