@@ -21,7 +21,6 @@ import json
 import sys
 
 import numpy as np
-import scipy
 
 from . import DEFAULT_SEED, __version__
 from .census import (
@@ -53,6 +52,8 @@ def _resolve_params(args) -> ModelParams:
 
 
 def _config_block(args, params: ModelParams | None = None, seed=None) -> dict:
+    import scipy  # for its version alone: --version loads none of it
+
     block = {"version": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
     if params is not None:
         block["params"] = params.as_dict()
@@ -189,7 +190,7 @@ def _cmd_density(args) -> int:
 def _cmd_angular(args) -> int:
     params = _resolve_params(args)
     d = derive(params)
-    data = read_csv(args.samples, 2)
+    data = read_csv(args.samples, 2, np.int64)  # degree counts, as sample-limit writes them
     std = standardize((data[:, 0], data[:, 1]), d)
     # angular_histogram forms u + v itself, so the quantile may reorder this copy
     threshold = float(np.quantile(std.u + std.v, args.threshold_quantile, overwrite_input=True))

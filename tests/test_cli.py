@@ -169,11 +169,12 @@ SAMPLES = "I,O\n" + "".join(f"{i},{i % 7}\n" for i in range(1, 2000))
         ("compare", "i,j,N_ij\n-1,0,5\n1,1,2\n", None),
         ("angular", SAMPLES + "3,x\n", "line 2001"),
         ("angular", SAMPLES + "3\n", "line 2001"),
+        ("angular", SAMPLES + "3,2.5\n", "line 2001"),
         ("estimate", "i,j,N_ij\n1,0,3000000000\n", "2147483647"),
     ],
     ids=["estimate-missing", "compare-missing", "angular-missing", "bad-cell", "short-row",
          "negative-count", "negative-index", "angular-bad-cell", "angular-short-row",
-         "count-above-int32"],
+         "angular-non-integer-cell", "count-above-int32"],
 )
 def test_bad_input_file_is_an_error(tmp_path, capsys, command, text, message):
     path = tmp_path / "in.csv"
@@ -302,6 +303,21 @@ PUBLIC_NAMES = (
     "simulate", "split_probability", "standardize", "transform_scaling",
     "truncation_check", "truncation_condition", "uhat_check", "uhat_limit_rhs", "validate",
 )
+
+
+def test_version_loads_no_scipy():
+    """A cold --version imports no scipy at all: only the reports read its
+    version string, when they are written."""
+    import heavytail_pa
+
+    root = os.path.dirname(os.path.dirname(heavytail_pa.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([root, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys\nfrom heavytail_pa.cli import main\n"
+            "try:\n    main(['--version'])\nexcept SystemExit:\n    pass\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_package_import_skips_scipy_stats(tmp_path):
