@@ -6,17 +6,11 @@ functions, masses, an exact sampler), evaluate the joint tail measures
 in closed quadrature form, and verify the transform-side scaling limits
 on concrete discrete measures.
 
-The names of limit_dist and tauberian load on first use (PEP 562
-__getattr__): limit_dist imports the thread pool of concurrent.futures,
-and tauberian imports limit_dist.  Neither imports scipy.special, most
-of the package's import time; it loads only inside the sections that
-evaluate an incomplete gamma or beta function.  The other modules,
-tail_measure among them, need only numpy and load with the package:
-`simulate` names both a submodule and a function, and a lazily loaded
-submodule would take over the name.
+Every module loads with the package, and none needs more than numpy to
+load: scipy.special, most of the package's import time, loads only
+inside the sections that evaluate an incomplete gamma or beta function,
+and concurrent.futures only when the limit-law sampler runs.
 """
-
-import importlib
 
 from .census import (
     AngularHistogram,
@@ -49,6 +43,7 @@ from .errors import (
     QuadratureFailure,
     ResourceLimit,
 )
+from .limit_dist import LimitDistribution
 from .params import (
     DerivedConstants,
     ModelParams,
@@ -61,43 +56,26 @@ from .params import (
 from .quadrature import DEFAULT_QUAD, QuadratureSpec
 from .simulate import DirectedMultigraph, SeedSpec, grow, seed_graph, simulate
 from .tail_measure import TailMeasure
+from .tauberian import (
+    DerivativeMeasure,
+    ScalingFunctions,
+    build_derivative_measure,
+    derivative_limit_rect,
+    derivative_marginal_normalizer,
+    marginal_check,
+    marginal_condition,
+    measure_check,
+    measure_scaling,
+    transform_scaling,
+    truncation_check,
+    truncation_condition,
+    uhat_check,
+    uhat_limit_rhs,
+)
 
 __version__ = "0.1.0"
 
 DEFAULT_SEED = 1618033
-
-# Names loaded on first use, by module: both load concurrent.futures.
-_LAZY_MODULES = {
-    "limit_dist": ("LimitDistribution",),
-    "tauberian": (
-        "DerivativeMeasure",
-        "ScalingFunctions",
-        "build_derivative_measure",
-        "derivative_limit_rect",
-        "derivative_marginal_normalizer",
-        "marginal_check",
-        "marginal_condition",
-        "measure_check",
-        "measure_scaling",
-        "transform_scaling",
-        "truncation_check",
-        "truncation_condition",
-        "uhat_check",
-        "uhat_limit_rhs",
-    ),
-}
-_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
-
-
-def __getattr__(name):
-    """Load the module behind a lazy name on its first use (PEP 562)."""
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
-
 
 __all__ = [
     "DEFAULT_SEED",
@@ -114,7 +92,11 @@ __all__ = [
     "split_probability", "validate", "DEFAULT_QUAD", "QuadratureSpec",
     # simulate
     "DirectedMultigraph", "SeedSpec", "grow", "seed_graph", "simulate",
-    # tail_measure
-    "TailMeasure",
-    *_LAZY,
+    # limit_dist, tail_measure
+    "LimitDistribution", "TailMeasure",
+    # tauberian
+    "DerivativeMeasure", "ScalingFunctions", "build_derivative_measure", "derivative_limit_rect",
+    "derivative_marginal_normalizer", "marginal_check", "marginal_condition", "measure_check",
+    "measure_scaling", "transform_scaling", "truncation_check", "truncation_condition",
+    "uhat_check", "uhat_limit_rhs",
 ]

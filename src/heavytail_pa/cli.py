@@ -6,9 +6,8 @@ format of heavytail_pa.csvfile, whose reader rejects malformed rows;
 structured reports are JSON.  Every report embeds its provenance: the
 package, numpy and scipy versions, the argv, and where they apply the
 resolved parameters, derived constants and seed.
-Commands import their evaluators when they run, and only verify loads
-scipy.special, except for its uhat check: the others need at most log
-Gamma, from math.lgamma.
+Only verify loads scipy.special, except for its uhat check: the other
+commands need at most log Gamma, from math.lgamma.
 Exit codes: 0 success, 1 validation or usage error, 2 numerical
 failure.  Randomness comes only from the --seed flag (default a fixed
 constant, never the clock).
@@ -22,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import DEFAULT_SEED, __version__
+from . import DEFAULT_SEED, __version__, tauberian
 from .census import (
     JointCountTable,
     JointPMF,
@@ -38,9 +37,11 @@ from .census import (
 )
 from .csvfile import read_csv, write_csv
 from .errors import HeavytailError, QuadratureFailure
+from .limit_dist import LimitDistribution
 from .params import ModelParams, derive, load_params, validate
 from .quadrature import QuadratureSpec
 from .simulate import simulate
+from .tail_measure import TailMeasure
 
 
 def _resolve_params(args) -> ModelParams:
@@ -125,8 +126,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analytic_pmf(args) -> int:
-    from .limit_dist import LimitDistribution
-
     params = _resolve_params(args)
     dist = LimitDistribution(params, _quad(args))
     table = dist.pmf_table(args.imax, args.jmax)
@@ -139,8 +138,6 @@ def _cmd_analytic_pmf(args) -> int:
 
 
 def _cmd_sample_limit(args) -> int:
-    from .limit_dist import LimitDistribution
-
     params = _resolve_params(args)
     dist = LimitDistribution(params, _quad(args))
     rng = np.random.default_rng(args.seed)
@@ -171,8 +168,6 @@ def _parse_points(spec: str, flag: str):
 
 
 def _cmd_density(args) -> int:
-    from .tail_measure import TailMeasure
-
     params = _resolve_params(args)
     tm = TailMeasure(params, _quad(args))
     xs = _parse_points(args.grid_x, "--grid-x")
@@ -226,8 +221,6 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .limit_dist import LimitDistribution
-
     counts = JointCountTable.from_csv(args.counts)
     emp = empirical_pmf(counts)
     params = _resolve_params(args)
@@ -262,8 +255,6 @@ _VERIFY = {
 
 def _cmd_verify(args) -> int:
     """Run one check; unset flags take its defaults, flags it does not take are refused."""
-    from . import tauberian
-
     flags = _VERIFY[args.check]
     extra = [n for names in _VERIFY.values() for n in names
              if n not in flags and getattr(args, n) is not None]

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -131,7 +130,7 @@ def _log_betainc(r: float, b: float, log_x: np.ndarray) -> np.ndarray:
                   + np.log(hyp2f1(r + b, 1.0, r + 1.0, x)))
     lost = np.isnan(out)
     if lost.any():
-        out[lost] = _log_lower(r, 0.0)(math.log(b) + log_x[lost])
+        out[lost] = _log_lower(r, 0.0)[0](math.log(b) + log_x[lost])
     return out
 
 
@@ -165,11 +164,12 @@ class _NBMixture:
     Window: the weight is at most e^(log_const + (k+1)s) and
     e^(log_const + (k - 1/c1)s); a section is at most 1, and at most
     e^log_tail p^r with p^r <= e^(-r s) in and e^(-a r s) out.  A mass,
-    or a table holding the cell (0, 0), is at least
-    g = weight (1 + e^s)^-(r_in + a r_out), its value at i = j = 0, so the
-    window ends where the tightest bound falls e^-WINDOW below the least
-    possible peak of g.  At k = 0 the weight alone decays, so sections
-    that decay nowhere (the pgf at x = y = 1) still have a finite window.
+    or a table holding the cell (0, 0), is at least its value g at
+    i = j = 0, weight (1 + e^s)^-(r_in + a r_out) less the factor of a whole
+    untilted section, which is 1; the window ends where the tightest bound
+    falls e^-WINDOW below the least possible peak of g.  At k = 0 the
+    weight alone decays, so sections that decay nowhere (the pgf at
+    x = y = 1) still have a finite window.
     """
 
     def __init__(self, derived: DerivedConstants, r_in: float, r_out: float, k: int,
@@ -177,10 +177,6 @@ class _NBMixture:
         self.c1, self.a, self.k, self.quad = derived.c1, derived.a, k, quad
         self.r_in, self.r_out = r_in + k, r_out
         self.log_const = _log_mix_const(r_in, k, self.c1)
-        # the peak of g relative to e^log_const is (k+1) log q - n log1p(q) at e^s = q
-        n = 1.0 + 1.0 / self.c1 + self.r_in + self.a * r_out
-        q = (k + 1.0) / (n - k - 1.0)
-        self.log_floor = (k + 1.0) * math.log(q) - n * math.log1p(q) - WINDOW
 
     def table(self, i_idx, j_idx) -> np.ndarray:
         """The atoms at every (i, j) of the index arrays, as a table."""
@@ -223,17 +219,23 @@ class _NBMixture:
 
     def _integrate(self, sum_f, tilt_in: float, m_in: float, tilt_out: float, m_out: float):
         """The trapezoid rule over the window of sections with these tilts and largest cuts."""
-        decay = 1.0 / self.c1 - self.k
-        bounds = ((0.0, 0.0), (_log_tail(self.r_in, tilt_in, m_in), self.r_in),
-                  (_log_tail(self.r_out, tilt_out, m_out), self.a * self.r_out))
-        hi = min((log_tail - self.log_floor) / (rate + decay)
-                 for log_tail, rate in bounds if rate + decay > 0)
-        if math.isinf(hi):
+        decay, k1 = 1.0 / self.c1 - self.k, self.k + 1.0
+        # a whole untilted section is 1: its log_tail is inf, and its p^r leaves g
+        bounds = [(log_tail, rate) for log_tail, rate in
+                  ((0.0, 0.0), (_log_tail(self.r_in, tilt_in, m_in), self.r_in),
+                   (_log_tail(self.r_out, tilt_out, m_out), self.a * self.r_out))
+                  if log_tail < math.inf]
+        if all(rate + decay <= 0 for _, rate in bounds):
             raise DomainError(f"the mass is infinite: at k = {self.k} the weight grows like "
                               f"e^({-decay:.6g} s) and no section decays faster")
+        # the peak of g relative to e^log_const is k1 log q - n log1p(q) at e^s = q
+        n = k1 + decay + sum(rate for _, rate in bounds)
+        log_floor = k1 * math.log(k1 / (n - k1)) - n * math.log1p(k1 / (n - k1)) - WINDOW
+        hi = min((log_tail - log_floor) / (rate + decay)
+                 for log_tail, rate in bounds if rate + decay > 0)
         # a sum beyond the float range overflows to inf, which trapezoid reports
         with np.errstate(over="ignore"):
-            return trapezoid(sum_f, self.log_floor / (self.k + 1.0), hi, self.quad)
+            return trapezoid(sum_f, log_floor / k1, hi, self.quad)
 
 
 def usable_cores() -> int:
@@ -401,6 +403,8 @@ class LimitDistribution:
 
     def _sample_blocks(self, n: int, rng: np.random.Generator, pb: float):
         """Run `draw_block` with switch probability pb over n draws in blocks."""
+        from concurrent.futures import ThreadPoolExecutor  # loaded only where a sample is drawn
+
         if n < 0:
             raise DomainError(f"the sample size must be nonnegative, got {n}")
         i_out = np.empty(n, np.int32)

@@ -9,10 +9,9 @@ Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
 56(3), 2014).  `trapezoid` is that rule, scalar and table-valued
 integrands alike.
 
-Each caller bounds its window with a closed-form decay rate where one
-exists: the window ends where the bound has fallen by e^-WINDOW.  Where
-none exists, `log_semiinfinite` scans log f on a unit grid and widens the
-window until both ends lie WINDOW below the largest value seen.
+Each caller bounds its window in closed form, from the decay of the
+mixing weight and of its sections: the window ends where that bound lies
+e^-WINDOW below a lower bound of the integrand's peak.
 """
 
 from __future__ import annotations
@@ -77,38 +76,3 @@ def trapezoid(sum_f, lo: float, hi: float, spec: QuadratureSpec = DEFAULT_QUAD):
         change = float(np.max(np.abs(value - prev)))
         if change <= max(spec.tol_abs, spec.tol_rel * float(np.max(np.abs(value)))):
             return value
-
-
-def log_semiinfinite(log_f, log_split: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Integrate f over (0, inf) given log_f(s) = log(z f(z)) at s = log z.
-
-    `log_split` is the s where the caller expects the peak; the peak may
-    lie far from it.  A unit-step scan from log_split doubles its span on
-    each side whose end is not yet WINDOW below the largest value seen,
-    then the window is trimmed to the nodes above that level, plus one on
-    each side.  A factor that underflows makes log_f -inf, which
-    contributes 0.  The integrand exp(log_f) is positive, so the rule
-    stops on spec.tol_rel alone: an absolute floor would accept a far-tail
-    value, itself below the floor, long before it is relatively accurate.
-    """
-    lo = hi = log_split
-    grow_lo = grow_hi = WINDOW
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        while grow_lo or grow_hi:
-            lo, hi = lo - grow_lo, hi + grow_hi
-            s = np.arange(lo, hi + 0.5)
-            if s.size > MAX_NODES:
-                raise QuadratureFailure(f"no peak of log f within [{lo:.4g}, {hi:.4g}]")
-            v = log_f(s)
-            if not np.all(v < np.inf):
-                raise QuadratureFailure(f"non-finite log-integrand in [{lo:.4g}, {hi:.4g}]")
-            floor = np.max(v) - WINDOW
-            if floor == -np.inf:
-                raise QuadratureFailure(f"the integrand vanishes on [{lo:.4g}, {hi:.4g}]")
-            # >= keeps the top even when the floor rounds to it at huge |log f|
-            grow_lo = (hi - lo) if v[0] >= floor else 0.0
-            grow_hi = (hi - lo) if v[-1] >= floor else 0.0
-        keep = np.flatnonzero(v >= floor)
-        lo, hi = s[keep[0] - 1], s[keep[-1] + 1]
-        relative = QuadratureSpec(tol_abs=0.0, tol_rel=spec.tol_rel)
-        return float(trapezoid(lambda nodes: np.exp(log_f(nodes)).sum(), lo, hi, relative))

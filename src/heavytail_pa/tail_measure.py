@@ -21,11 +21,14 @@ as exp of a log-space integrand: z-powers cannot overflow, and an
 underflowed factor gives 0.  The in-marginal is closed form, from
 int_0^inf t^(s-1) Q(r, t) dt = Gamma(r+s)/(s Gamma(r)) with s = 1/c1.
 
+Each section kind carries closed-form bounds that end the window, as
+limit_dist's NB-mixture kernel ends its own.
+
 The combined measure pb mu_1 + (1 - pb) mu_2, pb = gamma/(alpha+gamma),
-is one mixture integral too: both components share the weight's power
-and the z-scan, so its integrand is
-logaddexp(log pb + log f_1, log(1 - pb) + log f_2), integrated once, and
-the quadrature tolerance applies to the combined value returned.
+is one mixture integral too: both components share the weight's power,
+so its integrand is logaddexp(log pb + log f_1, log(1 - pb) + log f_2),
+integrated once over the union of both components' windows, and the
+quadrature tolerance applies to the combined value returned.
 
 Homogeneity: scaling a rectangle corner by (c**c1, c**c2) divides the
 order-0 mass by c.
@@ -38,13 +41,14 @@ Gamma of scalars, from math.lgamma.  The sample side, `standardize` and
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .errors import DomainError
 from .params import DerivedConstants, ModelParams, derive, split_probability, tail_ready
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, log_semiinfinite
+from .quadrature import DEFAULT_QUAD, WINDOW, QuadratureSpec, trapezoid
 
 _TINY = np.finfo(np.float64).tiny  # the least normal float
 
@@ -55,24 +59,31 @@ def _log_mix_const(r: float, k: float, c1: float) -> float:
 
 
 # Section kinds: kind(r, log_sigma) returns the log of a Gamma(r, scale theta)
-# section as a function of log u, u = sigma/theta, at the nodes.
+# section S as a function of x = log u, u = sigma/theta, at the nodes, and
+# bounds (const, power, decay) of it: log S <= const, log S <= power + r x,
+# and log S <= decay - u/2, with None for a bound that does not hold.
 
 
 def _log_density(r: float, log_sigma: float):
-    """The density at sigma: u^r e^-u / (Gamma(r) sigma)."""
+    """The density at sigma: u^r e^-u / (Gamma(r) sigma).
+
+    u^r e^-u is at most its value at u = r, at most u^r, and at most
+    (2r/e)^r e^(-u/2).
+    """
     shift = math.lgamma(r) + log_sigma
-    return lambda log_u: r * log_u - np.exp(log_u) - shift
+    top = r * math.log(r) - r - shift
+    return (lambda log_u: r * log_u - np.exp(log_u) - shift), top, -shift, top + r * math.log(2.0)
 
 
 def _log_upper(r: float, log_sigma: float):
-    """The mass of [sigma, inf): Q(r, u), 1 at sigma = 0."""
+    """The mass of [sigma, inf): Q(r, u), 1 at sigma = 0, at most 2^r e^(-u/2) (Chernoff)."""
     from scipy.special import gammaincc  # slow to import, so loaded only where it runs
 
-    return lambda log_u: np.log(gammaincc(r, np.exp(log_u)))
+    return (lambda log_u: np.log(gammaincc(r, np.exp(log_u)))), 0.0, None, r * math.log(2.0)
 
 
 def _log_lower(r: float, log_sigma: float):
-    """The mass of [0, sigma]: P(r, u).
+    """The mass of [0, sigma]: P(r, u), at most u^r / Gamma(r+1).
 
     Where P underflows, log P comes from the series
     P(r, u) = u^r e^-u M(1, r+1, u) / Gamma(r+1), which stays finite
@@ -93,53 +104,107 @@ def _log_lower(r: float, log_sigma: float):
         out[under] = r * lu - u - log_norm + np.log(hyp1f1(1.0, r + 1.0, u))
         return out
 
-    return log_p
+    return log_p, 0.0, -log_norm, None
 
 
 def _log_laplace(r: float, log_sigma: float):
-    """The transform at lambda = 1/sigma: (1 + 1/u)^-r, as a logaddexp that cannot overflow."""
-    return lambda log_u: -r * np.logaddexp(0.0, -log_u)
+    """The transform at lambda = 1/sigma: (1 + 1/u)^-r = (u/(1+u))^r, at most 1 and
+    at most u^r, as a logaddexp that cannot overflow."""
+    return (lambda log_u: -r * np.logaddexp(0.0, -log_u)), 0.0, 0.0, None
 
 
 class _GammaMixture:
-    """The order-k measure of a component with gamma shapes (r_in, r_out), as one integral over z.
+    """The order-k measure of a mixture of components, as one integral over z.
 
-    `integral` mixes one section kind on both margins, at sigma_in = e^log_in
-    and sigma_out = e^log_out; the unit-step scan of `log_semiinfinite`
-    starts at max(log sigma_in, log sigma_out / a, 0), where the sections
-    turn.  `log_marginal_const` is the closed-form in-marginal.
+    Component j, of weight e^(w_j) and gamma shapes (r_in, r_out), mixes one
+    section kind on both margins under the weight e^(log_const + (k - 1/c1) s)
+    in s = log z, and the components' log integrands add as a logaddexp.
+    `log_marginal_const` is the closed-form in-marginal.
     """
 
-    def __init__(self, derived: DerivedConstants, r_in: float, r_out: float, k: float,
-                 quad: QuadratureSpec):
-        self.c1, self.a, self.k, self.quad = derived.c1, derived.a, k, quad
-        self.r = r_in  # the order-0 in-shape
-        self.shapes = (r_in + k, r_out)
+    def __init__(self, derived: DerivedConstants, components, k: float, quad: QuadratureSpec):
+        self.c1, self.a, self.k = derived.c1, derived.a, k
+        self.quad = QuadratureSpec(tol_abs=0.0, tol_rel=quad.tol_rel)  # see `integral`
         self.power = k - 1.0 / self.c1
-        self.log_const = _log_mix_const(r_in, k, self.c1)
-
-    def log_integrand(self, kind, log_in: float, log_out: float):
-        """log of the integrand of one section kind, as a function of s = log z."""
-        sec_in, sec_out = kind(self.shapes[0], log_in), kind(self.shapes[1], log_out)
-        log_const, power, a = self.log_const, self.power, self.a
-
-        def log_f(s):
-            return log_const + power * s + sec_in(log_in - s) + sec_out(log_out - a * s)
-
-        return log_f
-
-    def integrate(self, log_f, log_in: float, log_out: float) -> float:
-        """The integral over z of exp(log_f), log_f an integrand at the corner (log_in, log_out)."""
-        return log_semiinfinite(log_f, max(log_in, log_out / self.a, 0.0), self.quad)
+        self.components = components  # (w_j, r_in, r_out), r_in the order-0 in-shape
 
     def integral(self, kind, log_in: float, log_out: float) -> float:
-        return self.integrate(self.log_integrand(kind, log_in, log_out), log_in, log_out)
+        """The integral over z of one section kind at the corner (e^log_in, e^log_out).
+
+        The window is the union of the components' `ends` against a floor
+        WINDOW below the largest value of log f at the sections' turning
+        points u = r.  Where k > 1/c1 the integrand tends to
+        e^(log_const + (k - 1/c1) s) at the left, too long a tail for s at
+        small k - 1/c1, so the rule runs in w, s = s_c + w - e^-w, where it
+        decays double-exponentially.  The integrand is positive, so the rule
+        stops on tol_rel alone: an absolute floor would accept a far-tail
+        value long before it is relatively accurate.
+        """
+        a, power, parts = self.a, self.power, []
+        for w, r_in, r_out in self.components:
+            # per margin (log sigma, rate, r, section, const, line, decay): x = log sigma - rate s
+            sections = [(log_sigma, rate, r, *kind(r, log_sigma)) for log_sigma, rate, r in
+                        ((log_in, 1.0, r_in + self.k), (log_out, a, r_out))]
+            parts.append((w + _log_mix_const(r_in, self.k, self.c1), sections))
+
+        def log_f(s):
+            x_in, x_out = log_in - s, log_out - a * s
+            return power * s + functools.reduce(np.logaddexp, [
+                log_const + sec_in[3](x_in) + sec_out[3](x_out)
+                for log_const, (sec_in, sec_out) in parts])
+
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            probe = np.array([(log_sigma - math.log(r)) / rate for _, sections in parts
+                              for log_sigma, rate, r, *_ in sections if log_sigma > -math.inf])
+            # finite at the rightmost turn, where u <= r on both margins
+            floor = float(np.max(log_f(probe))) - WINDOW
+            lo, hi = zip(*(self.ends(*part, floor) for part in parts))
+            if power < 0.0:
+                return float(trapezoid(lambda s: np.exp(log_f(s)).sum(), min(lo), max(hi), self.quad))
+            s_c = float(probe.min()) - 4.0  # a few units left of the turning points
+
+            def sum_f(w):
+                e = np.exp(-w)
+                return np.exp(log_f(s_c + w - e) + np.log1p(e)).sum()
+
+            # s(w) <= min(lo) at the left end, and s(w) >= max(hi) at the right one
+            w_lo = -math.log1p(max(s_c - min(lo), 0.0))
+            return float(trapezoid(sum_f, w_lo, max(hi) - s_c + 1.0, self.quad))
+
+    def ends(self, log_const: float, sections, floor: float):
+        """(lo, hi) in s, beyond which one component's bounds hold its log f below floor.
+
+        With one section's bound at a time and the other's constant one, the
+        weight ends one side, a power bound the right one, and where the
+        weight grows (k < 1/c1) a decay bound the left one, at the largest
+        root x of e^x/2 = c - q x.  A zero corner's Q(r, 0) is 1: it bounds nothing.
+        """
+        live = [sec for sec in sections if sec[0] > -math.inf]
+        power, top = self.power, log_const + sum(sec[4] for sec in live)
+        end = (floor - top) / power
+        lo, hi = (end, math.inf) if power > 0.0 else (-math.inf, end)
+        for log_sigma, rate, r, _, const, line, decay in live:
+            rest = top - const
+            if line is not None and power < r * rate:
+                hi = min(hi, (floor - rest - line - r * log_sigma) / (power - r * rate))
+            if decay is not None and power < 0.0:
+                # x <- log(2(c - q x)) from e^x/2 = 2y^2 >= c - q x, y = |c| + 2|q| + 2,
+                # decreases to the largest root without passing it
+                c, q = rest + decay + power * log_sigma / rate - floor, power / rate
+                x = 2.0 * math.log(2.0 * (abs(c) + 2.0 * abs(q) + 2.0))
+                for _ in range(3):
+                    if c - q * x <= 0.0:  # no root: e^x/2 is the larger everywhere
+                        break
+                    x = math.log(2.0 * (c - q * x))
+                lo = max(lo, (log_sigma - x) / rate)
+        return lo, hi
 
     def log_marginal_const(self) -> float:
-        """log C, with the in-marginal C x^(k - 1/c1): the mass of [x, inf) at k = 0,
-        of [0, x] at k > 1/c1."""
+        """log C, with the in-marginal C x^(k - 1/c1) of a one-component measure: the
+        mass of [x, inf) at k = 0, of [0, x] at k > 1/c1."""
+        [(w, r_in, _)] = self.components
         inv = 1.0 / self.c1
-        return _log_mix_const(self.r, inv, self.c1) - math.log(abs(self.k - inv))
+        return w + _log_mix_const(r_in, inv, self.c1) - math.log(abs(self.k - inv))
 
 
 class TailMeasure:
@@ -150,17 +215,19 @@ class TailMeasure:
         self.derived: DerivedConstants = derive(self.params)
         self.split = split_probability(self.params)
         self.quad = quad
-        with np.errstate(divide="ignore"):  # pb is 0 at gamma = 0 and 1 at alpha = 0
-            self._log_split = tuple(np.log([self.split, 1.0 - self.split]).tolist())
         din, dout = self.params.delta_in, self.params.delta_out
-        self._kernels = {1: _GammaMixture(self.derived, din + 1.0, dout, 0, quad),
-                         2: _GammaMixture(self.derived, din, dout + 1.0, 0, quad)}
+        parts = {1: (self.split, din + 1.0, dout), 2: (1.0 - self.split, din, dout + 1.0)}
+        self._kernels = {j: _GammaMixture(self.derived, [(0.0, r_in, r_out)], 0, quad)
+                         for j, (_, r_in, r_out) in parts.items()}
+        # pb is 0 at gamma = 0 and 1 at alpha = 0
+        self._kernels["combined"] = _GammaMixture(self.derived, [
+            (math.log(pb), r_in, r_out) for pb, r_in, r_out in parts.values() if pb > 0.0], 0, quad)
 
     def density(self, component, x: float, y: float) -> float:
         """Lebesgue density at (x, y), both > 0: gamma density sections under the mixture."""
         if x <= 0 or y <= 0:
             raise DomainError("density is defined on the open quadrant x, y > 0")
-        return self._integral(component, _log_density, math.log(x), math.log(y))
+        return self._kernel(component).integral(_log_density, math.log(x), math.log(y))
 
     def rect_mass(self, component, x_lo: float, y_lo: float) -> float:
         """Mass of [x_lo, inf) x [y_lo, inf); at least one bound positive.
@@ -173,25 +240,16 @@ class TailMeasure:
         if x_lo == 0 and y_lo == 0:
             raise DomainError("the tail measure is infinite at the origin rectangle")
         log_in, log_out = (math.log(v) if v > 0 else -math.inf for v in (x_lo, y_lo))
-        return self._integral(component, _log_upper, log_in, log_out)
+        return self._kernel(component).integral(_log_upper, log_in, log_out)
 
     def marginal_mass_closed_form(self, component, x_lo: float) -> float:
         """Closed form of rect_mass(component, x_lo, 0)."""
         if x_lo <= 0:
             raise DomainError("x_lo must be positive")
-        if component not in self._kernels:
+        if component not in (1, 2):
             raise DomainError("closed form available for components 1 and 2")
         kernel = self._kernels[component]
         return math.exp(kernel.log_marginal_const() - math.log(x_lo) / self.derived.c1)
-
-    def _integral(self, component, kind, log_in: float, log_out: float) -> float:
-        """One mixture integral of a section kind.  The combined measure mixes the
-        two components' integrands, pb f1 + (1 - pb) f2 as a logaddexp, under one rule."""
-        if component != "combined":
-            return self._kernel(component).integral(kind, log_in, log_out)
-        (w1, w2), k1, k2 = self._log_split, self._kernels[1], self._kernels[2]
-        f1, f2 = k1.log_integrand(kind, log_in, log_out), k2.log_integrand(kind, log_in, log_out)
-        return k1.integrate(lambda s: np.logaddexp(w1 + f1(s), w2 + f2(s)), log_in, log_out)
 
     def _kernel(self, component) -> _GammaMixture:
         try:

@@ -114,7 +114,7 @@ def _limit_kernel(k, params: ModelParams, quad: QuadratureSpec) -> _GammaMixture
     params = tail_ready(params)
     derived = derive(params)
     _check_order(k, derived)
-    return _GammaMixture(derived, params.delta_in + 1.0, params.delta_out, k, quad)
+    return _GammaMixture(derived, [(0.0, params.delta_in + 1.0, params.delta_out)], k, quad)
 
 
 @dataclass(frozen=True)

@@ -287,7 +287,7 @@ def test_exit_code_on_usage_error(capsys):
     assert exc.value.code == 1
 
 
-# the names the package exports, the lazily loaded ones included
+# the names the package exports
 PUBLIC_NAMES = (
     "AngularHistogram", "DEFAULT_QUAD", "DEFAULT_SEED", "DegenerateTail", "DegenerateTailSample",
     "DerivativeMeasure", "DerivedConstants", "DirectedMultigraph", "DomainError", "EmptyInput",
@@ -325,9 +325,8 @@ def test_package_import_skips_scipy_stats(tmp_path):
     of the import time; nothing needs them.  scipy.special costs most of the
     rest: it loads only where an incomplete gamma or beta function is
     evaluated (verify's truncation, measure and marginal checks,
-    TailMeasure.rect_mass), and its names still resolve on first use.  The
-    commands that use no evaluator also leave the thread pool of
-    concurrent.futures unloaded."""
+    TailMeasure.rect_mass), and its names still resolve on first use.  Only
+    the sampler loads the thread pool of concurrent.futures."""
     import heavytail_pa
 
     root = os.path.dirname(os.path.dirname(heavytail_pa.__file__))
@@ -353,16 +352,16 @@ def test_package_import_skips_scipy_stats(tmp_path):
                   "--out", tmp_path / "a.csv") == "[]"
     assert loaded(cli, "density", "--grid-x", "1", "--grid-y", "1",
                   "--out", tmp_path / "d.csv") == "[]"
-    pool = "['concurrent.futures']"
     assert loaded(cli, "analytic-pmf", "--imax", "3", "--jmax", "3",
-                  "--out", tmp_path / "p.csv") == pool
+                  "--out", tmp_path / "p.csv") == "[]"
+    pool = "['concurrent.futures']"
     assert loaded(cli, "sample-limit", "--n", "100", "--out", tmp_path / "s.csv") == pool
     assert loaded(cli, "compare", "--counts", counts, "--imax", "3", "--jmax", "3",
-                  "--out", tmp_path / "cmp.json") == pool
+                  "--out", tmp_path / "cmp.json") == "[]"
     # scipy.special itself imports concurrent.futures
     special = "['concurrent.futures', 'scipy.special']"
     assert loaded(cli, "verify", "--check", "truncation", "--out", tmp_path / "v.json") == special
-    assert loaded(cli, "verify", "--check", "uhat", "--out", tmp_path / "u.json") == pool
+    assert loaded(cli, "verify", "--check", "uhat", "--out", tmp_path / "u.json") == "[]"
     assert loaded("from heavytail_pa import ModelParams, TailMeasure; "
                   "TailMeasure(ModelParams(0.3, 0.5, 0.2, 1.0, 1.0)).rect_mass(1, 1.0, 1.0)"
                   ) == special
@@ -373,4 +372,4 @@ def test_package_import_skips_scipy_stats(tmp_path):
             "assert sorted(pa.__all__) == sorted(names), sorted(set(pa.__all__) ^ set(names)); "
             "assert all(getattr(pa, n) is star[n] for n in names); "
             "assert isinstance(pa.simulate, types.FunctionType), pa.simulate")
-    assert loaded(code) == pool
+    assert loaded(code) == "[]"

@@ -19,6 +19,7 @@ from heavytail_pa import (
     JointPMF,
     LimitDistribution,
     ModelParams,
+    QuadratureFailure,
     ScalingFunctions,
     TailMeasure,
     build_derivative_measure,
@@ -72,11 +73,26 @@ def test_invariants_over_the_parameter_domain(point):
         b = ScalingFunctions.for_derivative_measure(params, k)
         return transform_scaling(build_derivative_measure(k, params), b, 1e4, 1.0, 1.0)
 
-    positive = {
+    # The gamma-mixture integrals resolve at every point.  The limit ones
+    # grow like Gamma(delta_in + 1 + k) and pass the float range at large k
+    # (7e361 at (0.02, 0.02, 0.96, 6.65, 1.99), k = 191): only there may they
+    # fail, on an integrand value that overflows.
+    resolved = {
         "density": lambda: tm.density("combined", 1.0, 1.0),
         "rect_mass": lambda: tm.rect_mass("combined", 1.0, 1.0),
         "uhat_limit_rhs": lambda: uhat_limit_rhs(k, params, 1.0, 1.0),
         "derivative_limit_rect": lambda: derivative_limit_rect(k, params, 1.0, 1.0),
+    }
+    for name, evaluate in resolved.items():
+        try:
+            value = evaluate()
+        except QuadratureFailure as exc:
+            assert name in ("uhat_limit_rhs", "derivative_limit_rect"), (name, exc)
+            assert "non-finite integrand value" in str(exc), (name, exc)
+            continue
+        assert math.isfinite(value) and value > 0, (name, value)
+
+    positive = {
         "transform_scaling": transform,
         "marginal_mass_in": lambda: build_derivative_measure(k, params).marginal_mass(1, 10.0),
     }
@@ -91,6 +107,16 @@ def test_invariants_over_the_parameter_domain(point):
     for x in (0.5, 2.0):
         rect = _value(lambda: tm.rect_mass(1, x, 0.0))
         assert rect is None or abs(rect / tm.marginal_mass_closed_form(1, x) - 1.0) <= 1e-8
+
+
+def test_small_gamma1_limits_resolve():
+    """gamma1 = k - 1/c1 = 0.0047 here: the limit integrands' left tails decay like
+    e^(gamma1 s).  The targets are mpmath values at 25 digits."""
+    params, k = ModelParams(0.2281, 0.3597, 0.4122, 14.04, 0.4749), 17
+    assert k - 1.0 / derive(params).c1 == pytest.approx(0.0047, abs=5e-5)
+    assert uhat_limit_rhs(k, params, 1.0, 1.0) == pytest.approx(3.420187051840916e26, rel=1e-10)
+    assert derivative_limit_rect(k, params, 1.0, 1.0) == pytest.approx(
+        3.4295003497594583e26, rel=1e-10)
 
 
 # Growth against the limit law over the domain: named points with simplex

@@ -14,7 +14,7 @@ from heavytail_pa import (
     derive,
     uhat_limit_rhs,
 )
-from heavytail_pa.quadrature import MAX_NODES, log_semiinfinite, trapezoid
+from heavytail_pa.quadrature import MAX_NODES, trapezoid
 
 
 def test_table_rule_fails_fast_on_a_nan_integrand():
@@ -130,24 +130,18 @@ def test_high_alpha_in_matches_mpmath(name):
     assert got == pytest.approx(_mpmath_oracle(name), rel=1e-10, abs=0.0)
 
 
-def test_quad_semiinfinite_gamma_integral():
-    # int_0^inf z^2 e^-z dz = 2, given as log(z * z^2 e^-z) at s = log z
-    val = log_semiinfinite(lambda s: 3.0 * s - np.exp(s), log_split=math.log(2.0))
-    assert val == pytest.approx(2.0, rel=1e-10)
-
-
-@pytest.mark.parametrize("theta", [1e-60, 1e60], ids=["peak-left", "peak-right"])
-def test_window_cutting_the_peak_is_widened(theta):
-    """int z^2 e^(-z/theta) dz = 2 theta^3 peaks at log z = log theta, 138 from the split."""
-
-    def log_f(s):
-        return 3.0 * s - np.exp(s) / theta
-
-    assert log_semiinfinite(log_f, log_split=0.0) == pytest.approx(2.0 * theta**3, rel=1e-12, abs=0.0)
-
-
-def test_semiinfinite_rejects_an_integrand_without_a_peak():
-    with pytest.raises(QuadratureFailure, match="no peak"):
-        log_semiinfinite(lambda s: 0.5 * s, log_split=0.0)
-    with pytest.raises(QuadratureFailure, match="non-finite"):
-        log_semiinfinite(lambda s: np.where(s > 3.0, np.nan, -(s**2)), log_split=0.0)
+@pytest.mark.parametrize("scale", [1e-60, 1e60], ids=["peak-left", "peak-right"])
+def test_far_peak_lies_in_the_window(params, scale):
+    """At corners scaled by 1e-60 and 1e60 the integrand peaks near log z = -+138/c1,
+    far from s = 0: density homogeneity holds there, and rect_mass(1, x, 0)
+    equals the closed-form marginal."""
+    tm = TailMeasure(params)
+    d = tm.derived
+    log_c = math.log(scale) / d.c1  # (x, y) -> (c^c1 x, c^c2 y) divides the density by c^(1+c1+c2)
+    x, y = 0.8, 1.5
+    far = tm.density(1, math.exp(d.c1 * log_c) * x, math.exp(d.c2 * log_c) * y)
+    assert math.log(far) + (1.0 + d.c1 + d.c2) * log_c == pytest.approx(
+        math.log(tm.density(1, x, y)), rel=0.0, abs=1e-11)
+    corner = scale * x
+    assert tm.rect_mass(1, corner, 0.0) == pytest.approx(
+        tm.marginal_mass_closed_form(1, corner), rel=1e-12, abs=0.0)

@@ -27,7 +27,9 @@ from heavytail_pa import (
     uhat_check,
     uhat_limit_rhs,
 )
+from heavytail_pa import limit_dist
 from heavytail_pa.limit_dist import _log_betainc
+from heavytail_pa.quadrature import trapezoid
 from heavytail_pa.tauberian import TransformReport
 from oracles import LatticeMeasure, atom, dense_atoms
 
@@ -105,6 +107,25 @@ def test_out_marginal_finite_at_k2(params):
     # i = 2e4 still leaves just under one percent in the tail
     assert table.sum() < val
     assert table.sum() == pytest.approx(val, rel=2e-2)
+
+
+@pytest.mark.parametrize("point, k, value, budget", [
+    ((0.081, 0.407, 0.512, 16.5, 0.0546), 23, 1.1979958482994021e35, 2000),
+    ((0.3, 0.5, 0.2, 1.0, 1.0), 2, 33.318566911857616, 600),
+], ids=["far", "canonical"])
+def test_whole_section_leaves_the_window_floor(monkeypatch, point, k, value, budget):
+    """The whole in-section of an out-marginal is 1, so its p^r no longer lowers
+    the floor g: the far point's window was (-3.4, 477.2), over 3,845 nodes,
+    and the canonical one took 627 nodes."""
+    nodes = []
+
+    def counted(sum_f, lo, hi, spec):
+        return trapezoid(lambda s: nodes.append(s.size) or sum_f(s), lo, hi, spec)
+
+    monkeypatch.setattr(limit_dist, "trapezoid", counted)
+    measure = build_derivative_measure(k, ModelParams(*point))
+    assert measure.marginal_mass(2, 10.0) == pytest.approx(value, rel=1e-12)
+    assert sum(nodes) <= budget
 
 
 def test_slow_out_marginal_matches_mpmath():
