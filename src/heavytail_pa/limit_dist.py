@@ -10,16 +10,16 @@ with shapes r_in(1) = delta_in + 1, r_out(1) = delta_out and
 r_in(2) = delta_in, r_out(2) = delta_out + 1.  This rests on the NB pgf
 identity sum_m nb(m; r, 1/z) x^m = (x + (1-x) z)^(-r), which turns the
 printed integral generating functions into exact samplers and stable
-pmf quadratures.  The full degree pair mixes the two components with a
+pgf quadratures.  The full degree pair mixes the two components with a
 Bernoulli(gamma/(alpha+gamma)) switch and a +1 on the switched margin.
 
-Every pgf and pmf here, and every mass of tauberian's derivative
-measure, is one integral over Z, held by the kernel `_NBMixture`: its
-order-0 measure of a component is the component's law, and the
-derivative measure is its order-k measure of component 1.  An NB pmf
-needs only log Gamma of its shape shifted by integers, which math.lgamma
-gives; only a cdf section loads scipy.special, when it runs, so the pgf,
-the pmf and the sampler need none.
+Every pgf here, and every mass of tauberian's derivative measure, is one
+integral over Z, held by the kernel `_NBMixture`: its order-0 measure of
+a component is the component's law, and the derivative measure is its
+order-k measure of component 1.  The pmf needs no integral: it is exact
+from the model's balance equations, swept by `_balance_table`.  Only a
+cdf section loads scipy.special, when it runs, so the pgf, the pmf and
+the sampler need none.
 
 The sampler draws in blocks of SAMPLE_BLOCK pairs into preallocated
 int32 outputs, each block from its own child stream spawned once from
@@ -38,10 +38,12 @@ cores; it differs from that of earlier builds.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 
 import numpy as np
 
+from .census import MAX_TABLE_CELLS
 from .errors import DomainError, ResourceLimit
 from .params import DerivedConstants, ModelParams, derive, split_probability, validate
 from .quadrature import DEFAULT_QUAD, WINDOW, QuadratureSpec, trapezoid
@@ -55,26 +57,6 @@ COUNT_LIMIT = 2**31  # sampled degrees are int32
 # Poisson means are clipped here: a draw at this mean always exceeds
 # COUNT_LIMIT, and numpy refuses means near 2**63
 _MEAN_CAP = 2.0**40
-
-
-def _nb_log_coef(m, r: float) -> np.ndarray:
-    """log Gamma(r+m) - log Gamma(r) - log Gamma(m+1), the p-free term of _nb_logpmf.
-
-    numpy has no log-gamma ufunc, so math.lgamma runs elementwise.  -inf
-    where m < 0 (mass 0); r = 0 degenerates at 0.
-    """
-    m = np.asarray(m, np.float64)
-    if r == 0.0:
-        return np.where(m == 0, 0.0, -np.inf)
-    lg_r = math.lgamma(r)
-    terms = [math.lgamma(r + v) - lg_r - math.lgamma(v + 1.0) if v >= 0 else -math.inf
-             for v in m.ravel().tolist()]
-    return np.reshape(terms, m.shape)
-
-
-def _nb_logpmf(coef, m: np.ndarray, r: float, log_p, log_1mp) -> np.ndarray:
-    """log NB(m; r, p) from coef = _nb_log_coef(m, r), log p and log(1 - p)."""
-    return coef + r * log_p + np.where(m > 0, m * log_1mp, 0.0)
 
 
 def _section(r: float, log_p, log_odds, tilt: float):
@@ -149,27 +131,25 @@ def _log_tail(r: float, tilt: float, m: float) -> float:
 class _NBMixture:
     """The order-k measure of a mixture component, as one integral over Z.
 
-    It evaluates three kinds of NB section: a pmf table over index arrays
-    (`table`), and cut and whole tilted sections (`mass`), the NB cdf and
-    pgf.  For the component with NB shapes (r_in, r_out) its atoms are
-    (i+1)...(i+k) P[X = i+k, Y = j].  Given Z = z the factorials shift
-    the in-shape, so in s = log(z - 1) the atoms are the product of
-    NB(r_in + k, 1/z) and NB(r_out, z^-a) masses under the weight
-    exp(log_const + (k+1)s - (1+1/c1) log1p(e^s)); at k = 0 they are
-    the component's pmf.  Every factor enters as a log, with
+    It evaluates cut and whole tilted NB sections (`mass`): the NB cdf,
+    the pgf and the derivative measure.  For the component with NB
+    shapes (r_in, r_out) its atoms are (i+1)...(i+k) P[X = i+k, Y = j].
+    Given Z = z the factorials shift the in-shape, so in s = log(z - 1)
+    the atoms are the product of NB(r_in + k, 1/z) and NB(r_out, z^-a)
+    masses under the weight exp(log_const + (k+1)s - (1+1/c1) log1p(e^s));
+    at k = 0 they are the component's pmf.  Every factor enters as a log, with
     log(1/z) = -logaddexp(0, s) and log z^-a = a times it, and the
     integrand is exp(log w + sum of log sections): nothing overflows at
     the far scale, and a factor that underflows contributes 0.
 
     Window: the weight is at most e^(log_const + (k+1)s) and
     e^(log_const + (k - 1/c1)s); a section is at most 1, and at most
-    e^log_tail p^r with p^r <= e^(-r s) in and e^(-a r s) out.  A mass,
-    or a table holding the cell (0, 0), is at least its value g at
-    i = j = 0, weight (1 + e^s)^-(r_in + a r_out) less the factor of a whole
-    untilted section, which is 1; the window ends where the tightest bound
-    falls e^-WINDOW below the least possible peak of g.  At k = 0 the
-    weight alone decays, so sections that decay nowhere (the pgf at
-    x = y = 1) still have a finite window.
+    e^log_tail p^r with p^r <= e^(-r s) in and e^(-a r s) out.  A mass
+    is at least its value g at i = j = 0, weight (1 + e^s)^-(r_in + a r_out)
+    less the factor of a whole untilted section, which is 1; the window
+    ends where the tightest bound falls e^-WINDOW below the least possible
+    peak of g.  At k = 0 the weight alone decays, so sections that decay
+    nowhere (the pgf at x = y = 1) still have a finite window.
     """
 
     def __init__(self, derived: DerivedConstants, r_in: float, r_out: float, k: int,
@@ -177,19 +157,6 @@ class _NBMixture:
         self.c1, self.a, self.k, self.quad = derived.c1, derived.a, k, quad
         self.r_in, self.r_out = r_in + k, r_out
         self.log_const = _log_mix_const(r_in, k, self.c1)
-
-    def table(self, i_idx, j_idx) -> np.ndarray:
-        """The atoms at every (i, j) of the index arrays, as a table."""
-        i_idx, j_idx = np.asarray(i_idx, np.float64), np.asarray(j_idx, np.float64)
-        ci, cj = _nb_log_coef(i_idx, self.r_in), _nb_log_coef(j_idx, self.r_out)
-
-        def sum_f(s):
-            s = s[:, None]
-            log_w, (lp, _), (lq, oq) = self._logs(s)
-            w_in = np.exp(log_w + _nb_logpmf(ci, i_idx, self.r_in, lp, -np.logaddexp(0.0, -s)))
-            return w_in.T @ np.exp(_nb_logpmf(cj, j_idx, self.r_out, lq, lq + oq))
-
-        return self._integrate(sum_f, 0.0, i_idx.max(), 0.0, j_idx.max())
 
     def mass(self, cuts, tilt_in: float = 0.0, tilt_out: float = 0.0) -> np.ndarray:
         """sum_{i <= m_in, j <= m_out} of the atoms times e^(-tilt_in i - tilt_out j).
@@ -236,6 +203,46 @@ class _NBMixture:
         # a sum beyond the float range overflows to inf, which trapezoid reports
         with np.errstate(over="ignore"):
             return trapezoid(sum_f, log_floor / k1, hi, self.quad)
+
+
+def _balance_table(derived: DerivedConstants, delta_in: float, delta_out: float,
+                   sources: tuple[float, float], i_max: int, j_max: int) -> np.ndarray:
+    """n_ij on [0, i_max] x [0, j_max] from the model's balance equations.
+
+    n_ij (1 + c1(i + delta_in) + c2(j + delta_out)) = c1(i-1 + delta_in) n_{i-1,j}
+    + c2(j-1 + delta_out) n_{i,j-1} + the sources, whose weights at (1, 0)
+    and (0, 1) are `sources` (Bollobas, Borgs, Chayes and Riordan, "Directed
+    scale-free graphs", SODA 2003).  No term is negative, so the sweep over
+    the anti-diagonals i + j = s is exact.  With a zero row and column
+    padded on, a diagonal and its neighbours (i-1, j) and (i, j-1) are
+    views of the flat table with one stride, a row and a cell apart.  A box
+    past MAX_TABLE_CELLS raises ResourceLimit before anything is allocated.
+    """
+    if (i_max + 1) * (j_max + 1) > MAX_TABLE_CELLS:
+        raise ResourceLimit(f"a {i_max + 1} x {j_max + 1} pmf box exceeds {MAX_TABLE_CELLS} cells")
+    c1, c2, w = derived.c1, derived.c2, j_max + 2
+    padded = np.zeros((i_max + 2, w))
+    padded[2:3, 1:2], padded[1:2, 2:3] = sources  # a source outside the box meets an empty slice
+    flat, step = padded.reshape(-1), w - 1
+    up = c1 * (np.arange(i_max + 1.0) - 1.0 + delta_in)
+    left = c2 * (np.arange(j_max, -1.0, -1.0) - 1.0 + delta_out)  # by descending j
+    for s in range(i_max + j_max + 1):
+        lo, hi = max(0, s - j_max), min(s, i_max)
+        start = (lo + 1) * w + s - lo + 1
+        stop = start + (hi - lo) * step + 1
+        up_s, left_s = up[lo:hi + 1], left[j_max - s + lo:j_max - s + hi + 1]
+        cells = flat[start:stop:step]
+        cells += up_s * flat[start - w:stop - w:step]
+        cells += left_s * flat[start - 1:stop - 1:step]
+        cells /= (1.0 + c1 + c2) + up_s + left_s  # 1 + c1(i + delta_in) + c2(j + delta_out)
+    return padded[1:, 1:]
+
+
+def _index(value) -> int:
+    """A pmf index: a nonnegative integer, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise DomainError(f"pmf indices must be nonnegative integers, got {value!r}")
+    return int(value)
 
 
 def usable_cores() -> int:
@@ -336,42 +343,34 @@ class LimitDistribution:
     # -- probability masses ----------------------------------------------
 
     def pmf_component(self, component: int, i: int, j: int) -> float:
-        """Joint mass P[X = i, Y = j] of one component, by mixing NB pmfs over Z."""
-        if i < 0 or j < 0:
-            raise DomainError("pmf indices must be nonnegative")
-        return float(self._kernel(component).table([i], [j])[0, 0])
+        """Joint mass P[X = i, Y = j] of one component: the last cell of its table."""
+        return float(self.pmf_component_table(component, i, j)[i, j])
 
     def pmf(self, i: int, j: int) -> float:
-        """P[I = i, O = j] for the full degree pair."""
-        if i < 0 or j < 0:
-            raise DomainError("pmf indices must be nonnegative")
-        pb = self.split
-        val = 0.0
-        if i >= 1:
-            val += pb * self.pmf_component(1, i - 1, j)
-        if j >= 1:
-            val += (1.0 - pb) * self.pmf_component(2, i, j - 1)
-        return val
+        """P[I = i, O = j] for the full degree pair: the last cell of its table."""
+        return float(self.pmf_table(i, j)[i, j])
 
     def pmf_component_table(self, component: int, i_max: int, j_max: int) -> np.ndarray:
         """Dense table of P[X_j = i, Y_j = m] for i <= i_max, m <= j_max.
 
-        One set of mixing nodes serves every cell; the step is halved
-        until the whole table is stable.
+        Component 1 is the balance equations' table for a unit source at
+        (1, 0) less its row 0, component 2 that for (0, 1) less column 0.
         """
-        return self._kernel(component).table(np.arange(i_max + 1), np.arange(j_max + 1))
+        self._kernel(component)  # raises DomainError unless component is 1 or 2
+        di, dj = (1, 0) if component == 1 else (0, 1)
+        table = _balance_table(self.derived, self.params.delta_in, self.params.delta_out,
+                               (di, dj), _index(i_max) + di, _index(j_max) + dj)
+        return table[di:, dj:]
 
     def pmf_table(self, i_max: int, j_max: int) -> np.ndarray:
-        """Dense table of P[I = i, O = j] on [0, i_max] x [0, j_max]."""
-        pb = self.split
-        t1 = self.pmf_component_table(1, max(i_max - 1, 0), j_max)
-        t2 = self.pmf_component_table(2, i_max, max(j_max - 1, 0))
-        out = np.zeros((i_max + 1, j_max + 1))
-        if i_max >= 1:
-            out[1:, :] += pb * t1
-        if j_max >= 1:
-            out[:, 1:] += (1.0 - pb) * t2
-        return out
+        """Dense table of P[I = i, O = j] on [0, i_max] x [0, j_max].
+
+        The balance equations with both births, so p_ij = n_ij/(alpha+gamma):
+        gamma/(alpha+gamma) at (1, 0) and alpha/(alpha+gamma) at (0, 1).
+        """
+        pb, p = self.split, self.params
+        return _balance_table(self.derived, p.delta_in, p.delta_out, (pb, 1.0 - pb),
+                              _index(i_max), _index(j_max))
 
     # -- sampling ----------------------------------------------------------
 

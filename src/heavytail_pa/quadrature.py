@@ -48,8 +48,8 @@ def trapezoid(sum_f, lo: float, hi: float, spec: QuadratureSpec = DEFAULT_QUAD):
     evaluating only the new midpoints, until the max-norm change is
     within max(tol_abs, tol_rel * max|value|).  The ends are never
     evaluated: every window ends where f is negligible.  A non-finite
-    sum raises QuadratureFailure, and so does a level that would take
-    the nodes past MAX_NODES, before its nodes are built.
+    sum or running total raises QuadratureFailure, and so does a level
+    that would take the nodes past MAX_NODES, before its nodes are built.
     """
     n = max(2, math.ceil(4.0 * (hi - lo)))
     h = (hi - lo) / n
@@ -75,4 +75,6 @@ def trapezoid(sum_f, lo: float, hi: float, spec: QuadratureSpec = DEFAULT_QUAD):
         prev, value = value, h * total
         change = float(np.max(np.abs(value - prev)))
         if change <= max(spec.tol_abs, spec.tol_rel * float(np.max(np.abs(value)))):
+            if change == math.inf:  # the total overflowed, and inf <= tol_rel * inf
+                raise QuadratureFailure(f"the running sum overflows the float range at {used} nodes")
             return value

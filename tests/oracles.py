@@ -9,8 +9,27 @@ import math
 import numpy as np
 
 from heavytail_pa import DomainError, LimitDistribution
-from heavytail_pa.limit_dist import _nb_log_coef, _nb_logpmf
 from heavytail_pa.tauberian import TransformReport
+
+
+def _nb_log_coef(m, r: float) -> np.ndarray:
+    """log Gamma(r+m) - log Gamma(r) - log Gamma(m+1), the p-free term of _nb_logpmf.
+
+    numpy has no log-gamma ufunc, so math.lgamma runs elementwise.  -inf
+    where m < 0 (mass 0); r = 0 degenerates at 0.
+    """
+    m = np.asarray(m, np.float64)
+    if r == 0.0:
+        return np.where(m == 0, 0.0, -np.inf)
+    lg_r = math.lgamma(r)
+    terms = [math.lgamma(r + v) - lg_r - math.lgamma(v + 1.0) if v >= 0 else -math.inf
+             for v in m.ravel().tolist()]
+    return np.reshape(terms, m.shape)
+
+
+def _nb_logpmf(coef, m: np.ndarray, r: float, log_p, log_1mp) -> np.ndarray:
+    """log NB(m; r, p) from coef = _nb_log_coef(m, r), log p and log(1 - p)."""
+    return coef + r * log_p + np.where(m > 0, m * log_1mp, 0.0)
 
 
 def nb_logpmf(m, r: float, p) -> np.ndarray:
@@ -23,6 +42,36 @@ def nb_logpmf(m, r: float, p) -> np.ndarray:
 def nb_pmf(m, r: float, p) -> np.ndarray:
     """NB(m; r, p) on the support {0, 1, ...}; r = 0 degenerates at 0."""
     return np.exp(nb_logpmf(m, r, p))
+
+
+def mixture_pmf_table(kernel, i_idx, j_idx) -> np.ndarray:
+    """The atoms of an NB-mixture kernel at every (i, j) of the index arrays, by quadrature.
+
+    The NB pmfs mixed over Z on the kernel's own nodes and window; at
+    order 0 this is the component's pmf.  The window holds wherever the
+    index arrays hold 0.
+    """
+    i_idx, j_idx = np.asarray(i_idx, np.float64), np.asarray(j_idx, np.float64)
+    ci, cj = _nb_log_coef(i_idx, kernel.r_in), _nb_log_coef(j_idx, kernel.r_out)
+
+    def sum_f(s):
+        s = s[:, None]
+        log_w, (lp, _), (lq, oq) = kernel._logs(s)
+        w_in = np.exp(log_w + _nb_logpmf(ci, i_idx, kernel.r_in, lp, -np.logaddexp(0.0, -s)))
+        return w_in.T @ np.exp(_nb_logpmf(cj, j_idx, kernel.r_out, lq, lq + oq))
+
+    return kernel._integrate(sum_f, 0.0, i_idx.max(), 0.0, j_idx.max())
+
+
+def mixture_joint_pmf_table(dist, i_max: int, j_max: int) -> np.ndarray:
+    """P[I = i, O = j] on [0, i_max] x [0, j_max] from the two components' quadratures."""
+    pb, i_idx, j_idx = dist.split, np.arange(i_max + 1), np.arange(j_max + 1)
+    out = np.zeros((i_max + 1, j_max + 1))
+    if i_max >= 1:
+        out[1:, :] += pb * mixture_pmf_table(dist._kernel(1), i_idx[:-1], j_idx)
+    if j_max >= 1:
+        out[:, 1:] += (1.0 - pb) * mixture_pmf_table(dist._kernel(2), i_idx, j_idx[:-1])
+    return out
 
 
 def _rising(i: int, k: int) -> float:

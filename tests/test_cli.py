@@ -191,6 +191,18 @@ def test_bad_input_file_is_an_error(tmp_path, capsys, command, text, message):
     assert "usecols" not in err
 
 
+@pytest.mark.parametrize("flag", ["--imax", "--jmax"])
+@pytest.mark.parametrize("command", ["analytic-pmf", "compare"])
+def test_negative_pmf_box_is_an_error(tmp_path, capsys, command, flag):
+    counts = tmp_path / "in.csv"
+    counts.write_text("i,j,N_ij\n1,0,5\n0,1,4\n")
+    argv = [command, flag, "-1", "--out", str(tmp_path / "out")]
+    assert run(argv + (["--counts", str(counts)] if command == "compare" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pmf indices must be nonnegative integers, got -1")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["estimate", "compare"])
 def test_huge_degree_cell_passes_through(tmp_path, command):
     # a count table is a cell list: (1e6, 1e6) is one cell, not a 1e12-cell table

@@ -7,7 +7,9 @@ import pytest
 from heavytail_pa import DEFAULT_SEED, DomainError, LimitDistribution, ModelParams, ResourceLimit
 from heavytail_pa import limit_dist
 from heavytail_pa.limit_dist import BLOCK_BYTES, SAMPLE_BLOCK, draw_block
-from oracles import nb_logpmf, nb_pmf
+from oracles import mixture_pmf_table, nb_logpmf, nb_pmf
+
+FAR = ModelParams(0.081, 0.407, 0.512, 16.5, 0.0546)
 
 
 def mc_pgf(x, y, xs, ys):
@@ -83,24 +85,45 @@ def test_pmf_component_at_origin_equals_pgf(dist):
 def test_pmf_table_matches_single_cell_quadrature(dist):
     table = dist.pmf_component_table(1, 6, 6)
     for i, j in [(0, 0), (1, 3), (5, 2), (6, 6)]:
-        assert table[i, j] == pytest.approx(dist.pmf_component(1, i, j), abs=1e-11)
+        assert table[i, j] == pytest.approx(mixture_pmf_table(dist._kernel(1), [i], [j])[0, 0],
+                                            abs=1e-12)
+
+
+def mp_component_pmf(dist, component, i, j):
+    """P[X = i, Y = j] of a component by its mixture integral in s = log(z - 1),
+    at 30 digits: in z itself mp.quad misses 3e-14 of the far point's pmf(4, 200)."""
+    with mp.workdps(30):
+        c1, a = mp.mpf(dist.derived.c1), mp.mpf(dist.derived.a)
+        r_in = mp.mpf(dist.params.delta_in) + (component == 1)
+        r_out = mp.mpf(dist.params.delta_out) + (component == 2)
+        log_coef = (mp.loggamma(r_in + i) - mp.loggamma(r_in) - mp.loggamma(i + 1)
+                    + mp.loggamma(r_out + j) - mp.loggamma(r_out) - mp.loggamma(j + 1))
+
+        def f(s):
+            log_z = mp.log1p(mp.exp(s))
+            log_q = -a * log_z
+            return mp.exp(log_coef + s - (1 + 1 / c1 + r_in) * log_z + i * (s - log_z)
+                          + r_out * log_q + j * mp.log(-mp.expm1(log_q)))
+
+        return mp.quad(f, mp.linspace(-60, 80, 141)) / c1
 
 
 def test_far_pmf_cell_matches_mpmath(dist):
-    """P[X2 = 2000, Y2 = 5] is about 8e-14, below the absolute tolerance."""
-    i, j = 2000, 5
-    c1, a = dist.derived.c1, dist.derived.a
-    rin, rout = dist.params.delta_in, dist.params.delta_out + 1.0
+    """P[X2 = 2000, Y2 = 5] is about 8e-14: exact to 1e-12 relative, however small."""
+    oracle = float(mp_component_pmf(dist, 2, 2000, 5))
+    assert dist.pmf_component(2, 2000, 5) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+def test_far_point_pmf_matches_mpmath():
+    """pmf(4, 200) = 4.37890129114715e-7 at the far point, where the quadrature
+    table was 4.8e-12 off; the sweep loses 2e-15."""
+    dist = LimitDistribution(FAR)
+    pb = dist.split
     with mp.workdps(30):
-
-        def nb(m, r, p):
-            return mp.gamma(r + m) / (mp.gamma(r) * mp.factorial(m)) * p**r * (1 - p) ** m
-
-        def f(z):
-            return z ** (-1 - 1 / mp.mpf(c1)) * nb(i, rin, 1 / z) * nb(j, rout, z ** -mp.mpf(a))
-
-        oracle = float(mp.quad(f, [1, 10, 100, 1000, 1e4, 1e5, mp.inf]) / c1)
-    assert dist.pmf_component(2, i, j) == pytest.approx(oracle, rel=1e-8, abs=0.0)
+        oracle = float(pb * mp_component_pmf(dist, 1, 3, 200)
+                       + (1 - pb) * mp_component_pmf(dist, 2, 4, 199))
+    assert oracle == pytest.approx(4.37890129114715e-7, rel=1e-14)
+    assert dist.pmf(4, 200) == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("point", [(0.3, 0.5, 0.2, 1.0, 1.0), (0.1, 0.1, 0.8, 5.0, 1.0),
@@ -115,6 +138,50 @@ def test_pmf_table_partial_sums_equal_cdf_sections(point):
     f2 = dist._kernel(2).mass([(i, j - 1) for i, j in cells])
     for (i, j), m1, m2 in zip(cells, f1, f2):
         assert abs(dist.split * m1 + (1.0 - dist.split) * m2 - sums[i, j]) <= 1e-12
+
+
+def test_pmf_path_runs_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pmf path ran a quadrature")
+
+    monkeypatch.setattr(limit_dist, "trapezoid", refuse)
+    dist = LimitDistribution(FAR)
+    table = dist.pmf_table(30, 20)
+    assert table.shape == (31, 21) and dist.pmf(30, 20) == table[30, 20]
+    for component in (1, 2):
+        table = dist.pmf_component_table(component, 20, 30)
+        assert table.shape == (21, 31) and dist.pmf_component(component, 20, 30) == table[20, 30]
+    with pytest.raises(AssertionError, match="quadrature"):
+        dist.pgf(0.5, 0.5)
+
+
+@pytest.mark.parametrize("box", [(1 << 14, 1 << 14), (1 << 27, 0), (0, 1 << 27)])
+def test_oversized_pmf_box_is_refused_before_it_is_allocated(dist, box):
+    """Past MAX_TABLE_CELLS = 2**27 cells: 1 GiB of float64."""
+    for evaluate in (lambda: dist.pmf_table(*box), lambda: dist.pmf_component_table(1, *box),
+                     lambda: dist.pmf_component_table(2, *box), lambda: dist.pmf(*box)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit, match="exceeds"):
+                evaluate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5, 3.0, True, np.bool_(False), "3", None])
+def test_pmf_indices_must_be_nonnegative_integers(dist, bad):
+    for evaluate in (lambda: dist.pmf(bad, 1), lambda: dist.pmf(1, bad),
+                     lambda: dist.pmf_component(1, bad, 0), lambda: dist.pmf_component(2, 0, bad),
+                     lambda: dist.pmf_table(bad, 3), lambda: dist.pmf_component_table(1, 3, bad)):
+        with pytest.raises(DomainError, match="nonnegative integers"):
+            evaluate()
+
+
+def test_pmf_accepts_numpy_integers(dist):
+    assert dist.pmf(np.int64(3), np.int32(2)) == dist.pmf(3, 2)
+    assert dist.pmf_table(np.uint8(3), 2).shape == (4, 3)
 
 
 def test_component_mass_capture(dist):

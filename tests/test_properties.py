@@ -32,6 +32,7 @@ from heavytail_pa import (
     transform_scaling,
     uhat_limit_rhs,
 )
+from oracles import mixture_joint_pmf_table, mixture_pmf_table
 
 W_MIN = 0.02
 
@@ -66,8 +67,11 @@ def test_invariants_over_the_parameter_domain(point):
 
     pgf = _value(lambda: dist.pgf(1.0, 1.0))
     assert pgf is None or abs(pgf - 1.0) <= 1e-10
-    table = _value(lambda: dist.pmf_table(10, 10))
-    assert table is None or (np.all(table >= 0.0) and table.sum() <= 1.0)
+    # the pmf is exact: it resolves everywhere, and matches the quadrature oracle where that does
+    table = dist.pmf_table(10, 10)
+    assert np.all(table >= 0.0) and table.sum() <= 1.0
+    oracle = _value(lambda: mixture_joint_pmf_table(dist, 10, 10))
+    assert oracle is None or np.max(np.abs(table - oracle)) <= 1e-12
 
     def transform():
         b = ScalingFunctions.for_derivative_measure(params, k)
@@ -146,6 +150,20 @@ def test_growth_matches_the_limit_law_over_the_domain(point, spread):
     emp = empirical_pmf(degree_counts(graph))
     limit = JointPMF(LimitDistribution(params).pmf_table(10, 10))
     assert compare_pmf(emp, limit, 10, 10).tv_distance <= SPREAD_MULTIPLE * spread
+
+
+@pytest.mark.parametrize("point", [p for p, _ in GROWTH_POINTS.values()], ids=GROWTH_POINTS.keys())
+def test_pmf_tables_match_the_mixture_quadrature(point):
+    """The balance-equation tables against the NB-mixture quadrature on the
+    200 x 200 box: cell by cell within 1e-12, and in total mass to 12 digits."""
+    dist = LimitDistribution(ModelParams(*point))
+    table, oracle = dist.pmf_table(200, 200), mixture_joint_pmf_table(dist, 200, 200)
+    assert np.max(np.abs(table - oracle)) <= 1e-12
+    assert table.sum() == pytest.approx(oracle.sum(), rel=1e-12)
+    idx = np.arange(201)
+    for j in (1, 2):
+        component = dist.pmf_component_table(j, 200, 200)
+        assert np.max(np.abs(component - mixture_pmf_table(dist._kernel(j), idx, idx))) <= 1e-12, j
 
 
 # The sampler against the limit law at the same points: `sample` against

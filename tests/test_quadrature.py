@@ -61,6 +61,21 @@ def test_rule_refuses_a_level_past_the_node_budget():
         slow.marginal_mass(2, 10.0)
 
 
+def test_running_sum_past_the_float_range_is_a_failure():
+    """Each level's sum is finite but the total overflows: inf <= tol_rel * inf
+    once passed as converged, and rect_mass returned inf."""
+    tm = TailMeasure(ModelParams(0.0861, 0.5402, 0.3737, 21.42, 26.19))
+    with pytest.raises(QuadratureFailure, match="running sum overflows the float range"):
+        tm.rect_mass("combined", 1e-20, 1e-20)
+    big = float(np.finfo(float).max) / 4
+
+    def sum_f(nodes):
+        return big * nodes.size
+
+    with pytest.raises(QuadratureFailure, match="running sum overflows"):
+        trapezoid(sum_f, 0.0, 1.0)
+
+
 def test_trapezoid_gaussian_integrals():
     """int exp(-(s-mu)^2 / (2 sig^2)) ds = sig sqrt(2 pi), scalar and table-valued."""
     got = trapezoid(lambda s: np.exp(-(s**2)).sum(), -12.0, 12.0)
