@@ -38,6 +38,7 @@ from .simulate import DirectedMultigraph
 MAX_TABLE_CELLS = 1 << 27  # a dense view: 512 MiB of int32 counts
 COUNT_MAX = np.iinfo(np.int32).max
 MIN_EXCEEDANCES = 50  # the fewest exceedances an angular histogram is drawn from
+ANGULAR_SLICE = 1 << 16  # pairs per slice of an angular histogram
 
 
 class _Cells:
@@ -345,20 +346,28 @@ class AngularHistogram:
 def angular_histogram(sample: StandardizedSample, radius_threshold: float, bins: int) -> AngularHistogram:
     """Histogram of v/(u+v) over pairs with u + v above the threshold.
 
-    Needs at least MIN_EXCEEDANCES such pairs.
+    Needs at least MIN_EXCEEDANCES such pairs.  The radius, the threshold
+    mask and the angles are formed over slices of ANGULAR_SLICE pairs, so
+    no temporary spans the sample; each pair's radius, angle and bin are
+    those of one pass over the whole sample, so the counts are the same.
     """
     if bins < 2:
         raise DomainError("need at least 2 bins")
     if radius_threshold <= 0:
         raise DomainError("radius threshold must be positive")
     u, v = sample.u, sample.v
-    radius = u + v
-    keep = radius > radius_threshold
-    count = int(keep.sum())
+    edges = np.histogram_bin_edges((), bins=bins, range=(0.0, 1.0))
+    hist = np.zeros(bins, np.int64)
+    count = 0
+    for start in range(0, u.size, ANGULAR_SLICE):
+        part = slice(start, start + ANGULAR_SLICE)
+        radius = u[part] + v[part]
+        keep = np.flatnonzero(radius > radius_threshold)
+        if keep.size:
+            count += keep.size
+            hist += np.histogram(v[part][keep] / radius[keep], bins=bins, range=(0.0, 1.0))[0]
     if count < MIN_EXCEEDANCES:
         raise InsufficientExceedances(f"only {count} exceedances above {radius_threshold}")
-    angle = v[keep] / radius[keep]
-    hist, edges = np.histogram(angle, bins=bins, range=(0.0, 1.0))
     return AngularHistogram(
         bin_edges=edges, masses=hist / count, exceedances=count, threshold=radius_threshold
     )

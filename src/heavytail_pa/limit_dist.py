@@ -25,14 +25,18 @@ The sampler draws in blocks of SAMPLE_BLOCK pairs into preallocated
 int32 outputs, each block from its own child stream spawned once from
 the caller's generator, on a thread per usable core (numpy's generators
 release the GIL).  A block draws the switch and the negative binomials
-by the gamma-Poisson composition, exact for non-integer shapes, on two
+by the gamma-Poisson composition, exact for non-integer shapes, on three
 identities in law.  The switched margin's extra unit of gamma shape is
 one Exp(1) shared by the pair, Gamma(delta + 1) = Gamma(delta) + E, so
 each margin is a scalar-shape gamma draw.  Z is e^(c1 W) with W ~ Exp(1)
 (equal in law to U^(-c1)), so the scales Z - 1 and Z^a - 1 are
-expm1(c1 W) and expm1(a c1 W).  The seed -> sample mapping depends only
-on the seed and SAMPLE_BLOCK, so a sample is identical on any number of
-cores; it differs from that of earlier builds.
+expm1(c1 W) and expm1(a c1 W).  A Poisson(lam) count is read off the
+first two arrivals E1, E1 + E2 of a unit-rate Poisson process on
+[0, lam]: by memorylessness it is 0 if E1 > lam, 1 if E1 <= lam < E1 + E2
+and otherwise 2 + Poisson(lam - E1 - E2), so numpy's Poisson draws only
+the counts above 1.  The seed -> sample mapping depends only on the seed
+and SAMPLE_BLOCK, so a sample is identical on any number of cores; it
+differs from that of earlier builds.
 """
 
 from __future__ import annotations
@@ -45,13 +49,16 @@ import numpy as np
 
 from .census import MAX_TABLE_CELLS
 from .errors import DomainError, ResourceLimit
-from .params import DerivedConstants, ModelParams, derive, split_probability, validate
+from .params import (DerivedConstants, ModelParams, check_component, derive, split_probability,
+                     validate)
 from .quadrature import DEFAULT_QUAD, WINDOW, QuadratureSpec, trapezoid
 from .tail_measure import _TINY, _log_lower, _log_mix_const
 
 # draws per sampler block; with the seed it fixes every sample
 SAMPLE_BLOCK = 1 << 16
-# bytes one block allocates at most while it runs (tracemalloc: 35 per draw)
+# bytes one block allocates at most while it runs (tracemalloc: 35 per draw
+# where the gamma draws set the peak, as at the canonical point; 50 where
+# nearly every count reaches numpy's Poisson, with its int64 indices and draws)
 BLOCK_BYTES = 64 * SAMPLE_BLOCK
 COUNT_LIMIT = 2**31  # sampled degrees are int32
 # Poisson means are clipped here: a draw at this mean always exceeds
@@ -252,24 +259,61 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def poisson_counts(rng, lam: np.ndarray, plus: np.ndarray, spare: np.ndarray,
+                   out: np.ndarray) -> None:
+    """Write plus + N into the int32 array out, N ~ Poisson(lam) elementwise.
+
+    N is counted from the first two arrivals of a unit-rate Poisson
+    process on [0, lam]: one Exp(1) per mean decides N = 0 (E1 > lam)
+    against N >= 1, a second, drawn only for the means left, decides
+    N = 1 (E1 + E2 > lam) against N >= 2, and by memorylessness the rest
+    are 2 + Poisson(lam - E1 - E2).  The float64 arrays lam and spare,
+    of out's size, hold the arrivals and residual means, so both are
+    overwritten; the other buffers are int64 indices of the means left
+    and the Poisson draws.  Means are clipped at _MEAN_CAP.  A count at
+    or above COUNT_LIMIT raises ResourceLimit before out is written.
+    """
+    np.minimum(lam, _MEAN_CAP, out=lam)
+    lam -= rng.standard_exponential(out=spare)  # lam - E1
+    hit = np.flatnonzero(lam >= 0)  # N >= 1
+    # take writes straight into `out` in mode "clip" (it buffers in "raise");
+    # every index here is in range
+    rest = np.take(lam, hit, out=spare[:hit.size], mode="clip")  # spare's E1 is spent
+    rest -= rng.standard_exponential(out=lam[:hit.size])  # lam - E1 - E2
+    deep = np.flatnonzero(rest >= 0)  # N >= 2, as positions in hit
+    tail = rng.poisson(np.take(rest, deep, out=lam[:deep.size], mode="clip"))
+    # rest is spent: its buffer takes the indices of the means with N >= 2
+    deep = np.take(hit, deep, out=spare.view(np.int64)[:deep.size], mode="clip")
+    tail += 2
+    tail += plus[deep]  # the whole count where N >= 2
+    top = int(tail.max(initial=0))
+    if top >= COUNT_LIMIT:
+        raise ResourceLimit(f"a sampled count of {top} exceeds the int32 range")
+    out[:] = plus
+    out[hit] += 1
+    out[deep] = tail
+
+
 def draw_block(rng, pb: float, delta_in: float, delta_out: float, c1: float, a: float,
                i_out: np.ndarray, o_out: np.ndarray) -> None:
     """Fill the int32 slices i_out and o_out with draws of (I, O).
 
     With the switch B ~ Bernoulli(pb), I = B + X and O = 1 - B + Y, where
     X and Y are gamma-Poisson negative binomials of shapes delta_in + B
-    and delta_out + 1 - B and scales Z - 1 and Z^a - 1.  Two identities
+    and delta_out + 1 - B and scales Z - 1 and Z^a - 1.  Three identities
     in law make the draw:
 
     - Gamma(delta + 1) = Gamma(delta) + E with E ~ Exp(1), so the margin
       B picks gets one shared E, and each margin is one scalar-shape
       standard_gamma draw; the margins stay independent given (Z, B);
     - Z = U^-c1 = e^(c1 W) with W ~ Exp(1), so Z - 1 = expm1(c1 W) and
-      Z^a - 1 = expm1(a c1 W), exact where Z is near 1.
+      Z^a - 1 = expm1(a c1 W), exact where Z is near 1;
+    - a Poisson count from its first two arrivals (`poisson_counts`).
 
-    W and E are freed before the Poisson draws.  A count at or above
-    COUNT_LIMIT raises ResourceLimit before that margin's output is
-    written.
+    E's buffer is freed before the counts, and W's spent buffer holds
+    their arrivals.  The in-margin is counted first, so a count at or
+    above COUNT_LIMIT raises ResourceLimit before that margin's output
+    is written.
     """
     m = i_out.size
     pick = rng.random(m) < pb
@@ -286,15 +330,11 @@ def draw_block(rng, pb: float, delta_in: float, delta_out: float, c1: float, a: 
     lam_out += extra
     scale = np.multiply(log_z, a, out=extra)  # E is spent: its buffer takes a c1 W
     lam_out *= np.expm1(scale, out=scale)
-    lam_in *= np.expm1(log_z, out=log_z)
-    del log_z, extra, scale
-    for out, lam, plus in ((i_out, lam_in, pick), (o_out, lam_out, other)):
-        count = rng.poisson(np.minimum(lam, _MEAN_CAP, out=lam))
-        count += plus
-        top = int(count.max(initial=0))
-        if top >= COUNT_LIMIT:
-            raise ResourceLimit(f"a sampled count of {top} exceeds the int32 range")
-        out[:] = count
+    del extra, scale
+    lam_in *= np.expm1(log_z, out=log_z)  # W is spent: its buffer takes the arrivals
+    poisson_counts(rng, lam_in, pick, log_z, i_out)
+    del lam_in, pick
+    poisson_counts(rng, lam_out, other, log_z, o_out)
 
 
 class LimitDistribution:
@@ -356,8 +396,7 @@ class LimitDistribution:
         Component 1 is the balance equations' table for a unit source at
         (1, 0) less its row 0, component 2 that for (0, 1) less column 0.
         """
-        self._kernel(component)  # raises DomainError unless component is 1 or 2
-        di, dj = (1, 0) if component == 1 else (0, 1)
+        di, dj = (1, 0) if check_component(component) == 1 else (0, 1)
         table = _balance_table(self.derived, self.params.delta_in, self.params.delta_out,
                                (di, dj), _index(i_max) + di, _index(j_max) + dj)
         return table[di:, dj:]
@@ -380,7 +419,7 @@ class LimitDistribution:
         The sampler of `sample` with the switch fixed at component j,
         less the +1 the switch adds, so the two share one rule.
         """
-        self._kernel(component)  # raises DomainError unless component is 1 or 2
+        component = check_component(component)
         i_out, o_out = self._sample_blocks(n, rng, 1.0 if component == 1 else 0.0)
         shifted = i_out if component == 1 else o_out
         shifted -= 1
@@ -426,10 +465,7 @@ class LimitDistribution:
     # -- helpers -------------------------------------------------------------
 
     def _kernel(self, component: int) -> _NBMixture:
-        try:
-            return self._kernels[component]
-        except KeyError:
-            raise DomainError(f"component must be 1 or 2, got {component!r}") from None
+        return self._kernels[check_component(component)]
 
     @staticmethod
     def _check_unit(v: float, name: str) -> None:

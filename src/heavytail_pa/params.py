@@ -9,9 +9,10 @@ mixing indices, the Bernoulli split) is a closed-form function of these.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
-from .errors import DegenerateTail, InvalidParams
+from .errors import DegenerateTail, DomainError, InvalidParams
 
 SUM_TOL = 1e-12
 
@@ -137,6 +138,21 @@ def split_probability(params: ModelParams) -> float:
     if s <= 0:
         raise DegenerateTail("alpha + gamma = 0: the joint limit law is degenerate")
     return params.gamma / s
+
+
+def check_component(component, combined: bool = False):
+    """A mixture component: the integer 1 or 2, or "combined" where it is allowed.
+
+    A bool or a float is a DomainError even where it equals 1 or 2;
+    numpy integers pass and come back as int.
+    """
+    if combined and isinstance(component, str) and component == "combined":
+        return component
+    if (isinstance(component, numbers.Integral) and not isinstance(component, bool)
+            and component in (1, 2)):
+        return int(component)
+    allowed = "1, 2 or 'combined'" if combined else "1 or 2"
+    raise DomainError(f"component must be {allowed}, got {component!r}")
 
 
 def tail_ready(params: ModelParams) -> ModelParams:

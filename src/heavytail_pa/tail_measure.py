@@ -47,7 +47,8 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .params import DerivedConstants, ModelParams, derive, split_probability, tail_ready
+from .params import (DerivedConstants, ModelParams, check_component, derive, split_probability,
+                     tail_ready)
 from .quadrature import DEFAULT_QUAD, WINDOW, QuadratureSpec, trapezoid
 
 _TINY = np.finfo(np.float64).tiny  # the least normal float
@@ -246,13 +247,8 @@ class TailMeasure:
         """Closed form of rect_mass(component, x_lo, 0)."""
         if x_lo <= 0:
             raise DomainError("x_lo must be positive")
-        if component not in (1, 2):
-            raise DomainError("closed form available for components 1 and 2")
-        kernel = self._kernels[component]
+        kernel = self._kernels[check_component(component)]
         return math.exp(kernel.log_marginal_const() - math.log(x_lo) / self.derived.c1)
 
     def _kernel(self, component) -> _GammaMixture:
-        try:
-            return self._kernels[component]
-        except KeyError:
-            raise DomainError(f"component must be 1, 2 or 'combined', got {component!r}") from None
+        return self._kernels[check_component(component, combined=True)]

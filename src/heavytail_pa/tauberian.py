@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidK, QuadratureFailure
 from .limit_dist import _NBMixture
-from .params import ModelParams, derive, tail_ready
+from .params import ModelParams, check_component, derive, tail_ready
 from .quadrature import DEFAULT_QUAD, QuadratureSpec
 from .tail_measure import _GammaMixture, _log_laplace, _log_lower
 
@@ -160,8 +160,7 @@ class DerivativeMeasure:
     def marginal_mass(self, component: int, x: float) -> float:
         """Cumulative marginal weight; the out-marginal is infinite, a DomainError,
         where k >= alpha_in - 1 + a*delta_out."""
-        if component not in (1, 2):
-            raise DomainError("component must be 1 or 2")
+        component = check_component(component)
         if x < 0:
             return 0.0
         cut = (np.floor(x), math.inf) if component == 1 else (math.inf, np.floor(x))
@@ -294,8 +293,7 @@ def truncation_condition(measure, b: ScalingFunctions, x, y_grid, t_grid) -> lis
 
 def marginal_condition(measure, component: int, b: ScalingFunctions, x_grid, t_grid) -> list:
     """Ratios U_i(b_i(t) x)/t against the target x**gamma_i."""
-    if component not in (1, 2):
-        raise DomainError("component must be 1 or 2")
+    component = check_component(component)
     gamma_i = b.gamma1 if component == 1 else b.gamma2
     rows = []
     for t in t_grid:

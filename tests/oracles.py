@@ -8,7 +8,8 @@ import math
 
 import numpy as np
 
-from heavytail_pa import DomainError, LimitDistribution
+from heavytail_pa import DomainError, InsufficientExceedances, LimitDistribution
+from heavytail_pa.census import MIN_EXCEEDANCES, AngularHistogram
 from heavytail_pa.tauberian import TransformReport
 
 
@@ -175,3 +176,16 @@ def step(tails: list, heads: list, node_count: int, params, rng) -> int:
     tails.append(N if alpha else choose(out_coin, out_index, tails, n, N, params.delta_out))
     heads.append(N if gamma else choose(in_coin, in_index, heads, n, N, params.delta_in))
     return N + (alpha or gamma)
+
+
+def one_pass_angular_histogram(sample, radius_threshold: float, bins: int) -> AngularHistogram:
+    """The angular histogram in one pass: the radius and the mask span the whole sample."""
+    radius = sample.u + sample.v
+    keep = radius > radius_threshold
+    count = int(keep.sum())
+    if count < MIN_EXCEEDANCES:
+        raise InsufficientExceedances(f"only {count} exceedances above {radius_threshold}")
+    hist, edges = np.histogram(sample.v[keep] / radius[keep], bins=bins, range=(0.0, 1.0))
+    return AngularHistogram(
+        bin_edges=edges, masses=hist / count, exceedances=count, threshold=radius_threshold
+    )

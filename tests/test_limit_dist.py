@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import mpmath as mp
@@ -6,7 +7,7 @@ import pytest
 
 from heavytail_pa import DEFAULT_SEED, DomainError, LimitDistribution, ModelParams, ResourceLimit
 from heavytail_pa import limit_dist
-from heavytail_pa.limit_dist import BLOCK_BYTES, SAMPLE_BLOCK, draw_block
+from heavytail_pa.limit_dist import BLOCK_BYTES, SAMPLE_BLOCK, draw_block, poisson_counts
 from oracles import mixture_pmf_table, nb_logpmf, nb_pmf
 
 FAR = ModelParams(0.081, 0.407, 0.512, 16.5, 0.0546)
@@ -280,7 +281,7 @@ def test_seed_to_sample_mapping_is_pinned(dist):
     """The blocked draw layout fixes the sample a seed gives."""
     i_arr, o_arr = dist.sample(20, np.random.default_rng(DEFAULT_SEED))
     assert list(zip(i_arr[:10].tolist(), o_arr[:10].tolist())) == [
-        (13, 23), (5, 1), (0, 1), (0, 2), (7, 4), (4, 1), (2, 1), (1, 1), (2, 0), (3, 2)
+        (5, 29), (4, 2), (0, 1), (1, 1), (6, 5), (2, 1), (2, 0), (1, 0), (2, 0), (7, 2)
     ]
 
 
@@ -319,6 +320,28 @@ def test_sample_is_independent_of_the_worker_count(dist, monkeypatch):
         monkeypatch.setattr(limit_dist, "usable_cores", lambda: cores)
         i_arr, o_arr = dist.sample(n, np.random.default_rng(11))
         assert i_arr.tobytes() == i_all.tobytes() and o_arr.tobytes() == o_all.tobytes()
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.3, 3.0, 30.0, 3e3])
+def test_counts_from_the_first_two_arrivals_are_poisson(lam):
+    """The count rule alone: plus + N with N ~ Poisson(lam), each of the
+    frequencies of N = 0..10 within 6 standard errors of the Poisson pmf.
+
+    A cell seen once where it is expected n p << 1 times (N = 5 at
+    lam = 30: n p = 0.019) is 1/n off, however small its standard error,
+    so each cell has one count of slack on top of its 6 standard errors.
+    """
+    n = 10**6
+    plus = np.arange(n) % 3 == 0
+    out = np.empty(n, np.int32)
+    poisson_counts(np.random.default_rng(23), np.full(n, lam), plus, np.empty(n), out)
+    counts = out - plus
+    assert counts.min() >= 0
+    freq = np.bincount(counts, minlength=11)[:11] / n
+    k = np.arange(11)
+    pmf = np.exp(k * np.log(lam) - lam - np.array([math.lgamma(i + 1.0) for i in k]))
+    assert np.all(np.abs(freq - pmf) <= 6 * np.sqrt(pmf * (1 - pmf) / n) + 1 / n)
+    assert abs(counts.mean() - lam) <= 6 * math.sqrt(lam / n)
 
 
 def test_sampled_count_above_int32_is_a_resource_limit():

@@ -3,8 +3,12 @@ import pytest
 
 from heavytail_pa import (
     DegenerateTail,
+    DerivativeMeasure,
+    DomainError,
     InvalidParams,
+    LimitDistribution,
     ModelParams,
+    TailMeasure,
     derive,
     load_params,
     save_params,
@@ -111,3 +115,40 @@ def test_params_file_errors(tmp_path):
     path.write_text("alpha 0.3\n")
     with pytest.raises(InvalidParams, match="key=value"):
         load_params(path)
+
+
+CANONICAL = ModelParams(0.3, 0.5, 0.2, 1.0, 1.0)
+# every public method that takes a mixture component, called on it with valid other arguments
+COMPONENT_CALLS = {
+    "pgf_component": lambda c: LimitDistribution(CANONICAL).pgf_component(c, 0.5, 0.5),
+    "pmf_component": lambda c: LimitDistribution(CANONICAL).pmf_component(c, 2, 2),
+    "pmf_component_table": lambda c: LimitDistribution(CANONICAL).pmf_component_table(c, 2, 2),
+    "sample_component": lambda c: LimitDistribution(CANONICAL).sample_component(
+        c, 10, np.random.default_rng(0)),
+    "density": lambda c: TailMeasure(CANONICAL).density(c, 1.0, 1.0),
+    "rect_mass": lambda c: TailMeasure(CANONICAL).rect_mass(c, 1.0, 1.0),
+    "marginal_mass_closed_form": lambda c: TailMeasure(CANONICAL).marginal_mass_closed_form(c, 1.0),
+    # delta_out = 5 keeps the order-3 out-marginal finite
+    "derivative_marginal_mass": lambda c: DerivativeMeasure(
+        ModelParams(0.3, 0.5, 0.2, 1.0, 5.0), 3).marginal_mass(c, 5.0),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_, 1.0, 2.0, 0, 3, "1", None, "combined"],
+                         ids=repr)
+@pytest.mark.parametrize("call", sorted(COMPONENT_CALLS))
+def test_component_must_be_the_integer_1_or_2(call, bad):
+    """A bool or a float equal to 1 or 2 is not a component; "combined" only
+    where the tail measure takes it."""
+    if bad == "combined" and call in ("density", "rect_mass"):
+        assert COMPONENT_CALLS[call](bad) > 0
+        return
+    with pytest.raises(DomainError, match="component must be"):
+        COMPONENT_CALLS[call](bad)
+
+
+@pytest.mark.parametrize("call", sorted(COMPONENT_CALLS))
+def test_numpy_integer_components_pass(call):
+    for c in (1, 2):
+        want, got = COMPONENT_CALLS[call](c), COMPONENT_CALLS[call](np.int64(c))
+        assert np.array_equal(np.asarray(got), np.asarray(want))

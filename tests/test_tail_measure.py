@@ -15,7 +15,8 @@ from heavytail_pa import (
     derive,
     standardize,
 )
-from heavytail_pa.census import StandardizedSample
+from heavytail_pa.census import ANGULAR_SLICE, StandardizedSample
+from oracles import one_pass_angular_histogram
 from test_properties import GROWTH_POINTS
 
 # three named points of test_properties, where c = gamma_in/gamma_out is 0.026, 14.6 and 0.46
@@ -298,6 +299,45 @@ def test_angular_histogram_needs_exceedances():
         angular_histogram(s, radius_threshold=1.0, bins=4)
     with pytest.raises(DomainError):
         angular_histogram(s, radius_threshold=1.0, bins=1)
+
+
+@pytest.fixture(scope="module")
+def sliced_sample(dist, params):
+    """Standardized limit draws over four angular slices, the last one short,
+    with 120 pairs far above the rest placed inside the third slice."""
+    i_draws, o_draws = dist.sample(3 * ANGULAR_SLICE + 1234, np.random.default_rng(17))
+    s = standardize((i_draws, o_draws), derive(params))
+    far = slice(2 * ANGULAR_SLICE + 100, 2 * ANGULAR_SLICE + 220)
+    rest = float(np.delete(s.u + s.v, np.arange(far.start, far.stop)).max())
+    u = s.u.copy()
+    u[far] = 10 * rest + np.arange(120.0)
+    return StandardizedSample(u=u, v=s.v, c=s.c), rest
+
+
+def test_angular_histogram_equals_the_one_pass_histogram(sliced_sample):
+    s, rest = sliced_sample
+    radius = s.u + s.v
+    # the last threshold leaves only the planted pairs, all in one slice
+    for threshold in (*np.quantile(radius, [0.0, 0.5, 0.999]), 1.0, rest):
+        got = angular_histogram(s, threshold, bins=10)
+        want = one_pass_angular_histogram(s, threshold, bins=10)
+        assert got.exceedances == want.exceedances and got.threshold == want.threshold
+        assert got.bin_edges.tobytes() == want.bin_edges.tobytes()
+        assert got.masses.tobytes() == want.masses.tobytes()
+    assert angular_histogram(s, rest, bins=10).exceedances == 120
+
+
+def test_angular_exceedances_are_counted_across_slices():
+    u = np.zeros(3 * ANGULAR_SLICE)
+    v = np.zeros(3 * ANGULAR_SLICE, np.int32)
+    u[:30], v[-30:] = 10.0, 10
+    s = StandardizedSample(u=u, v=v, c=1.0)
+    assert angular_histogram(s, 1.0, bins=4).exceedances == 60
+    v[-30:-10] = 0
+    with pytest.raises(InsufficientExceedances, match="only 40 exceedances"):
+        angular_histogram(s, 1.0, bins=4)
+    with pytest.raises(InsufficientExceedances):
+        one_pass_angular_histogram(s, 1.0, bins=4)
 
 
 def test_standardized_limit_draws_fill_the_angular_interior(dist, params):
