@@ -16,6 +16,7 @@ constant, never the clock).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -240,31 +241,24 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-# each check is tauberian.<name>_check, with the flags it takes
-_VERIFY = {
-    "uhat": ("k", "h_grid", "rel_tol"),
-    "measure": ("k", "t_grid", "rel_tol"),
-    "truncation": ("k", "t_grid", "y_grid"),
-    "marginal": ("k", "component", "t_grid", "rel_tol"),
-}
+# verify's own flags, each a keyword of the tauberian.CHECKS functions that
+# take it; of the flags a check does not take, the first in this order is named
+_VERIFY_FLAGS = (("k", int), ("h_grid", str), ("rel_tol", float), ("t_grid", str),
+                 ("y_grid", str), ("component", int))
 
 
 def _cmd_verify(args) -> int:
     """Run one check; unset flags take its defaults, flags it does not take are refused."""
-    flags = _VERIFY[args.check]
-    extra = [n for names in _VERIFY.values() for n in names
-             if n not in flags and getattr(args, n) is not None]
+    check = tauberian.CHECKS[args.check]
+    given = {name: getattr(args, name) for name, _ in _VERIFY_FLAGS if getattr(args, name) is not None}
+    extra = [name for name in given if name not in inspect.signature(check).parameters]
     if extra:
-        flag = "--" + extra[0].replace("_", "-")
-        raise HeavytailError(f"{flag} does not apply to --check {args.check}")
+        raise HeavytailError(f"--{extra[0].replace('_', '-')} does not apply to --check {args.check}")
     params = _resolve_params(args)
-    kwargs = {"quad": _quad(args)}
-    for name in flags:
-        value = getattr(args, name)
-        if value is not None:
-            flag = "--" + name.replace("_", "-")
-            kwargs[name] = _parse_points(value, flag) if name.endswith("_grid") else value
-    report = getattr(tauberian, f"{args.check}_check")(params, **kwargs)
+    for name, value in given.items():
+        if name.endswith("_grid"):
+            given[name] = _parse_points(value, "--" + name.replace("_", "-"))
+    report = check(params, quad=_quad(args), **given)
     report["config"] = _config_block(args, params)
     _write_json(args.out, report)
     print(f"{args.check}: {'pass' if report['passed'] else 'FAIL'}")
@@ -339,13 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sp.add_parser("verify", help="transform/measure scaling-limit checks")
     _add_common(s)
-    s.add_argument("--check", choices=["uhat", "measure", "truncation", "marginal"], required=True)
-    s.add_argument("--k", type=int)
-    s.add_argument("--component", type=int)
-    s.add_argument("--h-grid")
-    s.add_argument("--t-grid")
-    s.add_argument("--y-grid")
-    s.add_argument("--rel-tol", type=float)
+    s.add_argument("--check", choices=list(tauberian.CHECKS), required=True)
+    for name, kind in _VERIFY_FLAGS:
+        s.add_argument("--" + name.replace("_", "-"), type=kind)
     s.add_argument("--out", default="-")
     s.set_defaults(fn=_cmd_verify)
     return ap

@@ -82,6 +82,8 @@ class ScalingFunctions:
 
 
 def _scaling_power(t: float, scale: float, gamma: float) -> float:
+    if not t > 0:
+        raise DomainError(f"t must be positive, got {t:g}")
     with np.errstate(over="ignore", invalid="ignore"):
         b = float(np.float64(t / scale) ** (1.0 / gamma))
     if not math.isfinite(b):
@@ -193,8 +195,6 @@ def build_derivative_measure(k: int, params: ModelParams,
 
 def measure_scaling(measure, b: ScalingFunctions, t: float, x: float, y: float) -> float:
     """U_t(x, y) = U([0, b1(t) x] x [0, b2(t) y]) / t."""
-    if t <= 0:
-        raise DomainError("t must be positive")
     if x < 0 or y < 0:
         raise DomainError("rectangle corners must be nonnegative")
     return measure.rect_mass_below(b.b1(t) * x, b.b2(t) * y) / t
@@ -209,8 +209,8 @@ def transform_scaling(
     with_report: bool = False,
 ):
     """(1/t) sum of atom weights times exp(-lam1 i/b1(t) - lam2 j/b2(t))."""
-    if t <= 0 or lam1 <= 0 or lam2 <= 0:
-        raise DomainError("t and decay parameters must be positive")
+    if lam1 <= 0 or lam2 <= 0:
+        raise DomainError("decay parameters must be positive")
     rep = measure.laplace(lam1 / b.b1(t), lam2 / b.b2(t))
     value = rep.value / t
     if with_report:
@@ -318,20 +318,65 @@ def marginal_condition(measure, component: int, b: ScalingFunctions, x_grid, t_g
 # -- verification protocols ---------------------------------------------------
 #
 # Convergence in t cannot be observed at t = infinity; each check
-# computes a log-spaced trend and requires the final point to sit
-# within the stated tolerance of the analytic target (and the error to
-# shrink along the grid where the protocol says so).
+# computes a log-spaced trend.  uhat and measure share _trend_check: the
+# final relative error must be within rel_tol and the errors must fall
+# strictly along the grid.  truncation bounds the tail ratio at the
+# grid's largest y at every t; marginal bounds the errors at the largest
+# t.  verify --check names a check by its CHECKS key, and each of its
+# flags sets the function's keyword of the same name.
+
+# the fixed arguments of truncation_check and marginal_check
+_TRUNCATION_X = (1.0, 1.0)
+_TRUNCATION_RATIO_TOL = 0.01
+_MARGINAL_X_GRID = (0.5, 1.0, 2.0)
 
 
-def _target(evaluate, what: str) -> float:
-    """A check's analytic target: positive and finite, or a QuadratureFailure naming it."""
-    try:
-        value = evaluate()
-    except QuadratureFailure as exc:
-        raise QuadratureFailure(f"{what}: {exc}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise QuadratureFailure(f"{what} is {value!r}, not a positive finite target")
-    return value
+def _nonempty(check: str, what: str, values) -> None:
+    if len(values) == 0:
+        raise DomainError(f"{check}: the {what} is empty")
+
+
+def _check_rel_tol(rel_tol: float) -> None:
+    if not 0 < rel_tol < math.inf:
+        raise DomainError(f"rel_tol must be positive and finite, got {rel_tol:g}")
+
+
+def _trend_check(check: str, keys, target, what: str, scaled, params: ModelParams, k: int,
+                 points, grid, rel_tol: float, quad: QuadratureSpec,
+                 measure: Optional[DerivativeMeasure]) -> dict:
+    """Compare scaled(U, b, g, *point) with target(k, params, *point, quad) along the grid.
+
+    keys names a row's grid value, the point's two coordinates, the
+    scaled value and the target; rel_err follows, and the report names
+    the grid keys[0] + "_grid".  what.format(*point) names a target in a
+    QuadratureFailure, raised where it is not positive and finite.
+    """
+    grid_key = keys[0] + "_grid"
+    _nonempty(check, grid_key, grid)
+    _nonempty(check, "point list", points)
+    _check_rel_tol(rel_tol)
+    u = measure if measure is not None else build_derivative_measure(k, params, quad)
+    b = ScalingFunctions.for_derivative_measure(params, k)
+    rows = []
+    ok = True
+    for point in points:
+        try:
+            goal = target(k, params, *point, quad)
+        except QuadratureFailure as exc:
+            raise QuadratureFailure(f"{what.format(*point)}: {exc}") from None
+        if not (math.isfinite(goal) and goal > 0):
+            raise QuadratureFailure(f"{what.format(*point)} is {goal!r}, not a positive finite target")
+        errs = []
+        for g in grid:
+            value = scaled(u, b, g, *point)
+            rel = abs(value / goal - 1.0)
+            errs.append(rel)
+            rows.append(dict(zip((*keys, "rel_err"), (g, *point, value, goal, rel))))
+        # written so that a NaN error fails both gates
+        if not (errs[-1] <= rel_tol and all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))):
+            ok = False
+    return {"check": check, "k": k, grid_key: list(grid), "rel_tol": rel_tol, "rows": rows,
+            "passed": ok}
 
 
 def uhat_check(
@@ -344,39 +389,9 @@ def uhat_check(
     measure: Optional[DerivativeMeasure] = None,
 ) -> dict:
     """Scaled transform of the derivative measure against its limit integral."""
-    u = measure if measure is not None else build_derivative_measure(k, params, quad)
-    b = ScalingFunctions.for_derivative_measure(params, k)
-    rows = []
-    ok = True
-    for lam1, lam2 in lambdas:
-        rhs = _target(lambda: uhat_limit_rhs(k, params, lam1, lam2, quad),
-                      f"the limit transform at lambda = ({lam1:g}, {lam2:g})")
-        errs = []
-        for h in h_grid:
-            lhs = transform_scaling(u, b, h, lam1, lam2)
-            rel = abs(lhs / rhs - 1.0)
-            errs.append(rel)
-            rows.append(
-                {
-                    "h": h,
-                    "lambda1": lam1,
-                    "lambda2": lam2,
-                    "lhs": lhs,
-                    "rhs": rhs,
-                    "rel_err": rel,
-                }
-            )
-        # written so that a NaN error fails both gates
-        if not (errs[-1] <= rel_tol and all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))):
-            ok = False
-    return {
-        "check": "uhat",
-        "k": k,
-        "h_grid": list(h_grid),
-        "rel_tol": rel_tol,
-        "rows": rows,
-        "passed": ok,
-    }
+    return _trend_check("uhat", ("h", "lambda1", "lambda2", "lhs", "rhs"), uhat_limit_rhs,
+                        "the limit transform at lambda = ({:g}, {:g})", transform_scaling,
+                        params, k, lambdas, h_grid, rel_tol, quad, measure)
 
 
 def measure_check(
@@ -389,62 +404,39 @@ def measure_check(
     measure: Optional[DerivativeMeasure] = None,
 ) -> dict:
     """Scaled rectangle masses against the limiting rectangle integral."""
-    u = measure if measure is not None else build_derivative_measure(k, params, quad)
-    b = ScalingFunctions.for_derivative_measure(params, k)
-    rows = []
-    ok = True
-    for x, y in points:
-        target = _target(lambda: derivative_limit_rect(k, params, x, y, quad),
-                         f"the limit rectangle mass at ({x:g}, {y:g})")
-        errs = []
-        for t in t_grid:
-            val = measure_scaling(u, b, t, x, y)
-            rel = abs(val / target - 1.0)
-            errs.append(rel)
-            rows.append(
-                {"t": t, "x": x, "y": y, "value": val, "target": target, "rel_err": rel}
-            )
-        # written so that a NaN error fails both gates
-        if not (errs[-1] <= rel_tol and all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))):
-            ok = False
-    return {
-        "check": "measure",
-        "k": k,
-        "t_grid": list(t_grid),
-        "rel_tol": rel_tol,
-        "rows": rows,
-        "passed": ok,
-    }
+    return _trend_check("measure", ("t", "x", "y", "value", "target"), derivative_limit_rect,
+                        "the limit rectangle mass at ({:g}, {:g})", measure_scaling,
+                        params, k, points, t_grid, rel_tol, quad, measure)
 
 
 def truncation_check(
     params: ModelParams,
     k: int = 3,
-    x=(1.0, 1.0),
     y_grid=(0.0, 1.0, 2.0, 4.0, 8.0),
     t_grid=(1e3, 1e4, 1e5),
-    probe_y: float = 8.0,
-    ratio_tol: float = 0.01,
     quad: QuadratureSpec = DEFAULT_QUAD,
     measure: Optional[DerivativeMeasure] = None,
 ) -> dict:
-    """Decay of the tail part of the scaled transform, uniform over t."""
+    """Decay of the tail part of the scaled transform, uniform over t.
+
+    At x = (1, 1), the ratio to the full transform at the largest y of
+    the grid must be at most 0.01 at every t.
+    """
+    _nonempty("truncation", "y_grid", y_grid)
+    _nonempty("truncation", "t_grid", t_grid)
     u = measure if measure is not None else build_derivative_measure(k, params, quad)
     b = ScalingFunctions.for_derivative_measure(params, k)
-    rows = truncation_condition(u, b, x, y_grid, t_grid)
-    ok = True
-    for t in t_grid:
-        probe = [r for r in rows if r["t"] == t and r["y"] == probe_y]
-        if not probe or not (probe[0]["ratio_to_y0"] <= ratio_tol):
-            ok = False
+    rows = truncation_condition(u, b, _TRUNCATION_X, y_grid, t_grid)
+    probe_y = float(max(y_grid))
     return {
         "check": "truncation",
         "k": k,
-        "x": list(x),
+        "x": list(_TRUNCATION_X),
         "probe_y": probe_y,
-        "ratio_tol": ratio_tol,
+        "ratio_tol": _TRUNCATION_RATIO_TOL,
         "rows": rows,
-        "passed": ok,
+        # written so that a NaN ratio fails
+        "passed": all(r["ratio_to_y0"] <= _TRUNCATION_RATIO_TOL for r in rows if r["y"] == probe_y),
     }
 
 
@@ -452,25 +444,28 @@ def marginal_check(
     params: ModelParams,
     k: int = 3,
     component: int = 1,
-    x_grid=(0.5, 1.0, 2.0),
     t_grid=(1e2, 1e3, 1e4, 1e5),
     rel_tol: float = 0.10,
     quad: QuadratureSpec = DEFAULT_QUAD,
     measure: Optional[DerivativeMeasure] = None,
 ) -> dict:
-    """Marginal scaling ratios against x**gamma under normalized scaling."""
+    """Marginal scaling ratios at x = 0.5, 1, 2 against x**gamma under normalized scaling."""
+    _nonempty("marginal", "t_grid", t_grid)
+    _check_rel_tol(rel_tol)
     u = measure if measure is not None else build_derivative_measure(k, params, quad)
     b = ScalingFunctions.normalized_for_derivative_measure(params, k)
-    rows = marginal_condition(u, component, b, x_grid, t_grid)
+    rows = marginal_condition(u, component, b, _MARGINAL_X_GRID, t_grid)
     t_final = max(t_grid)
-    finals = [r for r in rows if r["t"] == t_final]
-    ok = bool(finals) and all(abs(r["rel_err"]) <= rel_tol for r in finals)
     return {
         "check": "marginal",
         "k": k,
         "component": component,
-        "normalizer": derivative_marginal_normalizer(params, k),
+        "normalizer": b.scale1,
         "rel_tol": rel_tol,
         "rows": rows,
-        "passed": ok,
+        "passed": all(abs(r["rel_err"]) <= rel_tol for r in rows if r["t"] == t_final),
     }
+
+
+CHECKS = {"uhat": uhat_check, "measure": measure_check, "truncation": truncation_check,
+          "marginal": marginal_check}

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 import scipy
 
+from heavytail_pa import tauberian
 from heavytail_pa.cli import main
 from heavytail_pa.csvfile import read_csv
 
@@ -259,19 +261,66 @@ def test_density_at_high_alpha_in(tmp_path):
     assert np.all(np.isfinite(dens)) and np.all(dens > 0)
 
 
-@pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (["--check", "truncation", "--rel-tol", "1e-12"], "--rel-tol"),
-        (["--check", "uhat", "--t-grid", "1,2", "--component", "2"], "--t-grid"),
-    ],
-    ids=["truncation-rel-tol", "uhat-t-grid"],
-)
+# a valid value for each verify flag but --k, which every check takes
+VERIFY_FLAG_VALUES = {"--h-grid": "1,2", "--rel-tol": "1e-12", "--t-grid": "1,2", "--y-grid": "0,1",
+                      "--component": "2"}
+
+
+def _refused_flag_cases() -> dict:
+    """One case per (check, flag its function has no keyword for), and one with two such flags."""
+    cases = {"uhat-t-grid": (["--check", "uhat", "--t-grid", "1,2", "--component", "2"], "--t-grid")}
+    for check, fn in tauberian.CHECKS.items():
+        keywords = inspect.signature(fn).parameters
+        for flag, value in VERIFY_FLAG_VALUES.items():
+            case_id = f"{check}-{flag[2:]}"
+            if flag[2:].replace("-", "_") not in keywords and case_id not in cases:
+                cases[case_id] = (["--check", check, flag, value], flag)
+    return cases
+
+
+REFUSED_FLAG_CASES = _refused_flag_cases()
+
+
+@pytest.mark.parametrize("argv, flag", list(REFUSED_FLAG_CASES.values()), ids=list(REFUSED_FLAG_CASES))
 def test_verify_rejects_flags_its_check_does_not_take(tmp_path, capsys, argv, flag):
     assert run(["verify", *argv, "--out", str(tmp_path / "v.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and flag in err and f"--check {argv[1]}" in err
     assert not (tmp_path / "v.json").exists()
+
+
+@pytest.mark.parametrize("t", ["0", "-1"])
+@pytest.mark.parametrize("check", list(tauberian.CHECKS))
+def test_verify_rejects_a_t_that_is_not_positive(tmp_path, capsys, check, t):
+    grid = "--h-grid" if check == "uhat" else "--t-grid"
+    out = tmp_path / "v.json"
+    assert run(["verify", "--check", check, f"{grid}={t},1e3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: t must be positive, got {t}") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("check", ["uhat", "measure", "marginal"])
+def test_verify_rejects_a_rel_tol_that_is_not_positive(tmp_path, capsys, check):
+    out = tmp_path / "v.json"
+    assert run(["verify", "--check", check, "--rel-tol", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: rel_tol must be positive and finite") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("y_grid, probe_y, code", [("0,1,2", 2.0, 2), ("0,4,16", 16.0, 0)],
+                         ids=["fails-at-y-2", "passes-at-y-16"])
+def test_verify_truncation_probes_the_largest_y(tmp_path, y_grid, probe_y, code):
+    """The verdict comes from the rows at the grid's largest y, one per t."""
+    out = tmp_path / "v.json"
+    assert run(["verify", "--check", "truncation", "--y-grid", y_grid, "--out", str(out)]) == code
+    report = json.loads(out.read_text())
+    assert report["probe_y"] == probe_y
+    ratios = [r["ratio_to_y0"] for r in report["rows"] if r["y"] == probe_y]
+    assert len(ratios) == 3  # one per t of the default grid
+    assert report["passed"] is all(r <= report["ratio_tol"] for r in ratios)
+    assert report["passed"] is (code == 0)
 
 
 HIGH_ALPHA_IN_FLAGS = ["--alpha", "0.1", "--beta", "0.1", "--gamma", "0.8", "--delta-in", "5"]

@@ -23,6 +23,7 @@ from heavytail_pa import (
     measure_check,
     measure_scaling,
     transform_scaling,
+    truncation_check,
     truncation_condition,
     uhat_check,
     uhat_limit_rhs,
@@ -30,7 +31,7 @@ from heavytail_pa import (
 from heavytail_pa import limit_dist
 from heavytail_pa.limit_dist import _log_betainc
 from heavytail_pa.quadrature import trapezoid
-from heavytail_pa.tauberian import TransformReport
+from heavytail_pa.tauberian import CHECKS, TransformReport
 from oracles import LatticeMeasure, atom, dense_atoms
 
 
@@ -545,3 +546,61 @@ def test_far_window_split_is_finite_or_typed(params, call, expected):
     """
     assert call(params) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+
+
+# each check's report keys and row keys, in the order the reports write them
+REPORT_LAYOUT = {
+    "uhat": (("check", "k", "h_grid", "rel_tol", "rows", "passed"),
+             ("h", "lambda1", "lambda2", "lhs", "rhs", "rel_err")),
+    "measure": (("check", "k", "t_grid", "rel_tol", "rows", "passed"),
+                ("t", "x", "y", "value", "target", "rel_err")),
+    "truncation": (("check", "k", "x", "probe_y", "ratio_tol", "rows", "passed"),
+                   ("t", "y", "value", "ratio_to_y0")),
+    "marginal": (("check", "k", "component", "normalizer", "rel_tol", "rows", "passed"),
+                 ("t", "x", "ratio", "target", "rel_err")),
+}
+
+
+def test_check_reports_keep_their_layout(params, deriv_measure):
+    assert list(CHECKS) == list(REPORT_LAYOUT)
+    for name, check in CHECKS.items():
+        report = check(params, measure=deriv_measure)
+        report_keys, row_keys = REPORT_LAYOUT[name]
+        assert tuple(report) == report_keys
+        assert report["check"] == name and report["passed"] is True
+        assert all(tuple(row) == row_keys for row in report["rows"])
+    trunc = truncation_check(params, measure=deriv_measure)
+    assert (trunc["x"], trunc["probe_y"], trunc["ratio_tol"]) == ([1.0, 1.0], 8.0, 0.01)
+    marg = marginal_check(params, measure=deriv_measure)
+    assert marg["normalizer"] == derivative_marginal_normalizer(params, 3)
+    assert [r["x"] for r in marg["rows"][:3]] == [0.5, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: uhat_check(p, h_grid=()),
+    lambda p: uhat_check(p, lambdas=()),
+    lambda p: measure_check(p, t_grid=()),
+    lambda p: measure_check(p, points=()),
+    lambda p: truncation_check(p, y_grid=()),
+    lambda p: truncation_check(p, t_grid=()),
+    lambda p: marginal_check(p, t_grid=()),
+], ids=["uhat-h", "uhat-lambdas", "measure-t", "measure-points", "truncation-y", "truncation-t",
+        "marginal-t"])
+def test_empty_grid_is_a_domain_error(params, call):
+    with pytest.raises(DomainError, match="is empty"):
+        call(params)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("check", [uhat_check, measure_check, marginal_check],
+                         ids=["uhat", "measure", "marginal"])
+def test_rel_tol_must_be_positive_and_finite(params, check, rel_tol):
+    with pytest.raises(DomainError, match="rel_tol must be positive and finite"):
+        check(params, rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+def test_scaling_at_a_t_that_is_not_positive_is_a_domain_error(scaling, t):
+    for b in (scaling.b1, scaling.b2):
+        with pytest.raises(DomainError, match="t must be positive"):
+            b(t)
