@@ -244,8 +244,11 @@ def loglog_slope(marginal, i_min: int) -> TailFit:
 
     ``marginal`` is a mass-per-integer map: a dict {i: mass} or a 1-d
     array indexed by i.  Returns the negated slope, so an exact power
-    table p_i = C i^-alpha recovers alpha.
+    table p_i = C i^-alpha recovers alpha.  i_min must be at least 1,
+    where log i is defined.
     """
+    if i_min < 1:
+        raise DomainError(f"i_min must be at least 1, where log i is defined, got {i_min}")
     if isinstance(marginal, dict):
         idx = np.array(sorted(marginal), np.float64)
         mass = np.array([marginal[int(i)] for i in idx], np.float64)

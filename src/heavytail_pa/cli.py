@@ -201,7 +201,7 @@ def _cmd_estimate(args) -> int:
     pmf = empirical_pmf(counts)
     if args.method == "hill":
         marg_counts = counts.marginal(args.margin)
-        k = args.k if args.k else default_hill_k(int(marg_counts[1:].sum()))
+        k = args.k if args.k is not None else default_hill_k(int(marg_counts[1:].sum()))
         fit = hill_estimate(top_order_statistics(marg_counts, k + 1), k)
     else:
         fit = loglog_slope(pmf.marginal(args.margin), args.i_min)
@@ -265,6 +265,28 @@ def _cmd_verify(args) -> int:
     return 0 if report["passed"] else 2
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _probability(text: str) -> float:
+    """An argparse type: a number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= value <= 1.0:  # False for NaN too
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit code 1."""
 
@@ -280,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sp.add_parser("simulate", help="grow a graph and write edge list / degree counts")
     _add_common(s)
-    s.add_argument("--edges", type=int, required=True)
+    s.add_argument("--edges", type=_positive_int, required=True,
+                   help="the graph's edge count, its one-edge seed included")
     s.add_argument("--out", help="binary edge-list output path")
     s.add_argument("--counts", help="degree-count CSV output path")
     s.set_defaults(fn=_cmd_simulate)
@@ -309,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sp.add_parser("angular", help="angular histogram of standardized samples")
     _add_common(s)
     s.add_argument("--samples", required=True, help="CSV with columns I,O")
-    s.add_argument("--threshold-quantile", type=float, default=0.999)
+    s.add_argument("--threshold-quantile", type=_probability, default=0.999)
     s.add_argument("--bins", type=int, default=10)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=_cmd_angular)

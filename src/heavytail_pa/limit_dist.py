@@ -119,7 +119,7 @@ def _log_betainc(r: float, b: float, log_x: np.ndarray) -> np.ndarray:
                   + np.log(hyp2f1(r + b, 1.0, r + 1.0, x)))
     lost = np.isnan(out)
     if lost.any():
-        out[lost] = _log_lower(r, 0.0)[0](math.log(b) + log_x[lost])
+        out[lost] = _log_lower(r).shaped(math.log(b) + log_x[lost])
     return out
 
 
@@ -171,14 +171,14 @@ class _NBMixture:
         One value per cut (m_in, m_out) of `cuts`, on one set of nodes; a
         cut may be inf (the whole section) or negative (empty).
         """
-        def sum_f(s):
+        def f(s):
             log_w, in_logs, out_logs = self._logs(s, tilt_out != 0.0)
             sec_in = _section(self.r_in, *in_logs, tilt_in)
             sec_out = _section(self.r_out, *out_logs, tilt_out)
-            return np.array([np.exp(log_w + sec_in(mi) + sec_out(mj)).sum() for mi, mj in cuts])
+            return np.stack([np.exp(log_w + sec_in(mi) + sec_out(mj)) for mi, mj in cuts], axis=0)
 
-        return self._integrate(sum_f, tilt_in, max(mi for mi, _ in cuts),
-                               tilt_out, max(mj for _, mj in cuts))
+        m_in, m_out = (max(cut) for cut in zip(*cuts))
+        return trapezoid(f, *self._window(tilt_in, m_in, tilt_out, m_out), self.quad)
 
     def _logs(self, s, out_odds: bool = True):
         """log w, and (log p, log((1-p)/p)) and (log q, log((1-q)/q)) at the nodes s.
@@ -191,8 +191,8 @@ class _NBMixture:
         log_q = -self.a * log_z
         return log_w, (-log_z, s), (log_q, np.log(-np.expm1(log_q)) - log_q if out_odds else None)
 
-    def _integrate(self, sum_f, tilt_in: float, m_in: float, tilt_out: float, m_out: float):
-        """The trapezoid rule over the window of sections with these tilts and largest cuts."""
+    def _window(self, tilt_in: float, m_in: float, tilt_out: float, m_out: float):
+        """(lo, hi) in s for sections with these tilts and largest cuts."""
         decay, k1 = 1.0 / self.c1 - self.k, self.k + 1.0
         # a whole untilted section is 1: its log_tail is inf, and its p^r leaves g
         bounds = [(log_tail, rate) for log_tail, rate in
@@ -207,9 +207,7 @@ class _NBMixture:
         log_floor = k1 * math.log(k1 / (n - k1)) - n * math.log1p(k1 / (n - k1)) - WINDOW
         hi = min((log_tail - log_floor) / (rate + decay)
                  for log_tail, rate in bounds if rate + decay > 0)
-        # a sum beyond the float range overflows to inf, which trapezoid reports
-        with np.errstate(over="ignore"):
-            return trapezoid(sum_f, log_floor / k1, hi, self.quad)
+        return log_floor / k1, hi
 
 
 def _balance_table(derived: DerivedConstants, delta_in: float, delta_out: float,

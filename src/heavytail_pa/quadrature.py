@@ -7,7 +7,8 @@ both ends, so the trapezoid rule converges exponentially on it and its
 levels nest: halving the step reuses every earlier node (Trefethen and
 Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
 56(3), 2014).  `trapezoid` is that rule, scalar and table-valued
-integrands alike.
+integrands alike.  An integrand returns its value at each node, with
+the nodes on the last axis; the rule sums each level along that axis.
 
 Each caller bounds its window in closed form, from the decay of the
 mixing weight and of its sections: the window ends where that bound lies
@@ -40,41 +41,55 @@ class QuadratureSpec:
 DEFAULT_QUAD = QuadratureSpec()
 
 
-def trapezoid(sum_f, lo: float, hi: float, spec: QuadratureSpec = DEFAULT_QUAD):
+def trapezoid(f, lo: float, hi: float, spec: QuadratureSpec = DEFAULT_QUAD):
     """Nested trapezoid rule for the integral of f over [lo, hi].
 
-    ``sum_f(nodes)`` returns the sum of f over the nodes, a float or a
-    table.  The rule starts at a step of at most 0.25 and halves it,
-    evaluating only the new midpoints, until the max-norm change is
-    within max(tol_abs, tol_rel * max|value|).  The ends are never
+    ``f(nodes)`` returns f at each node, the nodes on the last axis of
+    its result; a table-valued f returns its table on the leading axes.
+    The rule starts at a step h of at most 0.25 and halves it, evaluating
+    only the new midpoints, until the max-norm change is within
+    max(tol_abs, tol_rel * max|value|).  Its first two levels are one
+    call, on the nodes lo + (h/2) arange(1, 2n): level 0 at the odd
+    positions, its midpoints at the even ones.  The ends are never
     evaluated: every window ends where f is negligible.  A non-finite
-    sum or running total raises QuadratureFailure, and so does a level
-    that would take the nodes past MAX_NODES, before its nodes are built.
+    level sum or running total raises QuadratureFailure, and so does a
+    call that would take the nodes past MAX_NODES, before its nodes are
+    built.
     """
     n = max(2, math.ceil(4.0 * (hi - lo)))
     h = (hi - lo) / n
     used, change = 0, math.inf
 
-    def checked_sum(offset: float, count: int):
-        """The sum of f over lo + h (offset + arange(count)), after the node budget allows it."""
+    def values(offset: float, step: float, count: int):
+        """f at lo + step (offset + arange(count)), after the node budget allows them."""
         nonlocal used
         if used + count > MAX_NODES:
             raise QuadratureFailure(f"trapezoid rule not converged at {used} nodes (last change "
                                     f"{change:.2e}): {count} more would pass {MAX_NODES}")
         used += count
-        part = sum_f(lo + h * (offset + np.arange(count)))
-        if not np.all(np.isfinite(part)):
-            raise QuadratureFailure(f"non-finite integrand value at {used} nodes")
-        return part
+        return f(lo + step * (offset + np.arange(count)))
 
-    total = checked_sum(1.0, n - 1)
-    value = h * total
-    while True:
-        total = total + checked_sum(0.5, n)
-        n, h = 2 * n, 0.5 * h
-        prev, value = value, h * total
-        change = float(np.max(np.abs(value - prev)))
-        if change <= max(spec.tol_abs, spec.tol_rel * float(np.max(np.abs(value)))):
-            if change == math.inf:  # the total overflowed, and inf <= tol_rel * inf
-                raise QuadratureFailure(f"the running sum overflows the float range at {used} nodes")
-            return value
+    def checked_sum(part):
+        """The sum of one level's values along the node axis, which must be finite."""
+        total = part.sum(axis=-1)
+        if not np.isfinite(total).all():
+            raise QuadratureFailure(f"non-finite integrand value at {used} nodes")
+        return total
+
+    # an overflow, in f or in a sum, is an inf that the checks below report
+    with np.errstate(over="ignore"):
+        first = values(1.0, 0.5 * h, 2 * n - 1)
+        total = checked_sum(first[..., 1::2])
+        value = h * total
+        mids = checked_sum(first[..., 0::2])
+        while True:
+            total = total + mids
+            n, h = 2 * n, 0.5 * h
+            prev, value = value, h * total
+            change = float(abs(value - prev).max())
+            if change <= max(spec.tol_abs, spec.tol_rel * float(abs(value).max())):
+                if change == math.inf:  # the total overflowed, and inf <= tol_rel * inf
+                    raise QuadratureFailure("the running sum overflows the float range at "
+                                            f"{used} nodes")
+                return value
+            mids = checked_sum(values(0.5, h, n))

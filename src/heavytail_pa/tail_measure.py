@@ -14,11 +14,12 @@ limit of tauberian's order-k derivative measure.
 
 `_GammaMixture` holds that integral once.  A density, a tail rectangle
 [x_lo, inf) x [y_lo, inf), a box [0, x] x [0, y] and a Laplace transform
-are each one section kind on both margins (the gamma density, the
-regularized upper and lower incomplete gamma functions Q and P, and
-(1 + lambda z)^-r) mixed over z.  The mixture is integrated in s = log z
-as exp of a log-space integrand: z-powers cannot overflow, and an
-underflowed factor gives 0.  The in-marginal is closed form, from
+are each one section kind on both margins (the density of the log of a
+gamma variable, the regularized upper and lower incomplete gamma
+functions Q and P, and (1 + lambda z)^-r) mixed over z; the density of
+the log pair divided by x y is the density.  The mixture is integrated
+in s = log z as exp of a log-space integrand: z-powers cannot overflow,
+and an underflowed factor gives 0.  The in-marginal is closed form, from
 int_0^inf t^(s-1) Q(r, t) dt = Gamma(r+s)/(s Gamma(r)) with s = 1/c1.
 
 Each section kind carries closed-form bounds that end the window, as
@@ -28,7 +29,9 @@ The combined measure pb mu_1 + (1 - pb) mu_2, pb = gamma/(alpha+gamma),
 is one mixture integral too: both components share the weight's power,
 so its integrand is logaddexp(log pb + log f_1, log(1 - pb) + log f_2),
 integrated once over the union of both components' windows, and the
-quadrature tolerance applies to the combined value returned.
+quadrature tolerance applies to the combined value returned.  The part
+of a section's log that no shape changes (the density's -u) is the same
+in f_1 and f_2, so it is added once, outside the logaddexp.
 
 Homogeneity: scaling a rectangle corner by (c**c1, c**c2) divides the
 order-0 mass by c.
@@ -43,10 +46,11 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, QuadratureFailure
 from .params import (DerivedConstants, ModelParams, check_component, derive, split_probability,
                      tail_ready)
 from .quadrature import DEFAULT_QUAD, WINDOW, QuadratureSpec, trapezoid
@@ -59,31 +63,48 @@ def _log_mix_const(r: float, k: float, c1: float) -> float:
     return (math.lgamma(r + k) - math.lgamma(r) if k else 0.0) - math.log(c1)
 
 
-# Section kinds: kind(r, log_sigma) returns the log of a Gamma(r, scale theta)
-# section S as a function of x = log u, u = sigma/theta, at the nodes, and
-# bounds (const, power, decay) of it: log S <= const, log S <= power + r x,
-# and log S <= decay - u/2, with None for a bound that does not hold.
+class _Section(NamedTuple):
+    """One section kind at one gamma shape r, as a function of x = log u at the nodes.
+
+    A Gamma(r, scale theta) section S depends on the corner sigma and on
+    theta only through u = sigma/theta.  log S = offset + shaped(x) + free(x),
+    where `free` is the part no shape changes, the same on every component
+    (None where there is none), and log S <= const, log S <= line + r x and
+    log S <= decay - u/2, with None for a bound that does not hold.  A
+    section kind, kind(r), builds one.
+    """
+
+    r: float
+    shaped: Callable[[np.ndarray], np.ndarray]
+    const: float
+    line: float | None
+    decay: float | None
+    offset: float = 0.0
+    free: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-def _log_density(r: float, log_sigma: float):
-    """The density at sigma: u^r e^-u / (Gamma(r) sigma).
+def _log_density(r: float) -> _Section:
+    """The density of log X at log sigma, X ~ Gamma(r, scale theta): u^r e^-u / Gamma(r).
 
+    That is sigma times the density of X at sigma.  Its -u is shape-free.
     u^r e^-u is at most its value at u = r, at most u^r, and at most
     (2r/e)^r e^(-u/2).
     """
-    shift = math.lgamma(r) + log_sigma
-    top = r * math.log(r) - r - shift
-    return (lambda log_u: r * log_u - np.exp(log_u) - shift), top, -shift, top + r * math.log(2.0)
+    log_norm = math.lgamma(r)
+    top = r * math.log(r) - r - log_norm
+    return _Section(r, lambda log_u: r * log_u, top, -log_norm, top + r * math.log(2.0),
+                    -log_norm, lambda log_u: -np.exp(log_u))
 
 
-def _log_upper(r: float, log_sigma: float):
+def _log_upper(r: float) -> _Section:
     """The mass of [sigma, inf): Q(r, u), 1 at sigma = 0, at most 2^r e^(-u/2) (Chernoff)."""
     from scipy.special import gammaincc  # slow to import, so loaded only where it runs
 
-    return (lambda log_u: np.log(gammaincc(r, np.exp(log_u)))), 0.0, None, r * math.log(2.0)
+    return _Section(r, lambda log_u: np.log(gammaincc(r, np.exp(log_u))), 0.0, None,
+                    r * math.log(2.0))
 
 
-def _log_lower(r: float, log_sigma: float):
+def _log_lower(r: float) -> _Section:
     """The mass of [0, sigma]: P(r, u), at most u^r / Gamma(r+1).
 
     Where P underflows, log P comes from the series
@@ -105,13 +126,13 @@ def _log_lower(r: float, log_sigma: float):
         out[under] = r * lu - u - log_norm + np.log(hyp1f1(1.0, r + 1.0, u))
         return out
 
-    return log_p, 0.0, -log_norm, None
+    return _Section(r, log_p, 0.0, -log_norm, None)
 
 
-def _log_laplace(r: float, log_sigma: float):
+def _log_laplace(r: float) -> _Section:
     """The transform at lambda = 1/sigma: (1 + 1/u)^-r = (u/(1+u))^r, at most 1 and
     at most u^r, as a logaddexp that cannot overflow."""
-    return (lambda log_u: -r * np.logaddexp(0.0, -log_u)), 0.0, 0.0, None
+    return _Section(r, lambda log_u: -r * np.logaddexp(0.0, -log_u), 0.0, 0.0, None)
 
 
 class _GammaMixture:
@@ -119,8 +140,10 @@ class _GammaMixture:
 
     Component j, of weight e^(w_j) and gamma shapes (r_in, r_out), mixes one
     section kind on both margins under the weight e^(log_const + (k - 1/c1) s)
-    in s = log z, and the components' log integrands add as a logaddexp.
-    `log_marginal_const` is the closed-form in-marginal.
+    in s = log z, and the components' log integrands add as a logaddexp, out
+    of which the kind's shape-free part is taken.  Each kind's sections are
+    built once per mixture, when it first runs.  `log_marginal_const` is the
+    closed-form in-marginal.
     """
 
     def __init__(self, derived: DerivedConstants, components, k: float, quad: QuadratureSpec):
@@ -128,6 +151,20 @@ class _GammaMixture:
         self.quad = QuadratureSpec(tol_abs=0.0, tol_rel=quad.tol_rel)  # see `integral`
         self.power = k - 1.0 / self.c1
         self.components = components  # (w_j, r_in, r_out), r_in the order-0 in-shape
+        self._parts = {}  # section kind -> `parts(kind)`
+
+    def parts(self, kind):
+        """Per component: its log weight constant, that plus its sections' offsets, and
+        its (in-section, out-section) of this kind, built when the kind first runs."""
+        if kind not in self._parts:
+            parts = []
+            for w, r_in, r_out in self.components:
+                log_const = w + _log_mix_const(r_in, self.k, self.c1)
+                sec_in, sec_out = kind(r_in + self.k), kind(r_out)
+                parts.append((log_const, log_const + sec_in.offset + sec_out.offset,
+                              (sec_in, sec_out)))
+            self._parts[kind] = parts
+        return self._parts[kind]
 
     def integral(self, kind, log_in: float, log_out: float) -> float:
         """The integral over z of one section kind at the corner (e^log_in, e^log_out).
@@ -141,57 +178,59 @@ class _GammaMixture:
         stops on tol_rel alone: an absolute floor would accept a far-tail
         value long before it is relatively accurate.
         """
-        a, power, parts = self.a, self.power, []
-        for w, r_in, r_out in self.components:
-            # per margin (log sigma, rate, r, section, const, line, decay): x = log sigma - rate s
-            sections = [(log_sigma, rate, r, *kind(r, log_sigma)) for log_sigma, rate, r in
-                        ((log_in, 1.0, r_in + self.k), (log_out, a, r_out))]
-            parts.append((w + _log_mix_const(r_in, self.k, self.c1), sections))
+        a, power, parts = self.a, self.power, self.parts(kind)
+        margins = ((log_in, 1.0), (log_out, a))  # (log sigma, rate): x = log sigma - rate s
+        free = parts[0][2][0].free  # every section of one kind has the same free part
 
         def log_f(s):
             x_in, x_out = log_in - s, log_out - a * s
-            return power * s + functools.reduce(np.logaddexp, [
-                log_const + sec_in[3](x_in) + sec_out[3](x_out)
-                for log_const, (sec_in, sec_out) in parts])
+            mixed = power * s + functools.reduce(np.logaddexp, [
+                offset + sec_in.shaped(x_in) + sec_out.shaped(x_out)
+                for _, offset, (sec_in, sec_out) in parts])
+            return mixed if free is None else mixed + (free(x_in) + free(x_out))
 
         with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            probe = np.array([(log_sigma - math.log(r)) / rate for _, sections in parts
-                              for log_sigma, rate, r, *_ in sections if log_sigma > -math.inf])
+            probe = np.array([(log_sigma - math.log(sec.r)) / rate for *_, sections in parts
+                              for (log_sigma, rate), sec in zip(margins, sections)
+                              if log_sigma > -math.inf])
             # finite at the rightmost turn, where u <= r on both margins
-            floor = float(np.max(log_f(probe))) - WINDOW
-            lo, hi = zip(*(self.ends(*part, floor) for part in parts))
+            floor = float(log_f(probe).max()) - WINDOW
+            lo, hi = zip(*(self.ends(log_const, zip(margins, sections), floor)
+                           for log_const, _, sections in parts))
             if power < 0.0:
-                return float(trapezoid(lambda s: np.exp(log_f(s)).sum(), min(lo), max(hi), self.quad))
+                return float(trapezoid(lambda s: np.exp(log_f(s)), min(lo), max(hi), self.quad))
             s_c = float(probe.min()) - 4.0  # a few units left of the turning points
 
-            def sum_f(w):
+            def f(w):
                 e = np.exp(-w)
-                return np.exp(log_f(s_c + w - e) + np.log1p(e)).sum()
+                return np.exp(log_f(s_c + w - e) + np.log1p(e))
 
             # s(w) <= min(lo) at the left end, and s(w) >= max(hi) at the right one
             w_lo = -math.log1p(max(s_c - min(lo), 0.0))
-            return float(trapezoid(sum_f, w_lo, max(hi) - s_c + 1.0, self.quad))
+            return float(trapezoid(f, w_lo, max(hi) - s_c + 1.0, self.quad))
 
-    def ends(self, log_const: float, sections, floor: float):
+    def ends(self, log_const: float, margins, floor: float):
         """(lo, hi) in s, beyond which one component's bounds hold its log f below floor.
 
+        `margins` pairs each margin's (log sigma, rate) with its section.
         With one section's bound at a time and the other's constant one, the
         weight ends one side, a power bound the right one, and where the
         weight grows (k < 1/c1) a decay bound the left one, at the largest
         root x of e^x/2 = c - q x.  A zero corner's Q(r, 0) is 1: it bounds nothing.
         """
-        live = [sec for sec in sections if sec[0] > -math.inf]
-        power, top = self.power, log_const + sum(sec[4] for sec in live)
+        live = [(log_sigma, rate, sec) for (log_sigma, rate), sec in margins
+                if log_sigma > -math.inf]
+        power, top = self.power, log_const + sum(sec.const for *_, sec in live)
         end = (floor - top) / power
         lo, hi = (end, math.inf) if power > 0.0 else (-math.inf, end)
-        for log_sigma, rate, r, _, const, line, decay in live:
-            rest = top - const
-            if line is not None and power < r * rate:
-                hi = min(hi, (floor - rest - line - r * log_sigma) / (power - r * rate))
-            if decay is not None and power < 0.0:
+        for log_sigma, rate, sec in live:
+            rest, r = top - sec.const, sec.r
+            if sec.line is not None and power < r * rate:
+                hi = min(hi, (floor - rest - sec.line - r * log_sigma) / (power - r * rate))
+            if sec.decay is not None and power < 0.0:
                 # x <- log(2(c - q x)) from e^x/2 = 2y^2 >= c - q x, y = |c| + 2|q| + 2,
                 # decreases to the largest root without passing it
-                c, q = rest + decay + power * log_sigma / rate - floor, power / rate
+                c, q = rest + sec.decay + power * log_sigma / rate - floor, power / rate
                 x = 2.0 * math.log(2.0 * (abs(c) + 2.0 * abs(q) + 2.0))
                 for _ in range(3):
                     if c - q * x <= 0.0:  # no root: e^x/2 is the larger everywhere
@@ -225,10 +264,17 @@ class TailMeasure:
             (math.log(pb), r_in, r_out) for pb, r_in, r_out in parts.values() if pb > 0.0], 0, quad)
 
     def density(self, component, x: float, y: float) -> float:
-        """Lebesgue density at (x, y), both > 0: gamma density sections under the mixture."""
+        """Lebesgue density at (x, y), both > 0.
+
+        The mixture of log-gamma density sections is the density of the
+        log pair at (log x, log y); dividing by x y changes the variables back.
+        """
         if x <= 0 or y <= 0:
             raise DomainError("density is defined on the open quadrant x, y > 0")
-        return self._kernel(component).integral(_log_density, math.log(x), math.log(y))
+        value = self._kernel(component).integral(_log_density, math.log(x), math.log(y)) / x / y
+        if value == math.inf:
+            raise QuadratureFailure(f"the density at ({x}, {y}) overflows the float range")
+        return value
 
     def rect_mass(self, component, x_lo: float, y_lo: float) -> float:
         """Mass of [x_lo, inf) x [y_lo, inf); at least one bound positive.

@@ -8,9 +8,47 @@ import math
 
 import numpy as np
 
-from heavytail_pa import DomainError, InsufficientExceedances, LimitDistribution
+from heavytail_pa import DomainError, InsufficientExceedances, LimitDistribution, QuadratureFailure
 from heavytail_pa.census import MIN_EXCEEDANCES, AngularHistogram
+from heavytail_pa.quadrature import DEFAULT_QUAD, MAX_NODES, QuadratureSpec
 from heavytail_pa.tauberian import TransformReport
+
+
+def two_call_trapezoid(sum_f, lo: float, hi: float, spec: QuadratureSpec = DEFAULT_QUAD):
+    """The nested trapezoid rule with one integrand call per level.
+
+    ``sum_f(nodes)`` returns the sum of f over the nodes, a float or a
+    table.  Level 0 (n - 1 nodes) and its midpoints (n nodes) are two
+    calls; otherwise the rule, its stopping test and its failures are
+    those of quadrature.trapezoid, which must match it bit for bit.
+    """
+    n = max(2, math.ceil(4.0 * (hi - lo)))
+    h = (hi - lo) / n
+    used, change = 0, math.inf
+
+    def checked_sum(offset: float, count: int):
+        """The sum of f over lo + h (offset + arange(count)), after the node budget allows it."""
+        nonlocal used
+        if used + count > MAX_NODES:
+            raise QuadratureFailure(f"trapezoid rule not converged at {used} nodes (last change "
+                                    f"{change:.2e}): {count} more would pass {MAX_NODES}")
+        used += count
+        part = sum_f(lo + h * (offset + np.arange(count)))
+        if not np.all(np.isfinite(part)):
+            raise QuadratureFailure(f"non-finite integrand value at {used} nodes")
+        return part
+
+    total = checked_sum(1.0, n - 1)
+    value = h * total
+    while True:
+        total = total + checked_sum(0.5, n)
+        n, h = 2 * n, 0.5 * h
+        prev, value = value, h * total
+        change = float(np.max(np.abs(value - prev)))
+        if change <= max(spec.tol_abs, spec.tol_rel * float(np.max(np.abs(value)))):
+            if change == math.inf:  # the total overflowed, and inf <= tol_rel * inf
+                raise QuadratureFailure(f"the running sum overflows the float range at {used} nodes")
+            return value
 
 
 def _nb_log_coef(m, r: float) -> np.ndarray:
@@ -48,9 +86,11 @@ def nb_pmf(m, r: float, p) -> np.ndarray:
 def mixture_pmf_table(kernel, i_idx, j_idx) -> np.ndarray:
     """The atoms of an NB-mixture kernel at every (i, j) of the index arrays, by quadrature.
 
-    The NB pmfs mixed over Z on the kernel's own nodes and window; at
-    order 0 this is the component's pmf.  The window holds wherever the
-    index arrays hold 0.
+    The NB pmfs mixed over Z on the kernel's own window, by the two-call
+    rule: its integrand sums each table over the nodes as one matrix
+    product, which a per-node table would hold in memory whole.  At order
+    0 this is the component's pmf.  The window holds wherever the index
+    arrays hold 0.
     """
     i_idx, j_idx = np.asarray(i_idx, np.float64), np.asarray(j_idx, np.float64)
     ci, cj = _nb_log_coef(i_idx, kernel.r_in), _nb_log_coef(j_idx, kernel.r_out)
@@ -61,7 +101,9 @@ def mixture_pmf_table(kernel, i_idx, j_idx) -> np.ndarray:
         w_in = np.exp(log_w + _nb_logpmf(ci, i_idx, kernel.r_in, lp, -np.logaddexp(0.0, -s)))
         return w_in.T @ np.exp(_nb_logpmf(cj, j_idx, kernel.r_out, lq, lq + oq))
 
-    return kernel._integrate(sum_f, 0.0, i_idx.max(), 0.0, j_idx.max())
+    with np.errstate(over="ignore"):
+        return two_call_trapezoid(sum_f, *kernel._window(0.0, i_idx.max(), 0.0, j_idx.max()),
+                                  kernel.quad)
 
 
 def mixture_joint_pmf_table(dist, i_max: int, j_max: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from heavytail_pa import (
+    DomainError,
     DEFAULT_SEED,
     DegenerateTailSample,
     DirectedMultigraph,
@@ -115,6 +116,16 @@ def test_loglog_accepts_dict_input():
 def test_loglog_needs_support():
     with pytest.raises(InsufficientData):
         loglog_slope({10: 0.1, 20: 0.05, 30: 0.02}, i_min=5)
+
+
+@pytest.mark.parametrize("i_min", [0, -3])
+def test_loglog_refuses_an_i_min_below_1(i_min):
+    """log 0 once reached numpy's lstsq, which raised LinAlgError."""
+    table = {i: (i + 1.0) ** -2.0 for i in range(0, 40)}
+    with pytest.raises(DomainError, match="i_min must be at least 1"):
+        loglog_slope(table, i_min=i_min)
+    with pytest.raises(DomainError, match="i_min must be at least 1"):
+        loglog_slope(np.array(list(table.values())), i_min=i_min)
 
 
 def test_compare_identical_pmfs():

@@ -348,6 +348,43 @@ def test_exit_code_on_usage_error(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--edges", "-1"], "argument --edges: must be at least 1, got -1"),
+    (["simulate", "--edges", "0"], "argument --edges: must be at least 1, got 0"),
+    (["angular", "--threshold-quantile", "1.5"], "--threshold-quantile: must lie in [0, 1]"),
+    (["angular", "--threshold-quantile", "nan"], "--threshold-quantile: must lie in [0, 1]"),
+], ids=["edges-negative", "edges-zero", "quantile-above-1", "quantile-nan"])
+def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, argv, message):
+    """--edges -1 once died in grow() with a ValueError, and a quantile of 1.5 or
+    nan in np.quantile: each is refused while the flags are parsed."""
+    samples = tmp_path / "s.csv"
+    samples.write_text(SAMPLES)
+    if argv[0] == "angular":
+        argv = [*argv, "--samples", str(samples), "--out", str(tmp_path / "a.csv")]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert message in err.strip().splitlines()[-1]
+    assert "Traceback" not in err
+    assert not (tmp_path / "a.csv").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--k", "0"], "need k >= 2 order statistics"),
+    (["--method", "loglog", "--i-min", "0"], "i_min must be at least 1"),
+], ids=["hill-k-0", "loglog-i-min-0"])
+def test_estimate_refuses_degenerate_orders(tmp_path, capsys, argv, message):
+    """--k 0 once fell back to the default k, and --i-min 0 reached log 0 in lstsq."""
+    counts = tmp_path / "in.csv"
+    counts.write_text("i,j,N_ij\n" + "".join(f"{i},{i % 7},{1 + i % 3}\n" for i in range(1, 400)))
+    out = tmp_path / "out.json"
+    assert run(["estimate", "--counts", str(counts), *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # the names the package exports
 PUBLIC_NAMES = (
     "AngularHistogram", "DEFAULT_QUAD", "DEFAULT_SEED", "DegenerateTail", "DegenerateTailSample",

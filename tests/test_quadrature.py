@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from heavytail_pa import (
+    LimitDistribution,
     ModelParams,
     build_derivative_measure,
     QuadratureFailure,
@@ -12,33 +13,37 @@ from heavytail_pa import (
     TailMeasure,
     derivative_limit_rect,
     derive,
+    limit_dist,
+    tail_measure,
     uhat_limit_rhs,
 )
 from heavytail_pa.quadrature import MAX_NODES, trapezoid
+from oracles import two_call_trapezoid
+from test_properties import GROWTH_POINTS
 
 
 def test_table_rule_fails_fast_on_a_nan_integrand():
     calls = []
 
-    def sum_f(nodes):
+    def f(nodes):
         calls.append(nodes.size)
-        return np.full((2, 2), np.nan)
+        return np.full((2, 2, nodes.size), np.nan)
 
     with pytest.raises(QuadratureFailure, match="non-finite"):
-        trapezoid(sum_f, 0.0, 1.0)
+        trapezoid(f, 0.0, 1.0)
     assert len(calls) == 1
 
 
 def test_table_rule_rejects_an_unresolved_integrand():
     calls = []
 
-    def sum_f(nodes):
+    def f(nodes):
         calls.append(nodes.size)
-        return float((np.sin(1.0 / (nodes + 1e-8)) / np.sqrt(nodes + 1e-8)).sum())
+        return np.sin(1.0 / (nodes + 1e-8)) / np.sqrt(nodes + 1e-8)
 
     spec = QuadratureSpec(tol_abs=1e-14, tol_rel=1e-14)
     with pytest.raises(QuadratureFailure, match="not converged"):
-        trapezoid(sum_f, 0.0, 1.0, spec)
+        trapezoid(f, 0.0, 1.0, spec)
     assert sum(calls) <= MAX_NODES
 
 
@@ -49,7 +54,7 @@ def test_rule_refuses_a_level_past_the_node_budget():
 
     def spy(nodes):
         calls.append(nodes.size)
-        return 0.0
+        return np.zeros(nodes.size)
 
     with pytest.raises(QuadratureFailure, match="not converged at 0 nodes"):
         trapezoid(spy, 0.0, 1e5)
@@ -69,27 +74,133 @@ def test_running_sum_past_the_float_range_is_a_failure():
         tm.rect_mass("combined", 1e-20, 1e-20)
     big = float(np.finfo(float).max) / 4
 
-    def sum_f(nodes):
-        return big * nodes.size
+    def f(nodes):
+        return np.full(nodes.size, big)
 
     with pytest.raises(QuadratureFailure, match="running sum overflows"):
-        trapezoid(sum_f, 0.0, 1.0)
+        trapezoid(f, 0.0, 1.0)
 
 
 def test_trapezoid_gaussian_integrals():
     """int exp(-(s-mu)^2 / (2 sig^2)) ds = sig sqrt(2 pi), scalar and table-valued."""
-    got = trapezoid(lambda s: np.exp(-(s**2)).sum(), -12.0, 12.0)
+    got = trapezoid(lambda s: np.exp(-(s**2)), -12.0, 12.0)
     assert got == pytest.approx(math.sqrt(math.pi), rel=1e-14, abs=0.0)
     mu = np.array([-1.0, 0.3, 2.0])[:, None, None]
     sig = np.array([0.2, 1.0, 3.0])[None, :, None]
 
-    def sum_f(s):
-        return np.exp(-0.5 * ((s - mu) / sig) ** 2).sum(axis=-1)
+    def f(s):
+        return np.exp(-0.5 * ((s - mu) / sig) ** 2)
 
-    table = trapezoid(sum_f, -40.0, 40.0)
+    table = trapezoid(f, -40.0, 40.0)
     assert table.shape == (3, 3)
     np.testing.assert_allclose(table, np.broadcast_to(sig[..., 0] * math.sqrt(2 * math.pi), (3, 3)),
                                rtol=1e-14, atol=0.0)
+
+
+def _gaussians(s):
+    """A table of Gaussian bells, nodes on the last axis."""
+    mu = np.array([-1.0, 0.3, 2.0])[:, None, None]
+    sig = np.array([0.05, 1.0, 3.0])[None, :, None]
+    return np.exp(-0.5 * ((s - mu) / sig) ** 2)
+
+
+# windows off centre: on a centred one a symmetric integrand sums to the same bits in either order
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda s: np.exp(-(s**2)), -12.0, 13.0),
+    (lambda s: np.exp(-0.5 * ((s - 0.1) / 0.05) ** 2), -3.0, 2.5),
+    (_gaussians, -40.0, 41.0),
+    (lambda s: np.stack([np.exp(-np.cosh(s)), 1.0 / np.cosh(s) ** 2], axis=0), -30.0, 29.0),
+], ids=["scalar", "scalar-narrow", "table", "stacked"])
+def test_trapezoid_matches_the_two_call_rule_bit_for_bit(f, lo, hi):
+    """The first two levels in one call take the same nodes and the same sums
+    as two calls: level 0 at the odd positions, its midpoints at the even ones.
+    The narrow bells need four or more levels."""
+    for spec in (QuadratureSpec(), QuadratureSpec(tol_abs=0.0, tol_rel=1e-14)):
+        got = trapezoid(f, lo, hi, spec)
+        want = two_call_trapezoid(lambda s: f(s).sum(axis=-1), lo, hi, spec)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("point", [p for p, _ in GROWTH_POINTS.values()], ids=GROWTH_POINTS.keys())
+def test_integrals_match_the_two_call_rule_bit_for_bit(monkeypatch, point):
+    """Every tail-measure and NB-mixture integral, run by both rules."""
+    compared = []
+
+    def both(f, lo, hi, spec):
+        got = trapezoid(f, lo, hi, spec)
+        want = two_call_trapezoid(lambda s: f(s).sum(axis=-1), lo, hi, spec)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (lo, hi)
+        compared.append(got)
+        return got
+
+    monkeypatch.setattr(tail_measure, "trapezoid", both)
+    monkeypatch.setattr(limit_dist, "trapezoid", both)
+    params = ModelParams(*point)
+    tm, dist = TailMeasure(params), LimitDistribution(params)
+    for component in (1, 2, "combined"):
+        tm.density(component, 0.8, 1.5)
+        tm.rect_mass(component, 1.0, 2.0)
+        tm.rect_mass(component, 0.5, 0.0)
+    dist.pgf(0.5, 0.3)
+    dist.pgf(1.0, 1.0)
+    dist._kernel(1).mass([(3, 4), (10, 2), (math.inf, 5)], 0.3, 0.0)
+    dist._kernel(2).mass([(0, 0), (7, math.inf)])
+    assert len(compared) == 15
+
+
+def test_a_two_level_integral_makes_one_integrand_call(monkeypatch, params):
+    """At the canonical point each integral here stops after two levels, in one
+    call of 2n - 1 nodes; the density evaluates its log integrand twice, at the
+    probe points and then at the nodes."""
+    calls, free_sizes = [], []
+
+    def counted(f, lo, hi, spec):
+        sizes = []
+        value = trapezoid(lambda s: sizes.append(s.size) or f(s), lo, hi, spec)
+        calls.append((sizes, 2 * max(2, math.ceil(4.0 * (hi - lo))) - 1))
+        return value
+
+    log_density = tail_measure._log_density
+
+    def counted_density(r):
+        # the shape-free part runs once per margin each time the log integrand does
+        section = log_density(r)
+        return section._replace(free=lambda x: free_sizes.append(x.size) or section.free(x))
+
+    monkeypatch.setattr(tail_measure, "trapezoid", counted)
+    monkeypatch.setattr(limit_dist, "trapezoid", counted)
+    monkeypatch.setattr(tail_measure, "_log_density", counted_density)
+    tm, dist = TailMeasure(params), LimitDistribution(params)
+    tm.density("combined", 0.8, 1.5)
+    [(_, nodes)] = calls
+    assert free_sizes == [4, 4, nodes, nodes]  # four turning points, then the nodes
+    tm.rect_mass(1, 1.0, 2.0)
+    dist.pgf(0.5, 0.3)  # one integral per component
+    dist._kernel(1).mass([(3, 4), (10, 2)])
+    assert len(calls) == 5
+    assert all(sizes == [nodes] for sizes, nodes in calls), calls
+
+
+def test_density_matches_its_whole_log_integrand(params):
+    """Taking the shape-free -u out of the component sum moves the density by
+    rounding alone: the kernel with a section kind whose whole log is one
+    function of x agrees within 1e-14 on the benchmark's log grid."""
+    def whole(r):
+        section = tail_measure._log_density(r)
+        def log_section(x):
+            return section.offset + section.shaped(x) + section.free(x)
+
+        return section._replace(shaped=log_section, offset=0.0, free=None)
+
+    tm = TailMeasure(params)
+    grid = np.geomspace(0.5, 5.0, 8).tolist()
+    for component in (1, 2, "combined"):
+        kernel = tm._kernel(component)
+        for x in grid:
+            for y in grid:
+                want = kernel.integral(whole, math.log(x), math.log(y)) / x / y
+                assert tm.density(component, x, y) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 # alpha_in = 28.5 here: the z-exponents reach about 40, so the integrands
