@@ -53,7 +53,6 @@ from .params import (
     split_probability,
     validate,
 )
-from .quadrature import DEFAULT_QUAD, QuadratureSpec
 from .simulate import DirectedMultigraph, SeedSpec, grow, seed_graph, simulate
 from .tail_measure import TailMeasure
 from .tauberian import (
@@ -87,9 +86,9 @@ __all__ = [
     "DegenerateTail", "DegenerateTailSample", "DomainError", "EmptyInput", "HeavytailError",
     "InsufficientData", "InsufficientExceedances", "InvalidK", "InvalidParams", "InvalidSeed",
     "NonPositiveSample", "QuadratureFailure", "ResourceLimit",
-    # params, quadrature
+    # params
     "DerivedConstants", "ModelParams", "derive", "load_params", "save_params",
-    "split_probability", "validate", "DEFAULT_QUAD", "QuadratureSpec",
+    "split_probability", "validate",
     # simulate
     "DirectedMultigraph", "SeedSpec", "grow", "seed_graph", "simulate",
     # limit_dist, tail_measure

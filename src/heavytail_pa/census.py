@@ -35,7 +35,9 @@ from .errors import (
 from .params import DerivedConstants
 from .simulate import DirectedMultigraph
 
-MAX_TABLE_CELLS = 1 << 27  # a dense view: 512 MiB of int32 counts
+# cells of one dense table: at the cap 512 MiB as int32 counts (`JointCountTable.counts`),
+# 1 GiB as float64 (`JointPMF.box`, and limit_dist's `_balance_table` plus its padding)
+MAX_TABLE_CELLS = 1 << 27
 COUNT_MAX = np.iinfo(np.int32).max
 MIN_EXCEEDANCES = 50  # the fewest exceedances an angular histogram is drawn from
 ANGULAR_SLICE = 1 << 16  # pairs per slice of an angular histogram

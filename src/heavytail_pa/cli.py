@@ -9,7 +9,8 @@ resolved parameters, derived constants and seed.
 Only verify loads scipy.special, except for its uhat check: the other
 commands need at most log Gamma, from math.lgamma.
 Exit codes: 0 success, 1 validation or usage error, 2 numerical
-failure.  Randomness comes only from the --seed flag (default a fixed
+failure.  Randomness comes only from the --seed flag of the two
+commands that draw, simulate and sample-limit (default a fixed
 constant, never the clock).
 """
 
@@ -40,7 +41,6 @@ from .csvfile import read_csv, write_csv
 from .errors import HeavytailError, QuadratureFailure
 from .limit_dist import LimitDistribution
 from .params import ModelParams, derive, load_params, validate
-from .quadrature import QuadratureSpec
 from .simulate import simulate
 from .tail_measure import TailMeasure
 
@@ -86,20 +86,6 @@ def _add_param_flags(sub):
     sub.add_argument("--gamma", type=float, default=0.2)
     sub.add_argument("--delta-in", dest="delta_in", type=float, default=1.0)
     sub.add_argument("--delta-out", dest="delta_out", type=float, default=1.0)
-
-
-def _add_common(sub):
-    _add_param_flags(sub)
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--tolerance", type=float, default=1e-12,
-                     help="absolute quadrature tolerance; it governs the derivative-measure "
-                          "side of verify, while tail-measure integrals (density; the uhat and "
-                          "measure targets of verify) stop on relative change alone; the "
-                          "limit-law pmf (analytic-pmf, compare) is exact and ignores it")
-
-
-def _quad(args) -> QuadratureSpec:
-    return QuadratureSpec(tol_abs=args.tolerance)
 
 
 def _write_json(path, payload) -> None:
@@ -167,7 +153,7 @@ def _parse_points(spec: str, flag: str):
 
 def _cmd_density(args) -> int:
     params = _resolve_params(args)
-    tm = TailMeasure(params, _quad(args))
+    tm = TailMeasure(params)
     xs = _parse_points(args.grid_x, "--grid-x")
     ys = _parse_points(args.grid_y, "--grid-y")
     component = args.component if args.component == "combined" else int(args.component)
@@ -244,7 +230,7 @@ def _cmd_compare(args) -> int:
 # verify's own flags, each a keyword of the tauberian.CHECKS functions that
 # take it; of the flags a check does not take, the first in this order is named
 _VERIFY_FLAGS = (("k", int), ("h_grid", str), ("rel_tol", float), ("t_grid", str),
-                 ("y_grid", str), ("component", int))
+                 ("y_grid", str), ("margin", int))
 
 
 def _cmd_verify(args) -> int:
@@ -258,7 +244,7 @@ def _cmd_verify(args) -> int:
     for name, value in given.items():
         if name.endswith("_grid"):
             given[name] = _parse_points(value, "--" + name.replace("_", "-"))
-    report = check(params, quad=_quad(args), **given)
+    report = check(params, **given)
     report["config"] = _config_block(args, params)
     _write_json(args.out, report)
     print(f"{args.check}: {'pass' if report['passed'] else 'FAIL'}")
@@ -301,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = ap.add_subparsers(dest="command", required=True)
 
     s = sp.add_parser("simulate", help="grow a graph and write edge list / degree counts")
-    _add_common(s)
+    _add_param_flags(s)
+    s.add_argument("--seed", type=int, default=DEFAULT_SEED)
     s.add_argument("--edges", type=_positive_int, required=True,
                    help="the graph's edge count, its one-edge seed included")
     s.add_argument("--out", help="binary edge-list output path")
@@ -309,20 +296,21 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_simulate)
 
     s = sp.add_parser("analytic-pmf", help="tabulate the limiting joint degree law")
-    _add_common(s)
+    _add_param_flags(s)
     s.add_argument("--imax", type=int, default=200)
     s.add_argument("--jmax", type=int, default=200)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=_cmd_analytic_pmf)
 
     s = sp.add_parser("sample-limit", help="draw iid pairs from the limiting law")
-    _add_common(s)
+    _add_param_flags(s)
+    s.add_argument("--seed", type=int, default=DEFAULT_SEED)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=_cmd_sample_limit)
 
     s = sp.add_parser("density", help="tabulate tail-measure densities on a grid")
-    _add_common(s)
+    _add_param_flags(s)
     s.add_argument("--component", choices=["1", "2", "combined"], default="combined")
     s.add_argument("--grid-x", default="0.5:5:9", help="lo:hi:count (log-spaced) or comma list")
     s.add_argument("--grid-y", default="0.5:5:9")
@@ -330,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_density)
 
     s = sp.add_parser("angular", help="angular histogram of standardized samples")
-    _add_common(s)
+    _add_param_flags(s)
     s.add_argument("--samples", required=True, help="CSV with columns I,O")
     s.add_argument("--threshold-quantile", type=_probability, default=0.999)
     s.add_argument("--bins", type=int, default=10)
@@ -347,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_estimate)
 
     s = sp.add_parser("compare", help="empirical counts vs the analytic law on a box")
-    _add_common(s)
+    _add_param_flags(s)
     s.add_argument("--counts", required=True)
     s.add_argument("--imax", type=int, default=10)
     s.add_argument("--jmax", type=int, default=10)
@@ -355,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_compare)
 
     s = sp.add_parser("verify", help="transform/measure scaling-limit checks")
-    _add_common(s)
+    _add_param_flags(s)
     s.add_argument("--check", choices=list(tauberian.CHECKS), required=True)
     for name, kind in _VERIFY_FLAGS:
         s.add_argument("--" + name.replace("_", "-"), type=kind)

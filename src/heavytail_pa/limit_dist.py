@@ -51,7 +51,7 @@ from .census import MAX_TABLE_CELLS
 from .errors import DomainError, ResourceLimit
 from .params import (DerivedConstants, ModelParams, check_component, derive, split_probability,
                      validate)
-from .quadrature import DEFAULT_QUAD, WINDOW, QuadratureSpec, trapezoid
+from .quadrature import WINDOW, trapezoid
 from .tail_measure import _TINY, _log_lower, _log_mix_const
 
 # draws per sampler block; with the seed it fixes every sample
@@ -159,9 +159,8 @@ class _NBMixture:
     nowhere (the pgf at x = y = 1) still have a finite window.
     """
 
-    def __init__(self, derived: DerivedConstants, r_in: float, r_out: float, k: int,
-                 quad: QuadratureSpec):
-        self.c1, self.a, self.k, self.quad = derived.c1, derived.a, k, quad
+    def __init__(self, derived: DerivedConstants, r_in: float, r_out: float, k: int):
+        self.c1, self.a, self.k = derived.c1, derived.a, k
         self.r_in, self.r_out = r_in + k, r_out
         self.log_const = _log_mix_const(r_in, k, self.c1)
 
@@ -178,7 +177,7 @@ class _NBMixture:
             return np.stack([np.exp(log_w + sec_in(mi) + sec_out(mj)) for mi, mj in cuts], axis=0)
 
         m_in, m_out = (max(cut) for cut in zip(*cuts))
-        return trapezoid(f, *self._window(tilt_in, m_in, tilt_out, m_out), self.quad)
+        return trapezoid(f, *self._window(tilt_in, m_in, tilt_out, m_out))
 
     def _logs(self, s, out_odds: bool = True):
         """log w, and (log p, log((1-p)/p)) and (log q, log((1-q)/q)) at the nodes s.
@@ -222,6 +221,8 @@ def _balance_table(derived: DerivedConstants, delta_in: float, delta_out: float,
     padded on, a diagonal and its neighbours (i-1, j) and (i, j-1) are
     views of the flat table with one stride, a row and a cell apart.  A box
     past MAX_TABLE_CELLS raises ResourceLimit before anything is allocated.
+    The padded float64 table, 8 (i_max + 2)(j_max + 2) bytes, sets the
+    peak: at the cap, 1 GiB plus 8 (i_max + j_max + 3) bytes of padding.
     """
     if (i_max + 1) * (j_max + 1) > MAX_TABLE_CELLS:
         raise ResourceLimit(f"a {i_max + 1} x {j_max + 1} pmf box exceeds {MAX_TABLE_CELLS} cells")
@@ -338,15 +339,14 @@ def draw_block(rng, pb: float, delta_in: float, delta_out: float, c1: float, a: 
 class LimitDistribution:
     """Evaluator and sampler for the limiting joint degree law."""
 
-    def __init__(self, params: ModelParams, quad: QuadratureSpec = DEFAULT_QUAD):
+    def __init__(self, params: ModelParams):
         self.params = validate(params)
         self.derived: DerivedConstants = derive(self.params)
         self.split = split_probability(self.params)
-        self.quad = quad
         p = self.params
         self._kernels = {
-            1: _NBMixture(self.derived, p.delta_in + 1.0, p.delta_out, 0, quad),
-            2: _NBMixture(self.derived, p.delta_in, p.delta_out + 1.0, 0, quad),
+            1: _NBMixture(self.derived, p.delta_in + 1.0, p.delta_out, 0),
+            2: _NBMixture(self.derived, p.delta_in, p.delta_out + 1.0, 0),
         }
 
     # -- generating functions -------------------------------------------

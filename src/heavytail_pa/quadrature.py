@@ -10,6 +10,11 @@ Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
 integrands alike.  An integrand returns its value at each node, with
 the nodes on the last axis; the rule sums each level along that axis.
 
+The rule stops on relative change alone, at TOL_REL.  Every integrand
+here is positive, and its integral can lie far below any fixed absolute
+floor (far-tail densities reach 1e-14 and less), where such a floor
+would accept a value before it is relatively accurate.
+
 Each caller bounds its window in closed form, from the decay of the
 mixing weight and of its sections: the window ends where that bound lies
 e^-WINDOW below a lower bound of the integrand's peak.
@@ -18,7 +23,6 @@ e^-WINDOW below a lower bound of the integrand's peak.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,28 +32,20 @@ from .errors import QuadratureFailure
 WINDOW = 40.0
 # nodes one integral may evaluate before it is declared unresolved
 MAX_NODES = 1 << 16
+# the max-norm change, relative to the largest |value|, at which the rule
+# stops; read when the rule runs
+TOL_REL = 1e-10
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Absolute and relative tolerances for integrals."""
-
-    tol_abs: float = 1e-12
-    tol_rel: float = 1e-10
-
-
-DEFAULT_QUAD = QuadratureSpec()
-
-
-def trapezoid(f, lo: float, hi: float, spec: QuadratureSpec = DEFAULT_QUAD):
+def trapezoid(f, lo: float, hi: float):
     """Nested trapezoid rule for the integral of f over [lo, hi].
 
     ``f(nodes)`` returns f at each node, the nodes on the last axis of
     its result; a table-valued f returns its table on the leading axes.
     The rule starts at a step h of at most 0.25 and halves it, evaluating
-    only the new midpoints, until the max-norm change is within
-    max(tol_abs, tol_rel * max|value|).  Its first two levels are one
-    call, on the nodes lo + (h/2) arange(1, 2n): level 0 at the odd
+    only the new midpoints, until the max-norm change is at most
+    TOL_REL * max|value|.  Its first two levels are one call, on the
+    nodes lo + (h/2) arange(1, 2n): level 0 at the odd
     positions, its midpoints at the even ones.  The ends are never
     evaluated: every window ends where f is negligible.  A non-finite
     level sum or running total raises QuadratureFailure, and so does a
@@ -87,8 +83,8 @@ def trapezoid(f, lo: float, hi: float, spec: QuadratureSpec = DEFAULT_QUAD):
             n, h = 2 * n, 0.5 * h
             prev, value = value, h * total
             change = float(abs(value - prev).max())
-            if change <= max(spec.tol_abs, spec.tol_rel * float(abs(value).max())):
-                if change == math.inf:  # the total overflowed, and inf <= tol_rel * inf
+            if change <= TOL_REL * float(abs(value).max()):
+                if change == math.inf:  # the total overflowed, and inf <= TOL_REL * inf
                     raise QuadratureFailure("the running sum overflows the float range at "
                                             f"{used} nodes")
                 return value

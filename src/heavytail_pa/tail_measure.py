@@ -29,7 +29,7 @@ The combined measure pb mu_1 + (1 - pb) mu_2, pb = gamma/(alpha+gamma),
 is one mixture integral too: both components share the weight's power,
 so its integrand is logaddexp(log pb + log f_1, log(1 - pb) + log f_2),
 integrated once over the union of both components' windows, and the
-quadrature tolerance applies to the combined value returned.  The part
+rule's relative tolerance applies to the combined value returned.  The part
 of a section's log that no shape changes (the density's -u) is the same
 in f_1 and f_2, so it is added once, outside the logaddexp.
 
@@ -53,7 +53,7 @@ import numpy as np
 from .errors import DomainError, QuadratureFailure
 from .params import (DerivedConstants, ModelParams, check_component, derive, split_probability,
                      tail_ready)
-from .quadrature import DEFAULT_QUAD, WINDOW, QuadratureSpec, trapezoid
+from .quadrature import WINDOW, trapezoid
 
 _TINY = np.finfo(np.float64).tiny  # the least normal float
 
@@ -146,9 +146,8 @@ class _GammaMixture:
     closed-form in-marginal.
     """
 
-    def __init__(self, derived: DerivedConstants, components, k: float, quad: QuadratureSpec):
+    def __init__(self, derived: DerivedConstants, components, k: float):
         self.c1, self.a, self.k = derived.c1, derived.a, k
-        self.quad = QuadratureSpec(tol_abs=0.0, tol_rel=quad.tol_rel)  # see `integral`
         self.power = k - 1.0 / self.c1
         self.components = components  # (w_j, r_in, r_out), r_in the order-0 in-shape
         self._parts = {}  # section kind -> `parts(kind)`
@@ -174,9 +173,8 @@ class _GammaMixture:
         points u = r.  Where k > 1/c1 the integrand tends to
         e^(log_const + (k - 1/c1) s) at the left, too long a tail for s at
         small k - 1/c1, so the rule runs in w, s = s_c + w - e^-w, where it
-        decays double-exponentially.  The integrand is positive, so the rule
-        stops on tol_rel alone: an absolute floor would accept a far-tail
-        value long before it is relatively accurate.
+        decays double-exponentially.  The rule stops on relative change
+        (quadrature.TOL_REL), so a far-tail value is relatively accurate.
         """
         a, power, parts = self.a, self.power, self.parts(kind)
         margins = ((log_in, 1.0), (log_out, a))  # (log sigma, rate): x = log sigma - rate s
@@ -198,7 +196,7 @@ class _GammaMixture:
             lo, hi = zip(*(self.ends(log_const, zip(margins, sections), floor)
                            for log_const, _, sections in parts))
             if power < 0.0:
-                return float(trapezoid(lambda s: np.exp(log_f(s)), min(lo), max(hi), self.quad))
+                return float(trapezoid(lambda s: np.exp(log_f(s)), min(lo), max(hi)))
             s_c = float(probe.min()) - 4.0  # a few units left of the turning points
 
             def f(w):
@@ -207,7 +205,7 @@ class _GammaMixture:
 
             # s(w) <= min(lo) at the left end, and s(w) >= max(hi) at the right one
             w_lo = -math.log1p(max(s_c - min(lo), 0.0))
-            return float(trapezoid(f, w_lo, max(hi) - s_c + 1.0, self.quad))
+            return float(trapezoid(f, w_lo, max(hi) - s_c + 1.0))
 
     def ends(self, log_const: float, margins, floor: float):
         """(lo, hi) in s, beyond which one component's bounds hold its log f below floor.
@@ -250,18 +248,17 @@ class _GammaMixture:
 class TailMeasure:
     """Evaluator for the component and combined tail measures."""
 
-    def __init__(self, params: ModelParams, quad: QuadratureSpec = DEFAULT_QUAD):
+    def __init__(self, params: ModelParams):
         self.params = tail_ready(params)
         self.derived: DerivedConstants = derive(self.params)
         self.split = split_probability(self.params)
-        self.quad = quad
         din, dout = self.params.delta_in, self.params.delta_out
         parts = {1: (self.split, din + 1.0, dout), 2: (1.0 - self.split, din, dout + 1.0)}
-        self._kernels = {j: _GammaMixture(self.derived, [(0.0, r_in, r_out)], 0, quad)
+        self._kernels = {j: _GammaMixture(self.derived, [(0.0, r_in, r_out)], 0)
                          for j, (_, r_in, r_out) in parts.items()}
         # pb is 0 at gamma = 0 and 1 at alpha = 0
         self._kernels["combined"] = _GammaMixture(self.derived, [
-            (math.log(pb), r_in, r_out) for pb, r_in, r_out in parts.values() if pb > 0.0], 0, quad)
+            (math.log(pb), r_in, r_out) for pb, r_in, r_out in parts.values() if pb > 0.0], 0)
 
     def density(self, component, x: float, y: float) -> float:
         """Lebesgue density at (x, y), both > 0.

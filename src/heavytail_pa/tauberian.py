@@ -39,7 +39,6 @@ import numpy as np
 from .errors import DomainError, InvalidK, QuadratureFailure
 from .limit_dist import _NBMixture
 from .params import ModelParams, check_component, derive, tail_ready
-from .quadrature import DEFAULT_QUAD, QuadratureSpec
 from .tail_measure import _GammaMixture, _log_laplace, _log_lower
 
 
@@ -99,7 +98,7 @@ def derivative_marginal_normalizer(params: ModelParams, k: int) -> float:
     gamma mixture's closed form, taken in logs; a K beyond the float
     range is a DomainError.
     """
-    log_norm = _limit_kernel(k, params, DEFAULT_QUAD).log_marginal_const()
+    log_norm = _limit_kernel(k, params).log_marginal_const()
     try:
         return math.exp(log_norm)
     except OverflowError:
@@ -111,12 +110,12 @@ def _check_order(k, derived) -> None:
         raise InvalidK(f"k = {k} must exceed alpha_in - 1 = {derived.alpha_in - 1.0:.6g}")
 
 
-def _limit_kernel(k, params: ModelParams, quad: QuadratureSpec) -> _GammaMixture:
+def _limit_kernel(k, params: ModelParams) -> _GammaMixture:
     """The limit of U_t: the order-k gamma mixture of component 1, for real k > alpha_in - 1."""
     params = tail_ready(params)
     derived = derive(params)
     _check_order(k, derived)
-    return _GammaMixture(derived, [(0.0, params.delta_in + 1.0, params.delta_out)], k, quad)
+    return _GammaMixture(derived, [(0.0, params.delta_in + 1.0, params.delta_out)], k)
 
 
 @dataclass(frozen=True)
@@ -142,16 +141,15 @@ class DerivativeMeasure:
     pass over the nodes whatever the index range.
     """
 
-    def __init__(self, params: ModelParams, k: int, quad: QuadratureSpec = DEFAULT_QUAD):
+    def __init__(self, params: ModelParams, k: int):
         self.params = tail_ready(params)
         self.derived = derive(self.params)
         if k != int(k) or k < 1:
             raise InvalidK("k must be a positive integer")
         _check_order(k, self.derived)
         self.k = int(k)
-        self.quad = quad
         self._kernel = _NBMixture(self.derived, self.params.delta_in + 1.0,
-                                  self.params.delta_out, self.k, quad)
+                                  self.params.delta_out, self.k)
 
     def rect_mass_below(self, x: float, y: float) -> float:
         """Sum of atoms with i <= x and j <= y."""
@@ -159,13 +157,13 @@ class DerivativeMeasure:
             return 0.0
         return float(self._kernel.mass([(np.floor(x), np.floor(y))])[0])
 
-    def marginal_mass(self, component: int, x: float) -> float:
-        """Cumulative marginal weight; the out-marginal is infinite, a DomainError,
-        where k >= alpha_in - 1 + a*delta_out."""
-        component = check_component(component)
+    def marginal_mass(self, margin: int, x: float) -> float:
+        """Cumulative weight of margin 1 (in) or 2 (out); the out-marginal is
+        infinite, a DomainError, where k >= alpha_in - 1 + a*delta_out."""
+        margin = check_component(margin)
         if x < 0:
             return 0.0
-        cut = (np.floor(x), math.inf) if component == 1 else (math.inf, np.floor(x))
+        cut = (np.floor(x), math.inf) if margin == 1 else (math.inf, np.floor(x))
         return float(self._kernel.mass([cut])[0])
 
     def laplace(self, s1: float, s2: float) -> TransformReport:
@@ -184,10 +182,9 @@ class DerivativeMeasure:
         return float(vals[0]), [float(v) for v in vals[1:]]
 
 
-def build_derivative_measure(k: int, params: ModelParams,
-                             quad: QuadratureSpec = DEFAULT_QUAD) -> DerivativeMeasure:
+def build_derivative_measure(k: int, params: ModelParams) -> DerivativeMeasure:
     """Construct the order-k derivative measure (requires k > alpha_in - 1)."""
-    return DerivativeMeasure(params, k, quad=quad)
+    return DerivativeMeasure(params, k)
 
 
 # -- scaling operations -------------------------------------------------------
@@ -218,39 +215,27 @@ def transform_scaling(
     return value
 
 
-def uhat_limit_rhs(
-    k: int,
-    params: ModelParams,
-    lam1: float,
-    lam2: float,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
+def uhat_limit_rhs(k: int, params: ModelParams, lam1: float, lam2: float) -> float:
     """The limiting transform: an explicit integral over the mixing scale.
 
     c1^-1 prod_{d=1..k}(delta_in + d) int_0^inf z^(k-1-1/c1)
     (1 + z lam1)^-(delta_in+k+1) (1 + z^a lam2)^-delta_out dz, the Laplace
     sections of the order-k gamma mixture.
     """
-    kernel = _limit_kernel(k, params, quad)
+    kernel = _limit_kernel(k, params)
     if lam1 <= 0 or lam2 <= 0:
         raise DomainError("decay parameters must be positive")
     return kernel.integral(_log_laplace, -math.log(lam1), -math.log(lam2))
 
 
-def derivative_limit_rect(
-    k: int,
-    params: ModelParams,
-    x: float,
-    y: float,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
+def derivative_limit_rect(k: int, params: ModelParams, x: float, y: float) -> float:
     """Rectangle mass [0,x] x [0,y] of the limiting measure of U_t.
 
     The limit density is a gamma mixture, so the rectangle mass reduces
     to regularized lower incomplete gamma sections under the mixing
     integral.
     """
-    kernel = _limit_kernel(k, params, quad)
+    kernel = _limit_kernel(k, params)
     if x <= 0 or y <= 0:
         raise DomainError("rectangle corners must be positive")
     return kernel.integral(_log_lower, math.log(x), math.log(y))
@@ -261,7 +246,9 @@ def truncation_condition(measure, b: ScalingFunctions, x, y_grid, t_grid) -> lis
 
     For each (t, y) integrates exp(-v1/x1 - v2/x2) over the scaled
     atoms outside the open box [0, y)^2, reporting the decay relative
-    to the y = 0 value (the full transform).
+    to the y = 0 value (the full transform).  The box cuts are floats:
+    where y b_i(t) passes the float range the cut is inf, the whole
+    section, as it is for rect_mass_below.
     """
     x1, x2 = x
     if x1 <= 0 or x2 <= 0:
@@ -273,7 +260,7 @@ def truncation_condition(measure, b: ScalingFunctions, x, y_grid, t_grid) -> lis
         b1t, b2t = b.b1(t), b.b2(t)
         s1, s2 = 1.0 / (x1 * b1t), 1.0 / (x2 * b2t)
         positive = [y for y in y_grid if y > 0]
-        boxes = [(math.ceil(y * b1t), math.ceil(y * b2t)) for y in positive]
+        boxes = [(np.ceil(y * b1t), np.ceil(y * b2t)) for y in positive]
         full, box_vals = measure.laplace_with_boxes(s1, s2, boxes)
         full /= t
         values = {0.0: full}
@@ -291,17 +278,17 @@ def truncation_condition(measure, b: ScalingFunctions, x, y_grid, t_grid) -> lis
     return rows
 
 
-def marginal_condition(measure, component: int, b: ScalingFunctions, x_grid, t_grid) -> list:
-    """Ratios U_i(b_i(t) x)/t against the target x**gamma_i."""
-    component = check_component(component)
-    gamma_i = b.gamma1 if component == 1 else b.gamma2
+def marginal_condition(measure, margin: int, b: ScalingFunctions, x_grid, t_grid) -> list:
+    """Ratios U_i(b_i(t) x)/t of margin i against the target x**gamma_i."""
+    margin = check_component(margin)
+    gamma_i = b.gamma1 if margin == 1 else b.gamma2
     rows = []
     for t in t_grid:
-        scale = b.b1(t) if component == 1 else b.b2(t)
+        scale = b.b1(t) if margin == 1 else b.b2(t)
         for x in x_grid:
             if x <= 0:
                 raise DomainError("x grid must be positive")
-            ratio = measure.marginal_mass(component, scale * x) / t
+            ratio = measure.marginal_mass(margin, scale * x) / t
             target = x**gamma_i
             rows.append(
                 {
@@ -342,9 +329,8 @@ def _check_rel_tol(rel_tol: float) -> None:
 
 
 def _trend_check(check: str, keys, target, what: str, scaled, params: ModelParams, k: int,
-                 points, grid, rel_tol: float, quad: QuadratureSpec,
-                 measure: Optional[DerivativeMeasure]) -> dict:
-    """Compare scaled(U, b, g, *point) with target(k, params, *point, quad) along the grid.
+                 points, grid, rel_tol: float, measure: Optional[DerivativeMeasure]) -> dict:
+    """Compare scaled(U, b, g, *point) with target(k, params, *point) along the grid.
 
     keys names a row's grid value, the point's two coordinates, the
     scaled value and the target; rel_err follows, and the report names
@@ -355,13 +341,13 @@ def _trend_check(check: str, keys, target, what: str, scaled, params: ModelParam
     _nonempty(check, grid_key, grid)
     _nonempty(check, "point list", points)
     _check_rel_tol(rel_tol)
-    u = measure if measure is not None else build_derivative_measure(k, params, quad)
+    u = measure if measure is not None else build_derivative_measure(k, params)
     b = ScalingFunctions.for_derivative_measure(params, k)
     rows = []
     ok = True
     for point in points:
         try:
-            goal = target(k, params, *point, quad)
+            goal = target(k, params, *point)
         except QuadratureFailure as exc:
             raise QuadratureFailure(f"{what.format(*point)}: {exc}") from None
         if not (math.isfinite(goal) and goal > 0):
@@ -385,13 +371,12 @@ def uhat_check(
     lambdas=((1.0, 1.0), (0.5, 2.0), (2.0, 0.5)),
     h_grid=(1e2, 1e4, 1e6),
     rel_tol: float = 0.05,
-    quad: QuadratureSpec = DEFAULT_QUAD,
     measure: Optional[DerivativeMeasure] = None,
 ) -> dict:
     """Scaled transform of the derivative measure against its limit integral."""
     return _trend_check("uhat", ("h", "lambda1", "lambda2", "lhs", "rhs"), uhat_limit_rhs,
                         "the limit transform at lambda = ({:g}, {:g})", transform_scaling,
-                        params, k, lambdas, h_grid, rel_tol, quad, measure)
+                        params, k, lambdas, h_grid, rel_tol, measure)
 
 
 def measure_check(
@@ -400,13 +385,12 @@ def measure_check(
     points=((1.0, 1.0),),
     t_grid=(1e2, 1e3, 1e4),
     rel_tol: float = 0.10,
-    quad: QuadratureSpec = DEFAULT_QUAD,
     measure: Optional[DerivativeMeasure] = None,
 ) -> dict:
     """Scaled rectangle masses against the limiting rectangle integral."""
     return _trend_check("measure", ("t", "x", "y", "value", "target"), derivative_limit_rect,
                         "the limit rectangle mass at ({:g}, {:g})", measure_scaling,
-                        params, k, points, t_grid, rel_tol, quad, measure)
+                        params, k, points, t_grid, rel_tol, measure)
 
 
 def truncation_check(
@@ -414,7 +398,6 @@ def truncation_check(
     k: int = 3,
     y_grid=(0.0, 1.0, 2.0, 4.0, 8.0),
     t_grid=(1e3, 1e4, 1e5),
-    quad: QuadratureSpec = DEFAULT_QUAD,
     measure: Optional[DerivativeMeasure] = None,
 ) -> dict:
     """Decay of the tail part of the scaled transform, uniform over t.
@@ -424,7 +407,7 @@ def truncation_check(
     """
     _nonempty("truncation", "y_grid", y_grid)
     _nonempty("truncation", "t_grid", t_grid)
-    u = measure if measure is not None else build_derivative_measure(k, params, quad)
+    u = measure if measure is not None else build_derivative_measure(k, params)
     b = ScalingFunctions.for_derivative_measure(params, k)
     rows = truncation_condition(u, b, _TRUNCATION_X, y_grid, t_grid)
     probe_y = float(max(y_grid))
@@ -443,23 +426,23 @@ def truncation_check(
 def marginal_check(
     params: ModelParams,
     k: int = 3,
-    component: int = 1,
+    margin: int = 1,
     t_grid=(1e2, 1e3, 1e4, 1e5),
     rel_tol: float = 0.10,
-    quad: QuadratureSpec = DEFAULT_QUAD,
     measure: Optional[DerivativeMeasure] = None,
 ) -> dict:
-    """Marginal scaling ratios at x = 0.5, 1, 2 against x**gamma under normalized scaling."""
+    """Marginal scaling ratios of margin 1 (in) or 2 (out) at x = 0.5, 1, 2
+    against x**gamma under normalized scaling."""
     _nonempty("marginal", "t_grid", t_grid)
     _check_rel_tol(rel_tol)
-    u = measure if measure is not None else build_derivative_measure(k, params, quad)
+    u = measure if measure is not None else build_derivative_measure(k, params)
     b = ScalingFunctions.normalized_for_derivative_measure(params, k)
-    rows = marginal_condition(u, component, b, _MARGINAL_X_GRID, t_grid)
+    rows = marginal_condition(u, margin, b, _MARGINAL_X_GRID, t_grid)
     t_final = max(t_grid)
     return {
         "check": "marginal",
         "k": k,
-        "component": component,
+        "margin": margin,
         "normalizer": b.scale1,
         "rel_tol": rel_tol,
         "rows": rows,

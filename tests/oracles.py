@@ -10,17 +10,21 @@ import numpy as np
 
 from heavytail_pa import DomainError, InsufficientExceedances, LimitDistribution, QuadratureFailure
 from heavytail_pa.census import MIN_EXCEEDANCES, AngularHistogram
-from heavytail_pa.quadrature import DEFAULT_QUAD, MAX_NODES, QuadratureSpec
+from heavytail_pa.quadrature import MAX_NODES
 from heavytail_pa.tauberian import TransformReport
 
 
-def two_call_trapezoid(sum_f, lo: float, hi: float, spec: QuadratureSpec = DEFAULT_QUAD):
+def two_call_trapezoid(sum_f, lo: float, hi: float, tol_abs: float = 1e-12,
+                       tol_rel: float = 1e-10):
     """The nested trapezoid rule with one integrand call per level.
 
     ``sum_f(nodes)`` returns the sum of f over the nodes, a float or a
     table.  Level 0 (n - 1 nodes) and its midpoints (n nodes) are two
-    calls; otherwise the rule, its stopping test and its failures are
-    those of quadrature.trapezoid, which must match it bit for bit.
+    calls, and the rule stops when the max-norm change is within
+    max(tol_abs, tol_rel * max|value|); otherwise the rule and its
+    failures are those of quadrature.trapezoid, which must match it bit
+    for bit.  The default tolerances are those the NB-mixture integrals
+    once ran at; the gamma-mixture ones ran at tol_abs = 0.
     """
     n = max(2, math.ceil(4.0 * (hi - lo)))
     h = (hi - lo) / n
@@ -45,7 +49,7 @@ def two_call_trapezoid(sum_f, lo: float, hi: float, spec: QuadratureSpec = DEFAU
         n, h = 2 * n, 0.5 * h
         prev, value = value, h * total
         change = float(np.max(np.abs(value - prev)))
-        if change <= max(spec.tol_abs, spec.tol_rel * float(np.max(np.abs(value)))):
+        if change <= max(tol_abs, tol_rel * float(np.max(np.abs(value)))):
             if change == math.inf:  # the total overflowed, and inf <= tol_rel * inf
                 raise QuadratureFailure(f"the running sum overflows the float range at {used} nodes")
             return value
@@ -102,8 +106,7 @@ def mixture_pmf_table(kernel, i_idx, j_idx) -> np.ndarray:
         return w_in.T @ np.exp(_nb_logpmf(cj, j_idx, kernel.r_out, lq, lq + oq))
 
     with np.errstate(over="ignore"):
-        return two_call_trapezoid(sum_f, *kernel._window(0.0, i_idx.max(), 0.0, j_idx.max()),
-                                  kernel.quad)
+        return two_call_trapezoid(sum_f, *kernel._window(0.0, i_idx.max(), 0.0, j_idx.max()))
 
 
 def mixture_joint_pmf_table(dist, i_max: int, j_max: int) -> np.ndarray:
@@ -126,14 +129,14 @@ def atom(measure, i: int, j: int) -> float:
     prod_{d=1..k}(i+d) * P[X1 = i+k, Y1 = j]."""
     if i < 0 or j < 0:
         raise DomainError("atom indices must be nonnegative")
-    pmf = LimitDistribution(measure.params, measure.quad).pmf_component(1, i + measure.k, j)
+    pmf = LimitDistribution(measure.params).pmf_component(1, i + measure.k, j)
     return _rising(i, measure.k) * pmf
 
 
 def dense_atoms(measure, i_max: int, j_max: int) -> np.ndarray:
     """The atoms of a DerivativeMeasure on [0, i_max] x [0, j_max], from the pmf table."""
     k = measure.k
-    table = LimitDistribution(measure.params, measure.quad).pmf_component_table(1, i_max + k, j_max)
+    table = LimitDistribution(measure.params).pmf_component_table(1, i_max + k, j_max)
     rising = np.array([_rising(i, k) for i in range(i_max + 1)])
     return rising[:, None] * table[k:]
 
@@ -174,16 +177,16 @@ class LatticeMeasure:
         si, sj = self.atoms.shape
         vals = []
         for i_below, j_below in boxes:
-            bi, bj = min(max(i_below, 0), si), min(max(j_below, 0), sj)
+            bi, bj = int(min(max(i_below, 0), si)), int(min(max(j_below, 0), sj))  # float cuts
             vals.append(self._weighted_sum(s1, s2, block=(bi, bj)) if bi > 0 and bj > 0 else 0.0)
         return full, vals
 
-    def marginal_mass(self, component: int, x: float) -> float:
-        if component not in (1, 2):
-            raise DomainError("component must be 1 or 2")
+    def marginal_mass(self, margin: int, x: float) -> float:
+        if margin not in (1, 2):
+            raise DomainError("margin must be 1 or 2")
         if x < 0:
             return 0.0
-        marg = self.atoms.sum(axis=1 if component == 1 else 0)
+        marg = self.atoms.sum(axis=1 if margin == 1 else 0)
         return float(marg[: int(math.floor(x)) + 1].sum())
 
     def _weighted_sum(self, s1: float, s2: float, block=None) -> float:

@@ -263,12 +263,12 @@ def test_density_at_high_alpha_in(tmp_path):
 
 # a valid value for each verify flag but --k, which every check takes
 VERIFY_FLAG_VALUES = {"--h-grid": "1,2", "--rel-tol": "1e-12", "--t-grid": "1,2", "--y-grid": "0,1",
-                      "--component": "2"}
+                      "--margin": "2"}
 
 
 def _refused_flag_cases() -> dict:
     """One case per (check, flag its function has no keyword for), and one with two such flags."""
-    cases = {"uhat-t-grid": (["--check", "uhat", "--t-grid", "1,2", "--component", "2"], "--t-grid")}
+    cases = {"uhat-t-grid": (["--check", "uhat", "--t-grid", "1,2", "--margin", "2"], "--t-grid")}
     for check, fn in tauberian.CHECKS.items():
         keywords = inspect.signature(fn).parameters
         for flag, value in VERIFY_FLAG_VALUES.items():
@@ -323,6 +323,19 @@ def test_verify_truncation_probes_the_largest_y(tmp_path, y_grid, probe_y, code)
     assert report["passed"] is (code == 0)
 
 
+def test_verify_truncation_takes_a_cut_past_the_float_range(tmp_path, capsys):
+    """At k = 2 and t = 911485.99, b1(t) = 3.98e307, so the cut b1(t) y at y = 100
+    is inf, the whole section, as it is for the measure and marginal checks;
+    an integer ceiling of it raised a raw OverflowError."""
+    out = tmp_path / "v.json"
+    argv = ["verify", "--check", "truncation", "--delta-in", "1.169", "--k", "2",
+            "--t-grid", "911485.9947920665", "--y-grid", "0,100", "--out", str(out)]
+    assert run(argv) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = json.loads(out.read_text())["rows"]
+    assert [(r["y"], r["ratio_to_y0"]) for r in rows] == [(0.0, 1.0), (100.0, 0.0)]
+
+
 HIGH_ALPHA_IN_FLAGS = ["--alpha", "0.1", "--beta", "0.1", "--gamma", "0.8", "--delta-in", "5"]
 
 
@@ -370,6 +383,28 @@ def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, argv, message):
     assert not (tmp_path / "a.csv").exists()
 
 
+# each subcommand with its required flags; a refused flag stops the parse before any file is read
+REQUIRED_FLAGS = {
+    "simulate": ["--edges", "10"], "analytic-pmf": ["--out", "p.csv"],
+    "sample-limit": ["--n", "10", "--out", "s.csv"], "density": ["--out", "d.csv"],
+    "angular": ["--samples", "s.csv", "--out", "a.csv"], "estimate": ["--counts", "c.csv"],
+    "compare": ["--counts", "c.csv"], "verify": ["--check", "uhat"],
+}
+UNREAD_FLAGS = ([(command, "--tolerance") for command in REQUIRED_FLAGS]
+                + [(command, "--seed") for command in
+                   ("analytic-pmf", "density", "angular", "compare", "verify")])
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS, ids=[" ".join(c) for c in UNREAD_FLAGS])
+def test_a_flag_no_output_reads_is_a_usage_error(capsys, command, flag):
+    """No subcommand takes --tolerance, and only simulate and sample-limit,
+    which draw, take --seed: each once was accepted and changed nothing."""
+    with pytest.raises(SystemExit) as exc:
+        run([command, *REQUIRED_FLAGS[command], flag, "1"])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--k", "0"], "need k >= 2 order statistics"),
     (["--method", "loglog", "--i-min", "0"], "i_min must be at least 1"),
@@ -387,12 +422,12 @@ def test_estimate_refuses_degenerate_orders(tmp_path, capsys, argv, message):
 
 # the names the package exports
 PUBLIC_NAMES = (
-    "AngularHistogram", "DEFAULT_QUAD", "DEFAULT_SEED", "DegenerateTail", "DegenerateTailSample",
+    "AngularHistogram", "DEFAULT_SEED", "DegenerateTail", "DegenerateTailSample",
     "DerivativeMeasure", "DerivedConstants", "DirectedMultigraph", "DomainError", "EmptyInput",
     "HeavytailError", "InsufficientData", "InsufficientExceedances", "InvalidK", "InvalidParams",
     "InvalidSeed", "JointCountTable", "JointPMF", "LimitDistribution", "ModelParams",
     "NonPositiveSample",
-    "PMFComparison", "QuadratureFailure", "QuadratureSpec", "ResourceLimit", "ScalingFunctions",
+    "PMFComparison", "QuadratureFailure", "ResourceLimit", "ScalingFunctions",
     "SeedSpec", "StandardizedSample", "TailFit", "TailMeasure", "angular_histogram",
     "build_derivative_measure", "compare_pmf", "default_hill_k",
     "degree_counts", "derivative_limit_rect", "derivative_marginal_normalizer", "derive",

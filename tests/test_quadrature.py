@@ -9,11 +9,11 @@ from heavytail_pa import (
     ModelParams,
     build_derivative_measure,
     QuadratureFailure,
-    QuadratureSpec,
     TailMeasure,
     derivative_limit_rect,
     derive,
     limit_dist,
+    quadrature,
     tail_measure,
     uhat_limit_rhs,
 )
@@ -34,16 +34,16 @@ def test_table_rule_fails_fast_on_a_nan_integrand():
     assert len(calls) == 1
 
 
-def test_table_rule_rejects_an_unresolved_integrand():
+def test_table_rule_rejects_an_unresolved_integrand(monkeypatch):
     calls = []
 
     def f(nodes):
         calls.append(nodes.size)
         return np.sin(1.0 / (nodes + 1e-8)) / np.sqrt(nodes + 1e-8)
 
-    spec = QuadratureSpec(tol_abs=1e-14, tol_rel=1e-14)
+    monkeypatch.setattr(quadrature, "TOL_REL", 1e-14)
     with pytest.raises(QuadratureFailure, match="not converged"):
-        trapezoid(f, 0.0, 1.0, spec)
+        trapezoid(f, 0.0, 1.0)
     assert sum(calls) <= MAX_NODES
 
 
@@ -111,31 +111,40 @@ def _gaussians(s):
     (_gaussians, -40.0, 41.0),
     (lambda s: np.stack([np.exp(-np.cosh(s)), 1.0 / np.cosh(s) ** 2], axis=0), -30.0, 29.0),
 ], ids=["scalar", "scalar-narrow", "table", "stacked"])
-def test_trapezoid_matches_the_two_call_rule_bit_for_bit(f, lo, hi):
+def test_trapezoid_matches_the_two_call_rule_bit_for_bit(monkeypatch, f, lo, hi):
     """The first two levels in one call take the same nodes and the same sums
     as two calls: level 0 at the odd positions, its midpoints at the even ones.
-    The narrow bells need four or more levels."""
-    for spec in (QuadratureSpec(), QuadratureSpec(tol_abs=0.0, tol_rel=1e-14)):
-        got = trapezoid(f, lo, hi, spec)
-        want = two_call_trapezoid(lambda s: f(s).sum(axis=-1), lo, hi, spec)
+    The narrow bells need four or more levels.  The oracle runs at 1e-12
+    absolute and 1e-10 relative, then 1e-14 relative alone."""
+    for tol_abs, tol_rel in ((1e-12, 1e-10), (0.0, 1e-14)):
+        monkeypatch.setattr(quadrature, "TOL_REL", tol_rel)
+        got = trapezoid(f, lo, hi)
+        want = two_call_trapezoid(lambda s: f(s).sum(axis=-1), lo, hi, tol_abs, tol_rel)
         assert np.shape(got) == np.shape(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @pytest.mark.parametrize("point", [p for p, _ in GROWTH_POINTS.values()], ids=GROWTH_POINTS.keys())
 def test_integrals_match_the_two_call_rule_bit_for_bit(monkeypatch, point):
-    """Every tail-measure and NB-mixture integral, run by both rules."""
+    """Every tail-measure and NB-mixture integral, run by the rule and by the
+    two-call oracle at the tolerances each kernel took when they were
+    options: 1e-12 absolute and 1e-10 relative for the NB mixture, 1e-10
+    relative alone for the gamma mixture.  The bits agree, so the relative
+    rule moves none of these integrals, the derivative measure's included."""
     compared = []
 
-    def both(f, lo, hi, spec):
-        got = trapezoid(f, lo, hi, spec)
-        want = two_call_trapezoid(lambda s: f(s).sum(axis=-1), lo, hi, spec)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (lo, hi)
-        compared.append(got)
-        return got
+    def both(module, tol_abs):
+        def rule(f, lo, hi):
+            got = trapezoid(f, lo, hi)
+            want = two_call_trapezoid(lambda s: f(s).sum(axis=-1), lo, hi, tol_abs, 1e-10)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (module.__name__, lo, hi)
+            compared.append(got)
+            return got
 
-    monkeypatch.setattr(tail_measure, "trapezoid", both)
-    monkeypatch.setattr(limit_dist, "trapezoid", both)
+        monkeypatch.setattr(module, "trapezoid", rule)
+
+    both(tail_measure, 0.0)
+    both(limit_dist, 1e-12)
     params = ModelParams(*point)
     tm, dist = TailMeasure(params), LimitDistribution(params)
     for component in (1, 2, "combined"):
@@ -147,6 +156,16 @@ def test_integrals_match_the_two_call_rule_bit_for_bit(monkeypatch, point):
     dist._kernel(1).mass([(3, 4), (10, 2), (math.inf, 5)], 0.3, 0.0)
     dist._kernel(2).mass([(0, 0), (7, math.inf)])
     assert len(compared) == 15
+    d = derive(params)
+    for k in range(math.floor(d.alpha_in), math.floor(d.alpha_in) + 3):
+        u = build_derivative_measure(k, params)
+        for s1, s2 in ((1.0, 1.0), (1e-2, 1e-3), (1e-4, 1e-2)):
+            u.laplace(s1, s2)
+        u.rect_mass_below(5.0, 7.0)
+        u.marginal_mass(1, 10.0)
+        if k < d.alpha_in - 1.0 + d.a * params.delta_out:  # else the out-marginal is infinite
+            u.marginal_mass(2, 10.0)
+    assert len(compared) >= 15 + 3 * 5
 
 
 def test_a_two_level_integral_makes_one_integrand_call(monkeypatch, params):
@@ -155,9 +174,9 @@ def test_a_two_level_integral_makes_one_integrand_call(monkeypatch, params):
     probe points and then at the nodes."""
     calls, free_sizes = [], []
 
-    def counted(f, lo, hi, spec):
+    def counted(f, lo, hi):
         sizes = []
-        value = trapezoid(lambda s: sizes.append(s.size) or f(s), lo, hi, spec)
+        value = trapezoid(lambda s: sizes.append(s.size) or f(s), lo, hi)
         calls.append((sizes, 2 * max(2, math.ceil(4.0 * (hi - lo))) - 1))
         return value
 

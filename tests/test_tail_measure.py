@@ -9,10 +9,10 @@ from heavytail_pa import (
     DomainError,
     InsufficientExceedances,
     ModelParams,
-    QuadratureSpec,
     TailMeasure,
     angular_histogram,
     derive,
+    quadrature,
     standardize,
 )
 from heavytail_pa.census import ANGULAR_SLICE, StandardizedSample
@@ -92,12 +92,14 @@ def test_far_tail_density_matches_mpmath(tm, x, y):
     pytest.param("combined", 1.0, 1.0, (0.414, 0.488, 0.098, 18.67, 0.153), id="combined-1-1"),
     pytest.param(1, 3.0, 50.0, (0.578, 0.114, 0.308, 16.31, 0.335), id="component1-3-50"),
 ])
-def test_far_tail_density_stops_on_relative_change(component, x, y, params):
-    """Densities far below the absolute tolerance converge relatively: an
-    absolute floor left these two 1.4 % and 4.3 % off."""
+def test_far_tail_density_stops_on_relative_change(monkeypatch, component, x, y, params):
+    """Densities far below 1e-12 converge relatively: an absolute floor of
+    1e-12 left these two 1.4 % and 4.3 % off."""
     p = ModelParams(*params)
-    want = TailMeasure(p, QuadratureSpec(tol_abs=0.0, tol_rel=1e-13)).density(component, x, y)
-    assert TailMeasure(p).density(component, x, y) == pytest.approx(want, rel=1e-10, abs=0.0)
+    got = TailMeasure(p).density(component, x, y)
+    monkeypatch.setattr(quadrature, "TOL_REL", 1e-13)
+    want = TailMeasure(p).density(component, x, y)
+    assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def test_density_symmetry_under_margin_swap():

@@ -11,7 +11,6 @@ from heavytail_pa import (
     InvalidParams,
     ModelParams,
     QuadratureFailure,
-    QuadratureSpec,
     ScalingFunctions,
     TailMeasure,
     build_derivative_measure,
@@ -21,6 +20,7 @@ from heavytail_pa import (
     marginal_check,
     marginal_condition,
     measure_check,
+    quadrature,
     measure_scaling,
     transform_scaling,
     truncation_check,
@@ -120,8 +120,8 @@ def test_whole_section_leaves_the_window_floor(monkeypatch, point, k, value, bud
     and the canonical one took 627 nodes."""
     nodes = []
 
-    def counted(sum_f, lo, hi, spec):
-        return trapezoid(lambda s: nodes.append(s.size) or sum_f(s), lo, hi, spec)
+    def counted(sum_f, lo, hi):
+        return trapezoid(lambda s: nodes.append(s.size) or sum_f(s), lo, hi)
 
     monkeypatch.setattr(limit_dist, "trapezoid", counted)
     measure = build_derivative_measure(k, ModelParams(*point))
@@ -228,10 +228,11 @@ def test_transform_approaches_uhat_rhs(deriv_measure, params, scaling):
     assert abs(lhs / rhs - 1.0) < 0.05
 
 
-def test_transform_grid_resolution_stability(params, deriv_measure, scaling):
+def test_transform_grid_resolution_stability(monkeypatch, params, deriv_measure, scaling):
     """A tighter quadrature tolerance leaves the value alone."""
     default = transform_scaling(deriv_measure, scaling, 1e4, 1.0, 1.0)
-    tight = build_derivative_measure(3, params, QuadratureSpec(tol_abs=1e-15, tol_rel=1e-14))
+    monkeypatch.setattr(quadrature, "TOL_REL", 1e-14)
+    tight = build_derivative_measure(3, params)
     assert transform_scaling(tight, scaling, 1e4, 1.0, 1.0) == pytest.approx(default, rel=1e-10)
 
 
@@ -556,7 +557,7 @@ REPORT_LAYOUT = {
                 ("t", "x", "y", "value", "target", "rel_err")),
     "truncation": (("check", "k", "x", "probe_y", "ratio_tol", "rows", "passed"),
                    ("t", "y", "value", "ratio_to_y0")),
-    "marginal": (("check", "k", "component", "normalizer", "rel_tol", "rows", "passed"),
+    "marginal": (("check", "k", "margin", "normalizer", "rel_tol", "rows", "passed"),
                  ("t", "x", "ratio", "target", "rel_err")),
 }
 
