@@ -140,11 +140,12 @@ def split_probability(params: ModelParams) -> float:
     return params.gamma / s
 
 
-def check_component(component, combined: bool = False):
+def check_component(component, combined: bool = False, name: str = "component"):
     """A mixture component: the integer 1 or 2, or "combined" where it is allowed.
 
     A bool or a float is a DomainError even where it equals 1 or 2;
-    numpy integers pass and come back as int.
+    numpy integers pass and come back as int.  `name` is what the error
+    calls the argument: a margin is checked here too.
     """
     if combined and isinstance(component, str) and component == "combined":
         return component
@@ -152,7 +153,7 @@ def check_component(component, combined: bool = False):
             and component in (1, 2)):
         return int(component)
     allowed = "1, 2 or 'combined'" if combined else "1 or 2"
-    raise DomainError(f"component must be {allowed}, got {component!r}")
+    raise DomainError(f"{name} must be {allowed}, got {component!r}")
 
 
 def tail_ready(params: ModelParams) -> ModelParams:

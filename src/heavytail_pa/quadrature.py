@@ -54,38 +54,45 @@ def trapezoid(f, lo: float, hi: float):
     """
     n = max(2, math.ceil(4.0 * (hi - lo)))
     h = (hi - lo) / n
-    used, change = 0, math.inf
-
-    def values(offset: float, step: float, count: int):
-        """f at lo + step (offset + arange(count)), after the node budget allows them."""
-        nonlocal used
-        if used + count > MAX_NODES:
-            raise QuadratureFailure(f"trapezoid rule not converged at {used} nodes (last change "
-                                    f"{change:.2e}): {count} more would pass {MAX_NODES}")
-        used += count
-        return f(lo + step * (offset + np.arange(count)))
-
-    def checked_sum(part):
-        """The sum of one level's values along the node axis, which must be finite."""
-        total = part.sum(axis=-1)
-        if not np.isfinite(total).all():
-            raise QuadratureFailure(f"non-finite integrand value at {used} nodes")
-        return total
-
+    used = 2 * n - 1
+    if used > MAX_NODES:
+        raise _unconverged(0, math.inf, used)
     # an overflow, in f or in a sum, is an inf that the checks below report
     with np.errstate(over="ignore"):
-        first = values(1.0, 0.5 * h, 2 * n - 1)
-        total = checked_sum(first[..., 1::2])
+        first = f(lo + 0.5 * h * np.arange(1.0, used + 1.0))
+        total = np.add.reduce(first[..., 1::2], axis=-1)
+        mids = np.add.reduce(first[..., 0::2], axis=-1)
         value = h * total
-        mids = checked_sum(first[..., 0::2])
         while True:
+            # total is finite past level 0: an inf one fails as an overflowing sum below
+            if not (_finite(total) and _finite(mids)):
+                raise QuadratureFailure(f"non-finite integrand value at {used} nodes")
             total = total + mids
             n, h = 2 * n, 0.5 * h
             prev, value = value, h * total
-            change = float(abs(value - prev).max())
-            if change <= TOL_REL * float(abs(value).max()):
+            change = _max_abs(value - prev)
+            if change <= TOL_REL * _max_abs(value):
                 if change == math.inf:  # the total overflowed, and inf <= TOL_REL * inf
                     raise QuadratureFailure("the running sum overflows the float range at "
                                             f"{used} nodes")
                 return value
-            mids = checked_sum(values(0.5, h, n))
+            if used + n > MAX_NODES:
+                raise _unconverged(used, change, n)
+            used += n
+            mids = np.add.reduce(f(lo + h * np.arange(0.5, n)), axis=-1)
+
+
+def _finite(v) -> bool:
+    """Whether a level sum, a float or a table, is finite throughout."""
+    return math.isfinite(v) if isinstance(v, float) else bool(np.isfinite(v).all())
+
+
+def _max_abs(v) -> float:
+    """The largest |entry| of a float or a table."""
+    return abs(v) if isinstance(v, float) else float(abs(v).max())
+
+
+def _unconverged(used: int, change: float, count: int) -> QuadratureFailure:
+    """The failure of a rule that `count` more nodes would take past MAX_NODES."""
+    return QuadratureFailure(f"trapezoid rule not converged at {used} nodes (last change "
+                             f"{change:.2e}): {count} more would pass {MAX_NODES}")

@@ -23,7 +23,9 @@ and an underflowed factor gives 0.  The in-marginal is closed form, from
 int_0^inf t^(s-1) Q(r, t) dt = Gamma(r+s)/(s Gamma(r)) with s = 1/c1.
 
 Each section kind carries closed-form bounds that end the window, as
-limit_dist's NB-mixture kernel ends its own.
+limit_dist's NB-mixture kernel ends its own.  Their constants depend only
+on the kind and on which corners are finite, so a mixture builds them once
+per such pair, in a `_Plan`, and each call forms its window from them.
 
 The combined measure pb mu_1 + (1 - pb) mu_2, pb = gamma/(alpha+gamma),
 is one mixture integral too: both components share the weight's power,
@@ -31,7 +33,10 @@ so its integrand is logaddexp(log pb + log f_1, log(1 - pb) + log f_2),
 integrated once over the union of both components' windows, and the
 rule's relative tolerance applies to the combined value returned.  The part
 of a section's log that no shape changes (the density's -u) is the same
-in f_1 and f_2, so it is added once, outside the logaddexp.
+in f_1 and f_2, so it is added once, outside the logaddexp.  The rest of
+the density's log, r log u on each margin plus the weight's power, is
+linear in s, so the logaddexp runs over one line c_j - d_j s per
+component, not over its sections.
 
 Homogeneity: scaling a rectangle corner by (c**c1, c**c2) divides the
 order-0 mass by c.
@@ -69,13 +74,15 @@ class _Section(NamedTuple):
     A Gamma(r, scale theta) section S depends on the corner sigma and on
     theta only through u = sigma/theta.  log S = offset + shaped(x) + free(x),
     where `free` is the part no shape changes, the same on every component
-    (None where there is none), and log S <= const, log S <= line + r x and
-    log S <= decay - u/2, with None for a bound that does not hold.  A
-    section kind, kind(r), builds one.
+    (None where there is none), and `shaped` is None where it is r x: with
+    x = log sigma - rate s on each margin that part is affine in s, and the
+    mixture folds it into one line per component.  log S <= const,
+    log S <= line + r x and log S <= decay - u/2, with None for a bound that
+    does not hold.  A section kind, kind(r), builds one.
     """
 
     r: float
-    shaped: Callable[[np.ndarray], np.ndarray]
+    shaped: Callable[[np.ndarray], np.ndarray] | None
     const: float
     line: float | None
     decay: float | None
@@ -83,17 +90,48 @@ class _Section(NamedTuple):
     free: Callable[[np.ndarray], np.ndarray] | None = None
 
 
+class _Plan(NamedTuple):
+    """A section kind's constants at one pattern of finite corners, built once per mixture.
+
+    Per component, `parts` holds its log weight constant plus its sections'
+    offsets, and its (in-section, out-section).  Where the kind's shaped part
+    is r x, `lines` holds per component the terms of that constant, r_in,
+    r_out, and the slope r_in + a r_out - (k - 1/c1) as a float and its
+    rounding error; else it is None.  `probe` lists each live margin's
+    (margin, log r, rate): its turning point u = r lies at
+    s = (log sigma - log r)/rate.  `bounds` holds per component the sum
+    `top` of its constant bounds and, per live margin, (margin, rate, r,
+    rest, line bound, decay bound): the terms of `_GammaMixture.windows`
+    that depend on neither the corner nor the floor.
+    """
+
+    free: Callable[[np.ndarray], np.ndarray] | None
+    parts: list
+    lines: list | None
+    probe: list
+    bounds: list
+
+
+def _slope(r_in: float, a: float, r_out: float, power: float) -> tuple:
+    """r_in + a r_out - power as the rounded float and its rounding error."""
+    from fractions import Fraction  # exact, and loaded only where a line is planned
+
+    d = r_in + a * r_out - power
+    return d, float(Fraction(r_in) + Fraction(a) * Fraction(r_out) - Fraction(power)
+                    - Fraction(d))
+
+
 def _log_density(r: float) -> _Section:
     """The density of log X at log sigma, X ~ Gamma(r, scale theta): u^r e^-u / Gamma(r).
 
     That is sigma times the density of X at sigma.  Its -u is shape-free.
-    u^r e^-u is at most its value at u = r, at most u^r, and at most
-    (2r/e)^r e^(-u/2).
+    Its shaped part is r log u.  u^r e^-u is at most its value at u = r,
+    at most u^r, and at most (2r/e)^r e^(-u/2).
     """
     log_norm = math.lgamma(r)
     top = r * math.log(r) - r - log_norm
-    return _Section(r, lambda log_u: r * log_u, top, -log_norm, top + r * math.log(2.0),
-                    -log_norm, lambda log_u: -np.exp(log_u))
+    return _Section(r, None, top, -log_norm, top + r * math.log(2.0), -log_norm,
+                    lambda log_u: -np.exp(log_u))
 
 
 def _log_upper(r: float) -> _Section:
@@ -141,34 +179,52 @@ class _GammaMixture:
     Component j, of weight e^(w_j) and gamma shapes (r_in, r_out), mixes one
     section kind on both margins under the weight e^(log_const + (k - 1/c1) s)
     in s = log z, and the components' log integrands add as a logaddexp, out
-    of which the kind's shape-free part is taken.  Each kind's sections are
-    built once per mixture, when it first runs.  `log_marginal_const` is the
-    closed-form in-marginal.
+    of which the kind's shape-free part is taken.  Each kind's `_Plan` is
+    built once per mixture and pattern of finite corners, when it first
+    runs.  `log_marginal_const` is the closed-form in-marginal.
     """
 
     def __init__(self, derived: DerivedConstants, components, k: float):
         self.c1, self.a, self.k = derived.c1, derived.a, k
         self.power = k - 1.0 / self.c1
         self.components = components  # (w_j, r_in, r_out), r_in the order-0 in-shape
-        self._parts = {}  # section kind -> `parts(kind)`
+        self._plans = {}  # (section kind, finite in-corner, finite out-corner) -> `plan`
 
-    def parts(self, kind):
-        """Per component: its log weight constant, that plus its sections' offsets, and
-        its (in-section, out-section) of this kind, built when the kind first runs."""
-        if kind not in self._parts:
-            parts = []
-            for w, r_in, r_out in self.components:
-                log_const = w + _log_mix_const(r_in, self.k, self.c1)
-                sec_in, sec_out = kind(r_in + self.k), kind(r_out)
-                parts.append((log_const, log_const + sec_in.offset + sec_out.offset,
-                              (sec_in, sec_out)))
-            self._parts[kind] = parts
-        return self._parts[kind]
+    def plan(self, kind, live) -> _Plan:
+        """The kind's `_Plan` where live[m] says whether margin m's corner is finite."""
+        key = (kind, *live)
+        if key in self._plans:
+            return self._plans[key]
+        a, power = self.a, self.power
+        parts, lines, probe, bounds = [], [], [], []
+        for w, r_in, r_out in self.components:
+            log_const = w + _log_mix_const(r_in, self.k, self.c1)
+            sec_in, sec_out = kind(r_in + self.k), kind(r_out)
+            parts.append((log_const + sec_in.offset + sec_out.offset, (sec_in, sec_out)))
+            if sec_in.shaped is None:  # r x on both margins
+                lines.append(((log_const, sec_in.offset, sec_out.offset), sec_in.r, sec_out.r,
+                              *_slope(sec_in.r, a, sec_out.r, power)))
+            margins = ((0, 1.0, sec_in), (1, a, sec_out))  # (margin, rate, section)
+            cuts = [(m, rate, sec) for m, rate, sec in margins if live[m]]
+            top = log_const + sum(sec.const for *_, sec in cuts)
+            terms = []
+            for m, rate, sec in cuts:
+                rest, r = top - sec.const, sec.r
+                probe.append((m, math.log(r), rate))
+                line = (sec.line, power - r * rate) if (
+                    sec.line is not None and power < r * rate) else None
+                decay = rest + sec.decay if sec.decay is not None and power < 0.0 else None
+                terms.append((m, rate, r, rest, line, decay))
+            bounds.append((top, terms))
+        # every section of one kind has the same form and the same free part
+        plan = _Plan(parts[0][1][0].free, parts, lines or None, probe, bounds)
+        self._plans[key] = plan
+        return plan
 
     def integral(self, kind, log_in: float, log_out: float) -> float:
         """The integral over z of one section kind at the corner (e^log_in, e^log_out).
 
-        The window is the union of the components' `ends` against a floor
+        The window is the union of the components' `windows` against a floor
         WINDOW below the largest value of log f at the sections' turning
         points u = r.  Where k > 1/c1 the integrand tends to
         e^(log_const + (k - 1/c1) s) at the left, too long a tail for s at
@@ -176,25 +232,33 @@ class _GammaMixture:
         decays double-exponentially.  The rule stops on relative change
         (quadrature.TOL_REL), so a far-tail value is relatively accurate.
         """
-        a, power, parts = self.a, self.power, self.parts(kind)
-        margins = ((log_in, 1.0), (log_out, a))  # (log sigma, rate): x = log sigma - rate s
-        free = parts[0][2][0].free  # every section of one kind has the same free part
+        a, power, logs = self.a, self.power, (log_in, log_out)
+        plan = self.plan(kind, (log_in > -math.inf, log_out > -math.inf))
+        free = plan.free
+        if plan.lines is None:
+            parts = plan.parts
 
-        def log_f(s):
-            x_in, x_out = log_in - s, log_out - a * s
-            mixed = power * s + functools.reduce(np.logaddexp, [
-                offset + sec_in.shaped(x_in) + sec_out.shaped(x_out)
-                for _, offset, (sec_in, sec_out) in parts])
-            return mixed if free is None else mixed + (free(x_in) + free(x_out))
+            def log_f(s):
+                x_in, x_out = log_in - s, log_out - a * s
+                mixed = power * s + functools.reduce(np.logaddexp, [
+                    offset + sec_in.shaped(x_in) + sec_out.shaped(x_out)
+                    for offset, (sec_in, sec_out) in parts])
+                return mixed if free is None else mixed + (free(x_in) + free(x_out))
+        else:
+            # offset + r_in x_in + r_out x_out + power s is the line c - (d + e) s: c a
+            # math.fsum, d + e the slope and its rounding error, which s would magnify
+            lines = [(math.fsum((*terms, r_in * log_in, r_out * log_out)), d, e)
+                     for terms, r_in, r_out, d, e in plan.lines]
+
+            def log_f(s):
+                mixed = functools.reduce(np.logaddexp, [c - d * s - e * s for c, d, e in lines])
+                return mixed if free is None else mixed + (free(log_in - s) + free(log_out - a * s))
 
         with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            probe = np.array([(log_sigma - math.log(sec.r)) / rate for *_, sections in parts
-                              for (log_sigma, rate), sec in zip(margins, sections)
-                              if log_sigma > -math.inf])
+            probe = np.array([(logs[m] - log_r) / rate for m, log_r, rate in plan.probe])
             # finite at the rightmost turn, where u <= r on both margins
             floor = float(log_f(probe).max()) - WINDOW
-            lo, hi = zip(*(self.ends(log_const, zip(margins, sections), floor)
-                           for log_const, _, sections in parts))
+            lo, hi = zip(*self.windows(plan, logs, floor))
             if power < 0.0:
                 return float(trapezoid(lambda s: np.exp(log_f(s)), min(lo), max(hi)))
             s_c = float(probe.min()) - 4.0  # a few units left of the turning points
@@ -207,35 +271,35 @@ class _GammaMixture:
             w_lo = -math.log1p(max(s_c - min(lo), 0.0))
             return float(trapezoid(f, w_lo, max(hi) - s_c + 1.0))
 
-    def ends(self, log_const: float, margins, floor: float):
-        """(lo, hi) in s, beyond which one component's bounds hold its log f below floor.
+    def windows(self, plan: _Plan, logs, floor: float) -> list:
+        """Per component, (lo, hi) in s beyond which its bounds hold its log f below floor.
 
-        `margins` pairs each margin's (log sigma, rate) with its section.
-        With one section's bound at a time and the other's constant one, the
-        weight ends one side, a power bound the right one, and where the
-        weight grows (k < 1/c1) a decay bound the left one, at the largest
-        root x of e^x/2 = c - q x.  A zero corner's Q(r, 0) is 1: it bounds nothing.
+        `logs` is the corner's (log sigma_in, log sigma_out).  With one
+        section's bound at a time and the other's constant one, the weight
+        ends one side, a power bound the right one, and where the weight
+        grows (k < 1/c1) a decay bound the left one, at the largest root x
+        of e^x/2 = c - q x.  A zero corner's Q(r, 0) is 1: it bounds nothing.
         """
-        live = [(log_sigma, rate, sec) for (log_sigma, rate), sec in margins
-                if log_sigma > -math.inf]
-        power, top = self.power, log_const + sum(sec.const for *_, sec in live)
-        end = (floor - top) / power
-        lo, hi = (end, math.inf) if power > 0.0 else (-math.inf, end)
-        for log_sigma, rate, sec in live:
-            rest, r = top - sec.const, sec.r
-            if sec.line is not None and power < r * rate:
-                hi = min(hi, (floor - rest - sec.line - r * log_sigma) / (power - r * rate))
-            if sec.decay is not None and power < 0.0:
-                # x <- log(2(c - q x)) from e^x/2 = 2y^2 >= c - q x, y = |c| + 2|q| + 2,
-                # decreases to the largest root without passing it
-                c, q = rest + sec.decay + power * log_sigma / rate - floor, power / rate
-                x = 2.0 * math.log(2.0 * (abs(c) + 2.0 * abs(q) + 2.0))
-                for _ in range(3):
-                    if c - q * x <= 0.0:  # no root: e^x/2 is the larger everywhere
-                        break
-                    x = math.log(2.0 * (c - q * x))
-                lo = max(lo, (log_sigma - x) / rate)
-        return lo, hi
+        power, out = self.power, []
+        for top, terms in plan.bounds:
+            end = (floor - top) / power
+            lo, hi = (end, math.inf) if power > 0.0 else (-math.inf, end)
+            for m, rate, r, rest, line, decay in terms:
+                log_sigma = logs[m]
+                if line is not None:
+                    hi = min(hi, (floor - rest - line[0] - r * log_sigma) / line[1])
+                if decay is not None:
+                    # x <- log(2(c - q x)) from e^x/2 = 2y^2 >= c - q x, y = |c| + 2|q| + 2,
+                    # decreases to the largest root without passing it
+                    c, q = decay + power * log_sigma / rate - floor, power / rate
+                    x = 2.0 * math.log(2.0 * (abs(c) + 2.0 * abs(q) + 2.0))
+                    for _ in range(3):
+                        if c - q * x <= 0.0:  # no root: e^x/2 is the larger everywhere
+                            break
+                        x = math.log(2.0 * (c - q * x))
+                    lo = max(lo, (log_sigma - x) / rate)
+            out.append((lo, hi))
+        return out
 
     def log_marginal_const(self) -> float:
         """log C, with the in-marginal C x^(k - 1/c1) of a one-component measure: the

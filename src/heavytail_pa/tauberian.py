@@ -160,7 +160,7 @@ class DerivativeMeasure:
     def marginal_mass(self, margin: int, x: float) -> float:
         """Cumulative weight of margin 1 (in) or 2 (out); the out-marginal is
         infinite, a DomainError, where k >= alpha_in - 1 + a*delta_out."""
-        margin = check_component(margin)
+        margin = check_component(margin, name="margin")
         if x < 0:
             return 0.0
         cut = (np.floor(x), math.inf) if margin == 1 else (math.inf, np.floor(x))
@@ -280,7 +280,7 @@ def truncation_condition(measure, b: ScalingFunctions, x, y_grid, t_grid) -> lis
 
 def marginal_condition(measure, margin: int, b: ScalingFunctions, x_grid, t_grid) -> list:
     """Ratios U_i(b_i(t) x)/t of margin i against the target x**gamma_i."""
-    margin = check_component(margin)
+    margin = check_component(margin, name="margin")
     gamma_i = b.gamma1 if margin == 1 else b.gamma2
     rows = []
     for t in t_grid:

@@ -55,6 +55,40 @@ def two_call_trapezoid(sum_f, lo: float, hi: float, tol_abs: float = 1e-12,
             return value
 
 
+def ends(power: float, log_const: float, margins, floor: float):
+    """(lo, hi) in s beyond which one gamma-mixture component's bounds hold its log f below floor.
+
+    The window bounds of tail_measure._GammaMixture, rebuilt from the
+    sections on every call: `power` is the weight's k - 1/c1, `log_const`
+    the component's log weight constant, and `margins` pairs each margin's
+    (log sigma, rate) with its section.  With one section's bound at a time
+    and the other's constant one, the weight ends one side, a power bound
+    the right one, and where the weight grows (k < 1/c1) a decay bound the
+    left one, at the largest root x of e^x/2 = c - q x.  A zero corner's
+    Q(r, 0) is 1: it bounds nothing.
+    """
+    live = [(log_sigma, rate, sec) for (log_sigma, rate), sec in margins
+            if log_sigma > -math.inf]
+    top = log_const + sum(sec.const for *_, sec in live)
+    end = (floor - top) / power
+    lo, hi = (end, math.inf) if power > 0.0 else (-math.inf, end)
+    for log_sigma, rate, sec in live:
+        rest, r = top - sec.const, sec.r
+        if sec.line is not None and power < r * rate:
+            hi = min(hi, (floor - rest - sec.line - r * log_sigma) / (power - r * rate))
+        if sec.decay is not None and power < 0.0:
+            # x <- log(2(c - q x)) from e^x/2 = 2y^2 >= c - q x, y = |c| + 2|q| + 2,
+            # decreases to the largest root without passing it
+            c, q = rest + sec.decay + power * log_sigma / rate - floor, power / rate
+            x = 2.0 * math.log(2.0 * (abs(c) + 2.0 * abs(q) + 2.0))
+            for _ in range(3):
+                if c - q * x <= 0.0:  # no root: e^x/2 is the larger everywhere
+                    break
+                x = math.log(2.0 * (c - q * x))
+            lo = max(lo, (log_sigma - x) / rate)
+    return lo, hi
+
+
 def _nb_log_coef(m, r: float) -> np.ndarray:
     """log Gamma(r+m) - log Gamma(r) - log Gamma(m+1), the p-free term of _nb_logpmf.
 

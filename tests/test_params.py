@@ -11,6 +11,7 @@ from heavytail_pa import (
     TailMeasure,
     derive,
     load_params,
+    marginal_check,
     save_params,
     split_probability,
     validate,
@@ -143,8 +144,14 @@ def test_component_must_be_the_integer_1_or_2(call, bad):
     if bad == "combined" and call in ("density", "rect_mass"):
         assert COMPONENT_CALLS[call](bad) > 0
         return
-    with pytest.raises(DomainError, match="component must be"):
+    name = "margin" if call == "derivative_marginal_mass" else "component"
+    with pytest.raises(DomainError, match=f"^{name} must be"):
         COMPONENT_CALLS[call](bad)
+
+
+def test_a_bad_margin_is_reported_as_a_margin():
+    with pytest.raises(DomainError, match=r"^margin must be 1 or 2, got 3$"):
+        marginal_check(CANONICAL, margin=3)
 
 
 @pytest.mark.parametrize("call", sorted(COMPONENT_CALLS))

@@ -18,7 +18,7 @@ from heavytail_pa import (
     uhat_limit_rhs,
 )
 from heavytail_pa.quadrature import MAX_NODES, trapezoid
-from oracles import two_call_trapezoid
+from oracles import ends, two_call_trapezoid
 from test_properties import GROWTH_POINTS
 
 
@@ -201,25 +201,92 @@ def test_a_two_level_integral_makes_one_integrand_call(monkeypatch, params):
     assert all(sizes == [nodes] for sizes, nodes in calls), calls
 
 
-def test_density_matches_its_whole_log_integrand(params):
-    """Taking the shape-free -u out of the component sum moves the density by
-    rounding alone: the kernel with a section kind whose whole log is one
-    function of x agrees within 1e-14 on the benchmark's log grid."""
+def test_density_matches_its_whole_log_integrand():
+    """Folding r x into one line per component and taking the shape-free -u
+    out of the component sum move the density by rounding alone: the kernel
+    with a section kind whose whole log is one function of x agrees within
+    1e-14 on the benchmark's log grid, at each of the 9 named points."""
     def whole(r):
         section = tail_measure._log_density(r)
+
         def log_section(x):
-            return section.offset + section.shaped(x) + section.free(x)
+            return section.offset + r * x + section.free(x)
 
         return section._replace(shaped=log_section, offset=0.0, free=None)
 
-    tm = TailMeasure(params)
     grid = np.geomspace(0.5, 5.0, 8).tolist()
+    for point, _ in GROWTH_POINTS.values():
+        tm = TailMeasure(ModelParams(*point))
+        for component in (1, 2, "combined"):
+            kernel = tm._kernel(component)
+            for x in grid:
+                for y in grid:
+                    want = kernel.integral(whole, math.log(x), math.log(y)) / x / y
+                    assert tm.density(component, x, y) == pytest.approx(want, rel=1e-14, abs=0.0), (
+                        point, component, x, y)
+
+
+@pytest.mark.parametrize("point", [p for p, _ in GROWTH_POINTS.values()], ids=GROWTH_POINTS.keys())
+def test_windows_match_the_per_call_bounds_bit_for_bit(monkeypatch, point):
+    """Each window the plan forms equals the bounds rebuilt from the sections
+    on every call (oracles.ends), at the floor the integral found: densities
+    and tail rectangles, with a zero corner or none, at k = 0 < 1/c1, and the
+    order-k Laplace and box integrals at k > 1/c1."""
+    seen = []
+    windows = tail_measure._GammaMixture.windows
+
+    def spy(self, plan, logs, floor):
+        got = windows(self, plan, logs, floor)
+        seen.append((self, plan, logs, floor, got))
+        return got
+
+    monkeypatch.setattr(tail_measure._GammaMixture, "windows", spy)
+    params = ModelParams(*point)
+    tm = TailMeasure(params)
     for component in (1, 2, "combined"):
-        kernel = tm._kernel(component)
-        for x in grid:
-            for y in grid:
-                want = kernel.integral(whole, math.log(x), math.log(y)) / x / y
-                assert tm.density(component, x, y) == pytest.approx(want, rel=1e-14, abs=0.0)
+        for x, y in ((0.8, 1.5), (1e-3, 40.0), (30.0, 0.02)):
+            tm.density(component, x, y)
+            tm.rect_mass(component, x, y)
+        tm.rect_mass(component, 0.5, 0.0)
+        tm.rect_mass(component, 0.0, 0.5)
+    d = derive(params)
+    for k in (math.floor(d.alpha_in), math.floor(d.alpha_in) + 2):
+        uhat_limit_rhs(k, params, 0.3, 2.0)
+        derivative_limit_rect(k, params, 5.0, 7.0)
+    assert len(seen) == 3 * 8 + 4
+    for kernel, plan, logs, floor, got in seen:
+        want = []
+        for (w, r_in, r_out), (_, sections) in zip(kernel.components, plan.parts):
+            log_const = w + tail_measure._log_mix_const(r_in, kernel.k, kernel.c1)
+            margins = zip(((logs[0], 1.0), (logs[1], kernel.a)), sections)
+            want.append(ends(kernel.power, log_const, margins, floor))
+        assert got == want, (logs, floor)
+
+
+def test_a_plan_is_built_once_per_kind_and_finite_corners(monkeypatch, params):
+    """Sections are built when a (kind, finite corners) pattern first runs, two
+    per component, and never again for it."""
+    built = []
+
+    def counting(kind):
+        def spy(r):
+            built.append(kind.__name__)
+            return kind(r)
+
+        return spy
+
+    for name in ("_log_density", "_log_upper"):
+        monkeypatch.setattr(tail_measure, name, counting(getattr(tail_measure, name)))
+    tm = TailMeasure(params)
+    for x in (0.5, 1.0, 2.0):
+        tm.density("combined", x, 1.5)
+        tm.rect_mass("combined", x, 1.5)
+        tm.rect_mass("combined", x, 0.0)
+    assert built == ["_log_density"] * 4 + ["_log_upper"] * 8
+    tm.density(1, 1.0, 1.0)
+    tm.rect_mass(1, 0.0, 1.0)
+    assert built[12:] == ["_log_density"] * 2 + ["_log_upper"] * 2
+    assert len(tm._kernel("combined")._plans) == 3 and len(tm._kernel(1)._plans) == 2
 
 
 # alpha_in = 28.5 here: the z-exponents reach about 40, so the integrands

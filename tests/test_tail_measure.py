@@ -329,6 +329,24 @@ def test_angular_histogram_equals_the_one_pass_histogram(sliced_sample):
     assert angular_histogram(s, rest, bins=10).exceedances == 120
 
 
+def test_angular_histogram_peaks_under_three_slices(sliced_sample):
+    """Just below the least radius every pair exceeds, so every slice brings a
+    slice of angles: the counts are the one-pass counts byte for byte, and
+    the call peaks under three slices of float64."""
+    s, _ = sliced_sample
+    threshold = float(np.nextafter((s.u + s.v).min(), 0.0))
+    want = one_pass_angular_histogram(s, threshold, bins=10)
+    tracemalloc.start()
+    try:
+        got = angular_histogram(s, threshold, bins=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.exceedances == want.exceedances == s.u.size
+    assert got.masses.tobytes() == want.masses.tobytes()
+    assert peak < 3 * 8 * ANGULAR_SLICE
+
+
 def test_angular_exceedances_are_counted_across_slices():
     u = np.zeros(3 * ANGULAR_SLICE)
     v = np.zeros(3 * ANGULAR_SLICE, np.int32)
