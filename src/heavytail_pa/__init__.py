@@ -53,7 +53,7 @@ from .params import (
     split_probability,
     validate,
 )
-from .simulate import DirectedMultigraph, SeedSpec, grow, seed_graph, simulate
+from .simulate import DirectedMultigraph, grow, simulate
 from .tail_measure import TailMeasure
 from .tauberian import (
     DerivativeMeasure,
@@ -90,7 +90,7 @@ __all__ = [
     "DerivedConstants", "ModelParams", "derive", "load_params", "save_params",
     "split_probability", "validate",
     # simulate
-    "DirectedMultigraph", "SeedSpec", "grow", "seed_graph", "simulate",
+    "DirectedMultigraph", "grow", "simulate",
     # limit_dist, tail_measure
     "LimitDistribution", "TailMeasure",
     # tauberian

@@ -18,7 +18,7 @@ class DegenerateTail(HeavytailError):
 
 
 class InvalidSeed(HeavytailError):
-    """The requested seed graph cannot start the growth dynamics."""
+    """The start graph handed to grow() cannot start the growth dynamics."""
 
 
 class ResourceLimit(HeavytailError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DegenerateTail, DomainError, InvalidParams
 
@@ -37,13 +37,7 @@ class ModelParams:
     delta_out: float
 
     def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "delta_in": self.delta_in,
-            "delta_out": self.delta_out,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -68,15 +62,7 @@ class DerivedConstants:
     gamma_out: float
 
     def as_dict(self) -> dict:
-        return {
-            "c1": self.c1,
-            "c2": self.c2,
-            "a": self.a,
-            "alpha_in": self.alpha_in,
-            "alpha_out": self.alpha_out,
-            "gamma_in": self.gamma_in,
-            "gamma_out": self.gamma_out,
-        }
+        return asdict(self)
 
 
 def validate(params: ModelParams) -> ModelParams:

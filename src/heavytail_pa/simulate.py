@@ -33,7 +33,7 @@ draw for draw.  Edge endpoints and degrees are int32 (node ids below
 2**31); the binary format stores them as u32.
 
 The RNG is numpy's PCG64 (via default_rng); a graph is fully determined
-by (seed spec, params, rng seed, target).
+by (start graph, params, rng seed, target).
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ from __future__ import annotations
 import os
 import struct
 import threading
-from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -55,33 +53,9 @@ DEFAULT_EDGE_BUDGET = 200_000_000
 DRAWS_PER_STEP = 5
 CHUNK_STEPS = 1 << 16
 # Each node costs 8 B kept and 20 B while its degrees are counted.  Grown
-# graphs hold their seed's nodes plus at most one per edge; the budget lies
-# below 2**31, so node ids and degrees fit int32.
+# graphs hold their start graph's nodes plus at most one per edge; the
+# budget lies below 2**31, so node ids and degrees fit int32.
 NODE_BUDGET = 2 * DEFAULT_EDGE_BUDGET
-
-
-@dataclass(frozen=True)
-class SeedSpec:
-    """Explicit initial graph: node count plus an edge list."""
-
-    node_count: int
-    tails: Sequence[int] = ()
-    heads: Sequence[int] = ()
-
-    @staticmethod
-    def self_loop() -> "SeedSpec":
-        """The default seed: one node carrying one self-loop."""
-        return SeedSpec(node_count=1, tails=(0,), heads=(0,))
-
-    @staticmethod
-    def single_edge() -> "SeedSpec":
-        """Two nodes joined by the edge 0 -> 1."""
-        return SeedSpec(node_count=2, tails=(0,), heads=(1,))
-
-    @staticmethod
-    def nodes_only(node_count: int) -> "SeedSpec":
-        """Isolated nodes, no edges (requires positive deltas to grow)."""
-        return SeedSpec(node_count=node_count)
 
 
 def _checked_node_count(node_count: int) -> int:
@@ -173,22 +147,6 @@ class DirectedMultigraph:
             tails = np.fromfile(fh, dtype="<u4", count=edge_count).view("<i4")
             heads = np.fromfile(fh, dtype="<u4", count=edge_count).view("<i4")
         return cls(node_count, tails, heads)
-
-
-def seed_graph(spec: Optional[SeedSpec] = None, params: Optional[ModelParams] = None) -> DirectedMultigraph:
-    """Build the initial graph.
-
-    When either delta is zero the dynamics need at least one edge to
-    start from, so a zero-edge spec is rejected in that case.
-    """
-    if spec is None:
-        spec = SeedSpec.self_loop()
-    if spec.node_count < 1:
-        raise InvalidSeed("the initial graph needs at least one node")
-    if params is not None and len(spec.tails) == 0:
-        if params.delta_in == 0 or params.delta_out == 0:
-            raise InvalidSeed("a zero-edge seed needs delta_in > 0 and delta_out > 0")
-    return DirectedMultigraph.from_edges(spec.node_count, spec.tails, spec.heads)
 
 
 def _endpoints(end, n0, n, N, coin, index, delta, new_node) -> np.ndarray:
@@ -313,12 +271,11 @@ def grow(
     return graph
 
 
-def simulate(
-    target_edges: int,
-    params: ModelParams,
-    seed: int,
-    seed_spec: Optional[SeedSpec] = None,
-) -> DirectedMultigraph:
-    """Convenience wrapper: seed graph + grow with a fresh PCG64 stream."""
-    g = seed_graph(seed_spec, params)
-    return grow(g, target_edges, params, np.random.default_rng(seed))
+def simulate(target_edges: int, params: ModelParams, seed: int) -> DirectedMultigraph:
+    """Grow one node carrying a self-loop to target_edges edges on a fresh PCG64 stream.
+
+    grow() takes any other start graph, such as DirectedMultigraph(n) for n
+    isolated nodes.
+    """
+    graph = DirectedMultigraph.from_edges(1, [0], [0])
+    return grow(graph, target_edges, params, np.random.default_rng(seed))

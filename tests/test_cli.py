@@ -428,11 +428,11 @@ PUBLIC_NAMES = (
     "InvalidSeed", "JointCountTable", "JointPMF", "LimitDistribution", "ModelParams",
     "NonPositiveSample",
     "PMFComparison", "QuadratureFailure", "ResourceLimit", "ScalingFunctions",
-    "SeedSpec", "StandardizedSample", "TailFit", "TailMeasure", "angular_histogram",
+    "StandardizedSample", "TailFit", "TailMeasure", "angular_histogram",
     "build_derivative_measure", "compare_pmf", "default_hill_k",
     "degree_counts", "derivative_limit_rect", "derivative_marginal_normalizer", "derive",
     "empirical_pmf", "grow", "hill_estimate", "load_params", "loglog_slope", "marginal_check",
-    "marginal_condition", "measure_check", "measure_scaling", "save_params", "seed_graph",
+    "marginal_condition", "measure_check", "measure_scaling", "save_params",
     "simulate", "split_probability", "standardize", "transform_scaling",
     "truncation_check", "truncation_condition", "uhat_check", "uhat_limit_rhs", "validate",
 )

@@ -13,10 +13,8 @@ from heavytail_pa import (
     InvalidSeed,
     ModelParams,
     ResourceLimit,
-    SeedSpec,
     degree_counts,
     grow,
-    seed_graph,
     simulate,
 )
 from heavytail_pa.simulate import (
@@ -36,14 +34,24 @@ P = ModelParams(0.3, 0.5, 0.2, 1.0, 1.0)
 NEAR_BETA = ModelParams(0.001, 0.998, 0.001, 0.0, 0.0)
 
 
+def self_loop():
+    """The graph simulate() grows from: one node carrying one self-loop."""
+    return DirectedMultigraph.from_edges(1, [0], [0])
+
+
+def single_edge():
+    """Two nodes joined by the edge 0 -> 1."""
+    return DirectedMultigraph.from_edges(2, [0], [1])
+
+
 def test_default_seed_graph_is_self_loop():
-    g = seed_graph()
+    g = simulate(1, P, seed=0)
     assert g.node_count == 1 and g.edge_count == 1
     assert list(g.in_degree) == [1] and list(g.out_degree) == [1]
 
 
 def test_explicit_seed_single_edge():
-    g = seed_graph(SeedSpec.single_edge())
+    g = single_edge()
     assert g.node_count == 2 and g.edge_count == 1
     assert list(g.in_degree) == [0, 1]
     assert list(g.out_degree) == [1, 0]
@@ -52,10 +60,12 @@ def test_explicit_seed_single_edge():
 def test_zero_edge_seed_needs_positive_deltas():
     zero_delta = ModelParams(0.3, 0.5, 0.2, 0.0, 1.0)
     with pytest.raises(InvalidSeed):
-        seed_graph(SeedSpec.nodes_only(1), zero_delta)
+        grow(DirectedMultigraph(1), 10, zero_delta, np.random.default_rng(0))
+    with pytest.raises(InvalidSeed, match="at least one node"):
+        grow(DirectedMultigraph(0), 10, P, np.random.default_rng(0))
     # fine when both deltas are positive
-    g = seed_graph(SeedSpec.nodes_only(2), P)
-    assert g.edge_count == 0 and g.node_count == 2
+    g = grow(DirectedMultigraph(2), 10, P, np.random.default_rng(0))
+    assert g.edge_count == 10 and g.node_count >= 2
 
 
 def choose_by(graph, delta, rng, which, draws):
@@ -72,21 +82,21 @@ def choose_by(graph, delta, rng, which, draws):
 
 
 def test_choose_single_node_graph():
-    g = seed_graph()
+    g = self_loop()
     rng = np.random.default_rng(0)
     assert np.all(choose_by(g, 1.0, rng, "in", 100) == 0)
     assert np.all(choose_by(g, 1.0, rng, "out", 100) == 0)
 
 
 def test_choose_by_in_zero_delta_picks_positive_degree():
-    g = seed_graph(SeedSpec.single_edge())
+    g = single_edge()
     rng = np.random.default_rng(1)
     assert np.all(choose_by(g, 0.0, rng, "in", 200) == 1)
 
 
 def test_choose_by_in_two_node_probability():
     # edge 0 -> 1, delta_in = 1: P(node 1) = (1+1)/(1+2) = 2/3
-    g = seed_graph(SeedSpec.single_edge())
+    g = single_edge()
     rng = np.random.default_rng(7)
     n = 10**6
     hits = int((choose_by(g, 1.0, rng, "in", n) == 1).sum())
@@ -96,7 +106,7 @@ def test_choose_by_in_two_node_probability():
 
 
 def test_choose_by_out_two_node_probability():
-    g = seed_graph(SeedSpec.single_edge())
+    g = single_edge()
     rng = np.random.default_rng(8)
     n = 10**6
     hits = int((choose_by(g, 1.0, rng, "out", n) == 0).sum())
@@ -135,7 +145,7 @@ def step_cases(g):
 
 def test_step_alpha_only_always_adds_source_node():
     p = ModelParams(0.999999999999, 0.0, 0.0, 1.0, 1.0)
-    g = grow(seed_graph(), 51, p, np.random.default_rng(2))
+    g = grow(self_loop(), 51, p, np.random.default_rng(2))
     alpha, gamma = step_cases(g)
     assert alpha.all() and not gamma.any()
     assert g.tails[1:].tolist() == list(range(1, 51))
@@ -144,7 +154,7 @@ def test_step_alpha_only_always_adds_source_node():
 
 def test_step_beta_only_keeps_node_count():
     p = ModelParams(0.0, 0.999999999999, 0.0, 1.0, 1.0)
-    g = grow(seed_graph(), 51, p, np.random.default_rng(3))
+    g = grow(self_loop(), 51, p, np.random.default_rng(3))
     alpha, gamma = step_cases(g)
     assert not alpha.any() and not gamma.any()
     assert g.node_count == 1
@@ -152,7 +162,7 @@ def test_step_beta_only_keeps_node_count():
 
 def test_step_case_frequencies():
     n = 10**6
-    g = grow(seed_graph(), n + 1, P, np.random.default_rng(4))
+    g = grow(self_loop(), n + 1, P, np.random.default_rng(4))
     alpha, gamma = step_cases(g)
     assert not (alpha & gamma).any()
     assert int(alpha.sum() + gamma.sum()) == g.node_count - 1
@@ -168,24 +178,24 @@ def test_graph_invariants_after_growth():
 
 
 @pytest.mark.parametrize(
-    "params, spec, targets",
+    "params, start, targets",
     [
-        (P, None, (2000,)),
-        (P, None, (CHUNK_STEPS + 5000,)),
-        (P, SeedSpec.nodes_only(3), (5000,)),
-        (NEAR_BETA, None, (20000,)),
-        (P, None, (3000, CHUNK_STEPS + 4000)),
+        (P, self_loop, (2000,)),
+        (P, self_loop, (CHUNK_STEPS + 5000,)),
+        (P, lambda: DirectedMultigraph(3), (5000,)),
+        (NEAR_BETA, self_loop, (20000,)),
+        (P, self_loop, (3000, CHUNK_STEPS + 4000)),
     ],
     ids=["self-loop-2000", "crosses-chunk", "zero-edge-seed", "near-pure-beta", "split-target"],
 )
-def test_grow_matches_repeated_step(params, spec, targets):
+def test_grow_matches_repeated_step(params, start, targets):
     """grow() in one call, grow() in several calls and the row-wise reference agree draw for draw."""
-    split = seed_graph(spec, params)
+    split = start()
     rng = np.random.default_rng(42)
     for target in targets:
         grow(split, target, params, rng)
-    whole = grow(seed_graph(spec, params), targets[-1], params, np.random.default_rng(42))
-    seed = seed_graph(spec, params)
+    whole = grow(start(), targets[-1], params, np.random.default_rng(42))
+    seed = start()
     tails, heads, N = seed.tails.tolist(), seed.heads.tolist(), seed.node_count
     rng = np.random.default_rng(42)
     while len(tails) < targets[-1]:
@@ -246,7 +256,7 @@ def test_grow_raises_what_the_helper_thread_raises(monkeypatch):
 
     monkeypatch.setattr(importlib.import_module("heavytail_pa.simulate"), "_endpoints",
                         endpoints_failing_off_the_caller)
-    g = seed_graph()
+    g = self_loop()
     threads = threading.active_count()
     with pytest.raises(HelperFailure):
         grow(g, 2 * CHUNK_STEPS, P, np.random.default_rng(0))
@@ -268,7 +278,7 @@ def test_grow_to_current_size_is_identity():
 
 
 def test_grow_respects_edge_budget():
-    g = seed_graph()
+    g = self_loop()
     with pytest.raises(ResourceLimit):
         grow(g, DEFAULT_EDGE_BUDGET + 1, P, np.random.default_rng(0))
 
@@ -278,8 +288,8 @@ def test_growth_memory_is_stated_per_edge(seed):
     # grow() states that the graph keeps 12 B per edge and peaks at
     # 23.0 B per edge at 1e6 edges (22 B per edge plus under 1 MiB)
     n = 10**6
-    grow(seed_graph(), 2 * CHUNK_STEPS, P, np.random.default_rng(seed))  # first-call caches
-    g = seed_graph()
+    grow(self_loop(), 2 * CHUNK_STEPS, P, np.random.default_rng(seed))  # first-call caches
+    g = self_loop()
     tracemalloc.start()
     try:
         grow(g, n, P, np.random.default_rng(seed))
@@ -304,10 +314,10 @@ def test_node_count_limit_other_params():
 
 
 def test_degree_counts_examples():
-    g = seed_graph()
+    g = self_loop()
     t = degree_counts(g)
     assert t.get(1, 1) == 1 and t.total_nodes == 1
-    g2 = seed_graph(SeedSpec.single_edge())
+    g2 = single_edge()
     t2 = degree_counts(g2)
     assert t2.get(0, 1) == 1 and t2.get(1, 0) == 1
 
