@@ -366,11 +366,15 @@ def angular_histogram(sample: StandardizedSample, radius_threshold: float, bins:
     np.histogram's own rule, edges[b] <= a < edges[b + 1] with the last
     bin closed at 1.  Every angle lies in [0, 1], so each pair's radius,
     angle and bin are those of one np.histogram pass over the whole
-    sample.  No temporary spans the sample, and a slice's radius is freed
-    before its v is gathered: at any threshold the call peaks near 2.13
-    slices of float64 for 32-bit v and near 2.25 for 64-bit v, when every
-    pair exceeds: a slice's mask and angles are held beside its gathered v
-    or its bins.
+    sample.  An exceedance whose angle is not in [0, 1], which only a
+    sample built by hand with a negative coordinate can hold, is a
+    DomainError: the search runs on the edges with 0 first and the float
+    after 1 last, so such angles fall in two outer bins that are counted
+    but never reported.  No temporary spans the sample, and a slice's
+    radius is freed before its v is gathered: at any threshold the call
+    peaks near 2.13 slices of float64 for 32-bit v and near 2.25 for
+    64-bit v, when every pair exceeds: a slice's mask and angles are held
+    beside its gathered v or its bins.
     """
     if bins < 2:
         raise DomainError("need at least 2 bins")
@@ -378,8 +382,10 @@ def angular_histogram(sample: StandardizedSample, radius_threshold: float, bins:
         raise DomainError("radius threshold must be positive")
     u, v = sample.u, sample.v
     edges = np.histogram_bin_edges((), bins=bins, range=(0.0, 1.0))
-    inner = edges[1:-1]  # those at or below an angle in [0, 1] count the bins before its own
-    hist = np.zeros(bins, np.int64)
+    # the bounds at or below an angle in [0, 1] are 1 + the bins before its own;
+    # below 0 none are, and above 1 (or NaN) all bins + 1
+    bounds = np.append(edges[:-1], np.nextafter(1.0, 2.0))
+    hist = np.zeros(bins + 2, np.int64)
     count = 0
     for start in range(0, u.size, ANGULAR_SLICE):
         up, vp = u[start:start + ANGULAR_SLICE], v[start:start + ANGULAR_SLICE]
@@ -389,11 +395,13 @@ def angular_histogram(sample: StandardizedSample, radius_threshold: float, bins:
         del radius  # not held beside vp[keep]
         np.divide(vp[keep], angles, out=angles)
         count += angles.size
-        at = np.searchsorted(inner, angles, side="right")
-        hist += np.bincount(at, minlength=bins)
+        at = np.searchsorted(bounds, angles, side="right")
+        hist += np.bincount(at, minlength=bins + 2)
         del keep, angles, at  # not held beside the next slice's radius
+    if hist[0] or hist[-1]:
+        raise DomainError(f"{hist[0] + hist[-1]} of {count} exceedances have an angle outside [0, 1]")
     if count < MIN_EXCEEDANCES:
         raise InsufficientExceedances(f"only {count} exceedances above {radius_threshold}")
     return AngularHistogram(
-        bin_edges=edges, masses=hist / count, exceedances=count, threshold=radius_threshold
+        bin_edges=edges, masses=hist[1:-1] / count, exceedances=count, threshold=radius_threshold
     )

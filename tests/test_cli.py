@@ -173,14 +173,19 @@ SAMPLES = "I,O\n" + "".join(f"{i},{i % 7}\n" for i in range(1, 2000))
         ("angular", SAMPLES + "3\n", "line 2001"),
         ("angular", SAMPLES + "3,2.5\n", "line 2001"),
         ("estimate", "i,j,N_ij\n1,0,3000000000\n", "2147483647"),
+        ("angular", b"I,O\n1,2\n3,\xff\n", "in.csv, line 3: not UTF-8 text"),
+        ("estimate", b"# k = \xff\ni,j,N_ij\n1,0,5\n", "in.csv, line 1: not UTF-8 text"),
     ],
     ids=["estimate-missing", "compare-missing", "angular-missing", "bad-cell", "short-row",
          "negative-count", "negative-index", "angular-bad-cell", "angular-short-row",
-         "angular-non-integer-cell", "count-above-int32"],
+         "angular-non-integer-cell", "count-above-int32", "angular-not-utf8",
+         "estimate-not-utf8-metadata"],
 )
 def test_bad_input_file_is_an_error(tmp_path, capsys, command, text, message):
     path = tmp_path / "in.csv"
-    if text is not None:
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
         path.write_text(text)
     if command == "angular":
         argv = [command, "--samples", str(path), "--threshold-quantile", "0.5"]

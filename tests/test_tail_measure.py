@@ -303,6 +303,24 @@ def test_angular_histogram_needs_exceedances():
         angular_histogram(s, radius_threshold=1.0, bins=1)
 
 
+def test_angular_histogram_refuses_angles_outside_the_unit_interval():
+    """A hand-built sample with a negative coordinate gives angles outside
+    [0, 1]; they are exceedances of no bin, so the call refuses them."""
+    u = np.concatenate([np.full(60, 10.0), np.full(60, -5.0)])
+    with pytest.raises(DomainError, match="60 of 120 exceedances have an angle outside"):
+        angular_histogram(StandardizedSample(u=u, v=np.full(120, 10), c=1.0), 1.0, bins=10)
+    v = np.full(120, 10.0)
+    v[-1] = -1.0  # angle -0.1, in the last slice of three
+    u = np.zeros(2 * ANGULAR_SLICE + 120)
+    u[-120:] = 20.0
+    v = np.concatenate([np.zeros(2 * ANGULAR_SLICE), v])
+    with pytest.raises(DomainError, match="1 of 120"):
+        angular_histogram(StandardizedSample(u=u, v=v, c=1.0), 1.0, bins=10)
+    v[-1] = 0.0  # the angles 0 and 1/3 in bins 0 and 3
+    hist = angular_histogram(StandardizedSample(u=u, v=v, c=1.0), 1.0, bins=10)
+    assert hist.masses[0] == 1 / 120 and hist.masses[3] == 119 / 120
+
+
 @pytest.fixture(scope="module")
 def sliced_sample(dist, params):
     """Standardized limit draws over four angular slices, the last one short,
