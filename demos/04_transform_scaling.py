@@ -55,6 +55,6 @@ for r in rows:
 print("\nmarginal scaling with the analytically normalized b1 "
       f"(normalizer {derivative_marginal_normalizer(params, k):.4f}):")
 bn = ScalingFunctions.normalized_for_derivative_measure(params, k)
-for r in marginal_condition(u, 1, bn, [0.5, 1.0, 2.0], [1e4]):
+for r in marginal_condition(u, bn, [0.5, 1.0, 2.0], [1e4]):
     print(f"  x = {r['x']:.1f}: ratio {r['ratio']:.4f}  target x^gamma1 = {r['target']:.4f} "
           f" rel err {r['rel_err']:+.2%}")

@@ -5,7 +5,9 @@ estimate, compare, verify.  Tables, read or written, use the CSV
 format of heavytail_pa.csvfile, whose reader rejects malformed rows;
 structured reports are JSON.  Every report embeds its provenance: the
 package, numpy and scipy versions, the argv, and where they apply the
-resolved parameters, derived constants and seed.
+resolved parameters, derived constants and seed; a CSV's metadata holds
+the package version, parameters, derived constants and seed alone, so
+the commands that write CSV import no scipy.
 Only verify loads scipy.special, except for its uhat check: the other
 commands need at most log Gamma, from math.lgamma.
 Exit codes: 0 success, 1 validation or usage error, 2 numerical
@@ -69,13 +71,14 @@ def _config_block(args, params: ModelParams | None = None, seed=None) -> dict:
     return block
 
 
-def _meta_lines(config: dict) -> dict:
-    flat = {"version": config["version"]}
-    flat.update(config["params"])
-    if config.get("derived"):
-        flat.update(config["derived"])
-    if "seed" in config:
-        flat["seed"] = config["seed"]
+def _meta_lines(params: ModelParams, seed=None) -> dict:
+    flat = {"version": __version__, **params.as_dict()}
+    try:
+        flat.update(derive(params).as_dict())
+    except HeavytailError:
+        pass
+    if seed is not None:
+        flat["seed"] = seed
     return flat
 
 
@@ -100,11 +103,10 @@ def _write_json(path, payload) -> None:
 def _cmd_simulate(args) -> int:
     params = _resolve_params(args)
     graph = simulate(args.edges, params, args.seed)
-    config = _config_block(args, params, seed=args.seed)
     if args.out:
         graph.to_binary(args.out)
     if args.counts:
-        degree_counts(graph).to_csv(args.counts, metadata=_meta_lines(config))
+        degree_counts(graph).to_csv(args.counts, metadata=_meta_lines(params, args.seed))
     print(
         f"simulated n={graph.edge_count} edges, N={graph.node_count} nodes "
         f"(N/n = {graph.node_count / graph.edge_count:.4f})"
@@ -115,7 +117,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_analytic_pmf(args) -> int:
     params = _resolve_params(args)
     table = LimitDistribution(params).pmf_table(args.imax, args.jmax)
-    meta = _meta_lines(_config_block(args, params))
+    meta = _meta_lines(params)
     meta["captured_mass"] = float(table.sum())
     ii, jj = np.indices(table.shape)
     write_csv(args.out, ("i", "j", "p"), (ii.ravel(), jj.ravel(), table.ravel()), meta)
@@ -126,7 +128,7 @@ def _cmd_analytic_pmf(args) -> int:
 def _cmd_sample_limit(args) -> int:
     params = _resolve_params(args)
     i_arr, o_arr = LimitDistribution(params).sample(args.n, np.random.default_rng(args.seed))
-    meta = _meta_lines(_config_block(args, params, seed=args.seed))
+    meta = _meta_lines(params, args.seed)
     write_csv(args.out, ("I", "O"), (i_arr, o_arr), meta)
     print(f"wrote {args.n} draws to {args.out}")
     return 0
@@ -157,7 +159,7 @@ def _cmd_density(args) -> int:
     xs = _parse_points(args.grid_x, "--grid-x")
     ys = _parse_points(args.grid_y, "--grid-y")
     component = args.component if args.component == "combined" else int(args.component)
-    meta = _meta_lines(_config_block(args, params))
+    meta = _meta_lines(params)
     meta["component"] = component
     jobs = [(x, y) for x in xs for y in ys]
     vals = [tm.density(component, x, y) for x, y in jobs]
@@ -169,12 +171,12 @@ def _cmd_density(args) -> int:
 def _cmd_angular(args) -> int:
     params = _resolve_params(args)
     d = derive(params)
-    data = read_csv(args.samples, 2, np.int64)  # degree counts, as sample-limit writes them
+    data = read_csv(args.samples, 2, np.int32)  # degree counts, int32 as sample-limit draws them
     std = standardize((data[:, 0], data[:, 1]), d)
     # angular_histogram forms u + v itself, so the quantile may reorder this copy
     threshold = float(np.quantile(std.u + std.v, args.threshold_quantile, overwrite_input=True))
     hist = angular_histogram(std, threshold, args.bins)
-    meta = _meta_lines(_config_block(args, params))
+    meta = _meta_lines(params)
     meta.update(threshold=threshold, exceedances=hist.exceedances)
     columns = (hist.bin_edges[:-1], hist.bin_edges[1:], hist.masses)
     write_csv(args.out, ("angle_lo", "angle_hi", "mass"), columns, meta)
@@ -183,14 +185,18 @@ def _cmd_angular(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    """Fit one method; a flag the method does not read is refused, as verify refuses one."""
+    stray = "i_min" if args.method == "hill" else "k"
+    if getattr(args, stray) is not None:
+        raise HeavytailError(f"--{stray.replace('_', '-')} does not apply to --method {args.method}")
     counts = JointCountTable.from_csv(args.counts)
-    pmf = empirical_pmf(counts)
     if args.method == "hill":
         marg_counts = counts.marginal(args.margin)
         k = args.k if args.k is not None else default_hill_k(int(marg_counts[1:].sum()))
         fit = hill_estimate(top_order_statistics(marg_counts, k + 1), k)
     else:
-        fit = loglog_slope(pmf.marginal(args.margin), args.i_min)
+        i_min = 10 if args.i_min is None else args.i_min
+        fit = loglog_slope(empirical_pmf(counts).marginal(args.margin), i_min)
     report = {
         "method": args.method,
         "margin": args.margin,
@@ -230,7 +236,7 @@ def _cmd_compare(args) -> int:
 # verify's own flags, each a keyword of the tauberian.CHECKS functions that
 # take it; of the flags a check does not take, the first in this order is named
 _VERIFY_FLAGS = (("k", int), ("h_grid", str), ("rel_tol", float), ("t_grid", str),
-                 ("y_grid", str), ("margin", int))
+                 ("y_grid", str))
 
 
 def _cmd_verify(args) -> int:
@@ -330,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--margin", choices=["in", "out"], default="in")
     s.add_argument("--method", choices=["hill", "loglog"], default="hill")
     s.add_argument("--k", type=int, default=None, help="hill order statistics (default sqrt(n))")
-    s.add_argument("--i-min", dest="i_min", type=int, default=10)
+    s.add_argument("--i-min", dest="i_min", type=int, default=None,
+                   help="loglog's smallest degree (default 10)")
     s.add_argument("--out", default="-")
     s.set_defaults(fn=_cmd_estimate)
 

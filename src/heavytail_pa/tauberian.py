@@ -25,7 +25,9 @@ side: the limit of U_t is x^k times component 1 of the joint tail
 measure, the order-k measure of tail_measure's gamma-mixture kernel.
 Its transform, rectangle masses and marginal normalizer are that
 kernel's Laplace and lower incomplete gamma sections and its closed-form
-in-marginal; the transform needs no scipy.special.
+in-marginal; the transform needs no scipy.special.  The normalizer, and
+so the marginal check, is of the in-margin alone: the k-th derivative in
+the in-direction is what makes U infinite.
 """
 
 from __future__ import annotations
@@ -120,16 +122,11 @@ def _limit_kernel(k, params: ModelParams) -> _GammaMixture:
 
 @dataclass(frozen=True)
 class TransformReport:
-    """A transform evaluation.
-
-    remainder is the neglected tail mass; both measure types evaluate
-    their transforms exactly, so it is 0.0.
-    """
+    """A scaled transform and its neglected tail mass, the remainder; the
+    transform is evaluated exactly, so the remainder is 0.0."""
 
     value: float
     remainder: float
-    s1: float
-    s2: float
 
 
 class DerivativeMeasure:
@@ -138,7 +135,7 @@ class DerivativeMeasure:
     Its atoms are (i+1)...(i+k) P[X1 = i+k, Y1 = j].  Rectangle masses,
     marginal masses and transforms are sums of NB sections under one
     mixing integral (limit_dist._NBMixture), so every evaluation costs one
-    pass over the nodes whatever the index range.
+    pass over the nodes whatever the index range.  Nothing is cached.
     """
 
     def __init__(self, params: ModelParams, k: int):
@@ -166,11 +163,7 @@ class DerivativeMeasure:
         cut = (np.floor(x), math.inf) if margin == 1 else (math.inf, np.floor(x))
         return float(self._kernel.mass([cut])[0])
 
-    def laplace(self, s1: float, s2: float) -> TransformReport:
-        full, _ = self.laplace_with_boxes(s1, s2, ())
-        return TransformReport(value=full, remainder=0.0, s1=s1, s2=s2)
-
-    def laplace_with_boxes(self, s1: float, s2: float, boxes) -> tuple:
+    def laplace(self, s1: float, s2: float, boxes=()) -> tuple:
         """sum m_ij e^(-s1 i - s2 j) and its parts over [0,bi) x [0,bj).
 
         Returns (full, [box sums]); all of them share one set of mixing nodes.
@@ -208,10 +201,10 @@ def transform_scaling(
     """(1/t) sum of atom weights times exp(-lam1 i/b1(t) - lam2 j/b2(t))."""
     if lam1 <= 0 or lam2 <= 0:
         raise DomainError("decay parameters must be positive")
-    rep = measure.laplace(lam1 / b.b1(t), lam2 / b.b2(t))
-    value = rep.value / t
+    full, _ = measure.laplace(lam1 / b.b1(t), lam2 / b.b2(t))
+    value = full / t
     if with_report:
-        return value, TransformReport(value=value, remainder=rep.remainder / t, s1=rep.s1, s2=rep.s2)
+        return value, TransformReport(value=value, remainder=0.0)
     return value
 
 
@@ -261,7 +254,7 @@ def truncation_condition(measure, b: ScalingFunctions, x, y_grid, t_grid) -> lis
         s1, s2 = 1.0 / (x1 * b1t), 1.0 / (x2 * b2t)
         positive = [y for y in y_grid if y > 0]
         boxes = [(np.ceil(y * b1t), np.ceil(y * b2t)) for y in positive]
-        full, box_vals = measure.laplace_with_boxes(s1, s2, boxes)
+        full, box_vals = measure.laplace(s1, s2, boxes)
         full /= t
         values = {0.0: full}
         for y, box in zip(positive, box_vals):
@@ -278,18 +271,17 @@ def truncation_condition(measure, b: ScalingFunctions, x, y_grid, t_grid) -> lis
     return rows
 
 
-def marginal_condition(measure, margin: int, b: ScalingFunctions, x_grid, t_grid) -> list:
-    """Ratios U_i(b_i(t) x)/t of margin i against the target x**gamma_i."""
-    margin = check_component(margin, name="margin")
-    gamma_i = b.gamma1 if margin == 1 else b.gamma2
+def marginal_condition(measure, b: ScalingFunctions, x_grid, t_grid) -> list:
+    """Ratios U_1(b1(t) x)/t of the in-margin against x**gamma1, its limit where
+    b1 carries the normalizer K; the out-margin's limit constant is not computed."""
     rows = []
     for t in t_grid:
-        scale = b.b1(t) if margin == 1 else b.b2(t)
+        scale = b.b1(t)
         for x in x_grid:
             if x <= 0:
                 raise DomainError("x grid must be positive")
-            ratio = measure.marginal_mass(margin, scale * x) / t
-            target = x**gamma_i
+            ratio = measure.marginal_mass(1, scale * x) / t
+            target = x**b.gamma1
             rows.append(
                 {
                     "t": t,
@@ -312,7 +304,9 @@ def marginal_condition(measure, margin: int, b: ScalingFunctions, x_grid, t_grid
 # t.  verify --check names a check by its CHECKS key, and each of its
 # flags sets the function's keyword of the same name.
 
-# the fixed arguments of truncation_check and marginal_check
+# the fixed arguments of the checks, read when a check runs
+_UHAT_LAMBDAS = ((1.0, 1.0), (0.5, 2.0), (2.0, 0.5))
+_MEASURE_POINTS = ((1.0, 1.0),)
 _TRUNCATION_X = (1.0, 1.0)
 _TRUNCATION_RATIO_TOL = 0.01
 _MARGINAL_X_GRID = (0.5, 1.0, 2.0)
@@ -339,7 +333,6 @@ def _trend_check(check: str, keys, target, what: str, scaled, params: ModelParam
     """
     grid_key = keys[0] + "_grid"
     _nonempty(check, grid_key, grid)
-    _nonempty(check, "point list", points)
     _check_rel_tol(rel_tol)
     u = measure if measure is not None else build_derivative_measure(k, params)
     b = ScalingFunctions.for_derivative_measure(params, k)
@@ -368,7 +361,6 @@ def _trend_check(check: str, keys, target, what: str, scaled, params: ModelParam
 def uhat_check(
     params: ModelParams,
     k: int = 3,
-    lambdas=((1.0, 1.0), (0.5, 2.0), (2.0, 0.5)),
     h_grid=(1e2, 1e4, 1e6),
     rel_tol: float = 0.05,
     measure: Optional[DerivativeMeasure] = None,
@@ -376,13 +368,12 @@ def uhat_check(
     """Scaled transform of the derivative measure against its limit integral."""
     return _trend_check("uhat", ("h", "lambda1", "lambda2", "lhs", "rhs"), uhat_limit_rhs,
                         "the limit transform at lambda = ({:g}, {:g})", transform_scaling,
-                        params, k, lambdas, h_grid, rel_tol, measure)
+                        params, k, _UHAT_LAMBDAS, h_grid, rel_tol, measure)
 
 
 def measure_check(
     params: ModelParams,
     k: int = 3,
-    points=((1.0, 1.0),),
     t_grid=(1e2, 1e3, 1e4),
     rel_tol: float = 0.10,
     measure: Optional[DerivativeMeasure] = None,
@@ -390,7 +381,7 @@ def measure_check(
     """Scaled rectangle masses against the limiting rectangle integral."""
     return _trend_check("measure", ("t", "x", "y", "value", "target"), derivative_limit_rect,
                         "the limit rectangle mass at ({:g}, {:g})", measure_scaling,
-                        params, k, points, t_grid, rel_tol, measure)
+                        params, k, _MEASURE_POINTS, t_grid, rel_tol, measure)
 
 
 def truncation_check(
@@ -426,23 +417,21 @@ def truncation_check(
 def marginal_check(
     params: ModelParams,
     k: int = 3,
-    margin: int = 1,
     t_grid=(1e2, 1e3, 1e4, 1e5),
     rel_tol: float = 0.10,
     measure: Optional[DerivativeMeasure] = None,
 ) -> dict:
-    """Marginal scaling ratios of margin 1 (in) or 2 (out) at x = 0.5, 1, 2
-    against x**gamma under normalized scaling."""
+    """In-marginal scaling ratios at x = 0.5, 1, 2 against x**gamma1 under
+    the normalized scaling."""
     _nonempty("marginal", "t_grid", t_grid)
     _check_rel_tol(rel_tol)
     u = measure if measure is not None else build_derivative_measure(k, params)
     b = ScalingFunctions.normalized_for_derivative_measure(params, k)
-    rows = marginal_condition(u, margin, b, _MARGINAL_X_GRID, t_grid)
+    rows = marginal_condition(u, b, _MARGINAL_X_GRID, t_grid)
     t_final = max(t_grid)
     return {
         "check": "marginal",
         "k": k,
-        "margin": margin,
         "normalizer": b.scale1,
         "rel_tol": rel_tol,
         "rows": rows,

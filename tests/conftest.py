@@ -47,5 +47,5 @@ def component1_draws_10m(dist):
 
 @pytest.fixture(scope="session")
 def deriv_measure(params):
-    """The order-3 derivative measure, shared so its caches persist."""
+    """The order-3 derivative measure, built once per session."""
     return build_derivative_measure(3, params)

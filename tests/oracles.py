@@ -11,7 +11,6 @@ import numpy as np
 from heavytail_pa import DomainError, InsufficientExceedances, LimitDistribution, QuadratureFailure
 from heavytail_pa.census import MIN_EXCEEDANCES, AngularHistogram
 from heavytail_pa.quadrature import MAX_NODES
-from heavytail_pa.tauberian import TransformReport
 
 
 def two_call_trapezoid(sum_f, lo: float, hi: float, tol_abs: float = 1e-12,
@@ -202,10 +201,7 @@ class LatticeMeasure:
         ix, jy = int(math.floor(x)), int(math.floor(y))
         return float(self.atoms[: min(ix + 1, si), : min(jy + 1, sj)].sum())
 
-    def laplace(self, s1: float, s2: float) -> TransformReport:
-        return TransformReport(value=self._weighted_sum(s1, s2), remainder=0.0, s1=s1, s2=s2)
-
-    def laplace_with_boxes(self, s1: float, s2: float, boxes) -> tuple:
+    def laplace(self, s1: float, s2: float, boxes=()) -> tuple:
         """Full transform plus open-box parts; returns (full, [boxes])."""
         full = self._weighted_sum(s1, s2)
         si, sj = self.atoms.shape

@@ -174,12 +174,13 @@ SAMPLES = "I,O\n" + "".join(f"{i},{i % 7}\n" for i in range(1, 2000))
         ("angular", SAMPLES + "3,2.5\n", "line 2001"),
         ("estimate", "i,j,N_ij\n1,0,3000000000\n", "2147483647"),
         ("angular", b"I,O\n1,2\n3,\xff\n", "in.csv, line 3: not UTF-8 text"),
+        ("angular", "I,O\n1,2\n1,2147483648\n", "line 3: expected 2 int32 values, got '1,2147483648'"),
         ("estimate", b"# k = \xff\ni,j,N_ij\n1,0,5\n", "in.csv, line 1: not UTF-8 text"),
     ],
     ids=["estimate-missing", "compare-missing", "angular-missing", "bad-cell", "short-row",
          "negative-count", "negative-index", "angular-bad-cell", "angular-short-row",
          "angular-non-integer-cell", "count-above-int32", "angular-not-utf8",
-         "estimate-not-utf8-metadata"],
+         "angular-count-above-int32", "estimate-not-utf8-metadata"],
 )
 def test_bad_input_file_is_an_error(tmp_path, capsys, command, text, message):
     path = tmp_path / "in.csv"
@@ -267,13 +268,12 @@ def test_density_at_high_alpha_in(tmp_path):
 
 
 # a valid value for each verify flag but --k, which every check takes
-VERIFY_FLAG_VALUES = {"--h-grid": "1,2", "--rel-tol": "1e-12", "--t-grid": "1,2", "--y-grid": "0,1",
-                      "--margin": "2"}
+VERIFY_FLAG_VALUES = {"--h-grid": "1,2", "--rel-tol": "1e-12", "--t-grid": "1,2", "--y-grid": "0,1"}
 
 
 def _refused_flag_cases() -> dict:
     """One case per (check, flag its function has no keyword for), and one with two such flags."""
-    cases = {"uhat-t-grid": (["--check", "uhat", "--t-grid", "1,2", "--margin", "2"], "--t-grid")}
+    cases = {"uhat-t-grid": (["--check", "uhat", "--t-grid", "1,2", "--y-grid", "0,1"], "--t-grid")}
     for check, fn in tauberian.CHECKS.items():
         keywords = inspect.signature(fn).parameters
         for flag, value in VERIFY_FLAG_VALUES.items():
@@ -413,9 +413,13 @@ def test_a_flag_no_output_reads_is_a_usage_error(capsys, command, flag):
 @pytest.mark.parametrize("argv, message", [
     (["--k", "0"], "need k >= 2 order statistics"),
     (["--method", "loglog", "--i-min", "0"], "i_min must be at least 1"),
-], ids=["hill-k-0", "loglog-i-min-0"])
+    (["--method", "loglog", "--k", "7"], "--k does not apply to --method loglog"),
+    (["--method", "hill", "--i-min", "3"], "--i-min does not apply to --method hill"),
+], ids=["hill-k-0", "loglog-i-min-0", "loglog-k", "hill-i-min"])
 def test_estimate_refuses_degenerate_orders(tmp_path, capsys, argv, message):
-    """--k 0 once fell back to the default k, and --i-min 0 reached log 0 in lstsq."""
+    """--k 0 once fell back to the default k, and --i-min 0 reached log 0 in
+    lstsq; --k with loglog and --i-min with hill went unread, while the
+    report's argv recorded them."""
     counts = tmp_path / "in.csv"
     counts.write_text("i,j,N_ij\n" + "".join(f"{i},{i % 7},{1 + i % 3}\n" for i in range(1, 400)))
     out = tmp_path / "out.json"
@@ -464,13 +468,15 @@ def test_package_import_skips_scipy_stats(tmp_path):
     rest: it loads only where an incomplete gamma or beta function is
     evaluated (verify's truncation, measure and marginal checks,
     TailMeasure.rect_mass), and its names still resolve on first use.  Only
-    the sampler loads the thread pool of concurrent.futures."""
+    the sampler loads the thread pool of concurrent.futures.  The commands
+    that write CSV import no scipy at all: only a JSON report records its
+    version."""
     import heavytail_pa
 
     root = os.path.dirname(os.path.dirname(heavytail_pa.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([root, os.environ.get("PYTHONPATH", "")]))
     probe = ("import atexit, sys; atexit.register(lambda: print(sorted(m for m in ("
-             "'scipy.stats', 'scipy.integrate', 'scipy.optimize', 'scipy.special', "
+             "'scipy', 'scipy.stats', 'scipy.integrate', 'scipy.optimize', 'scipy.special', "
              "'concurrent.futures') if m in sys.modules))); ")
     cli = "from heavytail_pa.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -485,21 +491,21 @@ def test_package_import_skips_scipy_stats(tmp_path):
     assert loaded("import heavytail_pa") == "[]"
     assert loaded(cli, "--version") == "[]"
     assert loaded(cli, "simulate", "--edges", "100", "--counts", tmp_path / "c.csv") == "[]"
-    assert loaded(cli, "estimate", "--counts", counts, "--out", tmp_path / "e.json") == "[]"
+    assert loaded(cli, "estimate", "--counts", counts, "--out", tmp_path / "e.json") == "['scipy']"
     assert loaded(cli, "angular", "--samples", samples, "--threshold-quantile", "0.9",
                   "--out", tmp_path / "a.csv") == "[]"
     assert loaded(cli, "density", "--grid-x", "1", "--grid-y", "1",
                   "--out", tmp_path / "d.csv") == "[]"
     assert loaded(cli, "analytic-pmf", "--imax", "3", "--jmax", "3",
                   "--out", tmp_path / "p.csv") == "[]"
-    pool = "['concurrent.futures']"
+    pool = "['concurrent.futures']"  # sample-limit's CSV, without scipy
     assert loaded(cli, "sample-limit", "--n", "100", "--out", tmp_path / "s.csv") == pool
     assert loaded(cli, "compare", "--counts", counts, "--imax", "3", "--jmax", "3",
-                  "--out", tmp_path / "cmp.json") == "[]"
+                  "--out", tmp_path / "cmp.json") == "['scipy']"
     # scipy.special itself imports concurrent.futures
-    special = "['concurrent.futures', 'scipy.special']"
+    special = "['concurrent.futures', 'scipy', 'scipy.special']"
     assert loaded(cli, "verify", "--check", "truncation", "--out", tmp_path / "v.json") == special
-    assert loaded(cli, "verify", "--check", "uhat", "--out", tmp_path / "u.json") == "[]"
+    assert loaded(cli, "verify", "--check", "uhat", "--out", tmp_path / "u.json") == "['scipy']"
     assert loaded("from heavytail_pa import ModelParams, TailMeasure; "
                   "TailMeasure(ModelParams(0.3, 0.5, 0.2, 1.0, 1.0)).rect_mass(1, 1.0, 1.0)"
                   ) == special

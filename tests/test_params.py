@@ -11,7 +11,6 @@ from heavytail_pa import (
     TailMeasure,
     derive,
     load_params,
-    marginal_check,
     save_params,
     split_probability,
     validate,
@@ -151,7 +150,7 @@ def test_component_must_be_the_integer_1_or_2(call, bad):
 
 def test_a_bad_margin_is_reported_as_a_margin():
     with pytest.raises(DomainError, match=r"^margin must be 1 or 2, got 3$"):
-        marginal_check(CANONICAL, margin=3)
+        DerivativeMeasure(CANONICAL, 3).marginal_mass(3, 1.0)
 
 
 @pytest.mark.parametrize("call", sorted(COMPONENT_CALLS))

@@ -7,6 +7,9 @@ the quantity is positive.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -201,3 +204,31 @@ def test_sampler_matches_the_limit_law_over_the_domain(name):
         rng = np.random.default_rng(DEFAULT_SEED)
         pairs = dist.sample_component(j, SAMPLE_DRAWS, rng)
         assert _box_tv(pairs, dist.pmf_component_table(j, 10, 10)) <= spread, j
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers(min_value=0))
+def test_fails(x):
+    assert x < 0
+
+
+def test_runs_after_it():
+    pass
+"""
+
+
+def test_a_failing_property_test_is_reported_not_an_internal_error(tmp_path):
+    """On a failure hypothesis's plugin imports libcst, whose import warns a
+    DeprecationWarning; under the suite's warning filters that once turned
+    into an INTERNALERROR that ended the session before other tests reported."""
+    (tmp_path / "test_failing.py").write_text(FAILING_PROPERTY)
+    config = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "pyproject.toml")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", config,
+                           "--rootdir", str(tmp_path), "test_failing.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
