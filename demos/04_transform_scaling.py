@@ -16,11 +16,10 @@ from heavytail_pa import (
     ScalingFunctions,
     build_derivative_measure,
     derivative_limit_rect,
-    derivative_marginal_normalizer,
-    marginal_condition,
+    marginal_check,
     measure_scaling,
     transform_scaling,
-    truncation_condition,
+    truncation_check,
     uhat_limit_rhs,
 )
 
@@ -48,13 +47,12 @@ for t in (1e2, 1e3, 1e4):
     print(f"  t = {t:8.0f}: {val:.5f}  limit {target:.5f}  rel err {abs(val/target-1):.3%}")
 
 print("\ntail regularity: transform mass beyond the box [0,y)^2, relative to y = 0:")
-rows = truncation_condition(u, b, (1.0, 1.0), [0.0, 2.0, 8.0], [1e3, 1e4])
-for r in rows:
+trunc = truncation_check(params, k, y_grid=(0.0, 2.0, 8.0), t_grid=(1e3, 1e4), measure=u)
+for r in trunc["rows"]:
     print(f"  t = {r['t']:8.0f}  y = {r['y']:3.0f}: ratio {r['ratio_to_y0']:.2e}")
 
-print("\nmarginal scaling with the analytically normalized b1 "
-      f"(normalizer {derivative_marginal_normalizer(params, k):.4f}):")
-bn = ScalingFunctions.normalized_for_derivative_measure(params, k)
-for r in marginal_condition(u, bn, [0.5, 1.0, 2.0], [1e4]):
+marg = marginal_check(params, k, t_grid=(1e4,), measure=u)
+print(f"\nmarginal scaling with b1 taken at t/K (normalizer K = {marg['normalizer']:.4f}):")
+for r in marg["rows"]:
     print(f"  x = {r['x']:.1f}: ratio {r['ratio']:.4f}  target x^gamma1 = {r['target']:.4f} "
-          f" rel err {r['rel_err']:+.2%}")
+          f" rel err {r['rel_err']:.2%}")

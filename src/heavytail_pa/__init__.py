@@ -62,12 +62,10 @@ from .tauberian import (
     derivative_limit_rect,
     derivative_marginal_normalizer,
     marginal_check,
-    marginal_condition,
     measure_check,
     measure_scaling,
     transform_scaling,
     truncation_check,
-    truncation_condition,
     uhat_check,
     uhat_limit_rhs,
 )
@@ -95,7 +93,6 @@ __all__ = [
     "LimitDistribution", "TailMeasure",
     # tauberian
     "DerivativeMeasure", "ScalingFunctions", "build_derivative_measure", "derivative_limit_rect",
-    "derivative_marginal_normalizer", "marginal_check", "marginal_condition", "measure_check",
-    "measure_scaling", "transform_scaling", "truncation_check", "truncation_condition",
-    "uhat_check", "uhat_limit_rhs",
+    "derivative_marginal_normalizer", "marginal_check", "measure_check", "measure_scaling",
+    "transform_scaling", "truncation_check", "uhat_check", "uhat_limit_rhs",
 ]

@@ -27,13 +27,15 @@ Its transform, rectangle masses and marginal normalizer are that
 kernel's Laplace and lower incomplete gamma sections and its closed-form
 in-marginal; the transform needs no scipy.special.  The normalizer, and
 so the marginal check, is of the in-margin alone: the k-th derivative in
-the in-direction is what makes U infinite.
+the in-direction is what makes U infinite.  With b1 taken at t/K, U_1
+converges to x**gamma1, so the marginal check compares with a limit the
+way the transform and rectangle checks do, on the same trend rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -46,28 +48,24 @@ from .tail_measure import _GammaMixture, _log_laplace, _log_lower
 
 @dataclass(frozen=True)
 class ScalingFunctions:
-    """Power scaling functions b1(t) = (t/scale1)**(1/gamma1), b2(t) = t**(1/gamma2).
+    """Power scaling functions b1(t) = t**(1/gamma1), b2(t) = t**(1/gamma2).
 
-    The scale factor does not change the regular-variation index; it
-    normalizes so that the component-1 marginal scaling limit hits
-    x**gamma1 with constant one.
+    The marginal check takes b1 at t/K, with K the marginal normalizer, so
+    that the in-marginal's scaling limit is x**gamma1 with constant one.
     """
 
     gamma1: float
     gamma2: float
-    scale1: float = 1.0
 
     def __post_init__(self):
         if self.gamma1 <= 0 or self.gamma2 <= 0:
             raise DomainError("scaling indices must be positive")
-        if self.scale1 <= 0:
-            raise DomainError("the scaling normalizer must be positive")
 
     def b1(self, t: float) -> float:
-        return _scaling_power(t, self.scale1, self.gamma1)
+        return _scaling_power(t, self.gamma1)
 
     def b2(self, t: float) -> float:
-        return _scaling_power(t, 1.0, self.gamma2)
+        return _scaling_power(t, self.gamma2)
 
     @staticmethod
     def for_derivative_measure(params: ModelParams, k: int) -> "ScalingFunctions":
@@ -76,19 +74,14 @@ class ScalingFunctions:
         g2 = g1 * (d.alpha_out - 1.0) / (d.alpha_in - 1.0)
         return ScalingFunctions(gamma1=g1, gamma2=g2)
 
-    @staticmethod
-    def normalized_for_derivative_measure(params: ModelParams, k: int) -> "ScalingFunctions":
-        base = ScalingFunctions.for_derivative_measure(params, k)
-        return replace(base, scale1=derivative_marginal_normalizer(params, k))
 
-
-def _scaling_power(t: float, scale: float, gamma: float) -> float:
+def _scaling_power(t: float, gamma: float) -> float:
     if not t > 0:
         raise DomainError(f"t must be positive, got {t:g}")
     with np.errstate(over="ignore", invalid="ignore"):
-        b = float(np.float64(t / scale) ** (1.0 / gamma))
+        b = float(np.float64(t) ** (1.0 / gamma))
     if not math.isfinite(b):
-        raise DomainError(f"the scaling (t/scale)**(1/gamma) overflows at t = {t:g}, gamma = {gamma:g}")
+        raise DomainError(f"the scaling t**(1/gamma) overflows at t = {t:g}, gamma = {gamma:g}")
     return b
 
 
@@ -234,82 +227,22 @@ def derivative_limit_rect(k: int, params: ModelParams, x: float, y: float) -> fl
     return kernel.integral(_log_lower, math.log(x), math.log(y))
 
 
-def truncation_condition(measure, b: ScalingFunctions, x, y_grid, t_grid) -> list:
-    """Tail-mass diagnostic for the transform regularity condition.
-
-    For each (t, y) integrates exp(-v1/x1 - v2/x2) over the scaled
-    atoms outside the open box [0, y)^2, reporting the decay relative
-    to the y = 0 value (the full transform).  The box cuts are floats:
-    where y b_i(t) passes the float range the cut is inf, the whole
-    section, as it is for rect_mass_below.
-    """
-    x1, x2 = x
-    if x1 <= 0 or x2 <= 0:
-        raise DomainError("x must be positive componentwise")
-    if any(y < 0 for y in y_grid):
-        raise DomainError("y grid must be nonnegative")
-    rows = []
-    for t in t_grid:
-        b1t, b2t = b.b1(t), b.b2(t)
-        s1, s2 = 1.0 / (x1 * b1t), 1.0 / (x2 * b2t)
-        positive = [y for y in y_grid if y > 0]
-        boxes = [(np.ceil(y * b1t), np.ceil(y * b2t)) for y in positive]
-        full, box_vals = measure.laplace(s1, s2, boxes)
-        full /= t
-        values = {0.0: full}
-        for y, box in zip(positive, box_vals):
-            values[y] = full - box / t
-        for y in y_grid:
-            rows.append(
-                {
-                    "t": t,
-                    "y": y,
-                    "value": values[y],
-                    "ratio_to_y0": values[y] / full if full > 0 else math.nan,
-                }
-            )
-    return rows
-
-
-def marginal_condition(measure, b: ScalingFunctions, x_grid, t_grid) -> list:
-    """Ratios U_1(b1(t) x)/t of the in-margin against x**gamma1, its limit where
-    b1 carries the normalizer K; the out-margin's limit constant is not computed."""
-    rows = []
-    for t in t_grid:
-        scale = b.b1(t)
-        for x in x_grid:
-            if x <= 0:
-                raise DomainError("x grid must be positive")
-            ratio = measure.marginal_mass(1, scale * x) / t
-            target = x**b.gamma1
-            rows.append(
-                {
-                    "t": t,
-                    "x": x,
-                    "ratio": ratio,
-                    "target": target,
-                    "rel_err": ratio / target - 1.0,
-                }
-            )
-    return rows
-
-
 # -- verification protocols ---------------------------------------------------
 #
 # Convergence in t cannot be observed at t = infinity; each check
-# computes a log-spaced trend.  uhat and measure share _trend_check: the
-# final relative error must be within rel_tol and the errors must fall
-# strictly along the grid.  truncation bounds the tail ratio at the
-# grid's largest y at every t; marginal bounds the errors at the largest
-# t.  verify --check names a check by its CHECKS key, and each of its
-# flags sets the function's keyword of the same name.
+# computes a log-spaced trend.  uhat, measure and marginal share
+# _trend_check: along a strictly increasing grid, the final relative
+# error must be within rel_tol and the errors must fall strictly.
+# truncation bounds the tail ratio at the grid's largest y at every t.
+# verify --check names a check by its CHECKS key, and each of its flags
+# sets the function's keyword of the same name.
 
 # the fixed arguments of the checks, read when a check runs
 _UHAT_LAMBDAS = ((1.0, 1.0), (0.5, 2.0), (2.0, 0.5))
 _MEASURE_POINTS = ((1.0, 1.0),)
 _TRUNCATION_X = (1.0, 1.0)
 _TRUNCATION_RATIO_TOL = 0.01
-_MARGINAL_X_GRID = (0.5, 1.0, 2.0)
+_MARGINAL_POINTS = ((0.5,), (1.0,), (2.0,))
 
 
 def _nonempty(check: str, what: str, values) -> None:
@@ -326,13 +259,20 @@ def _trend_check(check: str, keys, target, what: str, scaled, params: ModelParam
                  points, grid, rel_tol: float, measure: Optional[DerivativeMeasure]) -> dict:
     """Compare scaled(U, b, g, *point) with target(k, params, *point) along the grid.
 
-    keys names a row's grid value, the point's two coordinates, the
-    scaled value and the target; rel_err follows, and the report names
-    the grid keys[0] + "_grid".  what.format(*point) names a target in a
+    keys names a row's grid value, the point's coordinates (one or two),
+    the scaled value and the target; rel_err follows, and the report
+    names the grid keys[0] + "_grid".  The grid must be positive and
+    strictly increasing.  what.format(*point) names a target in a
     QuadratureFailure, raised where it is not positive and finite.
     """
     grid_key = keys[0] + "_grid"
     _nonempty(check, grid_key, grid)
+    for g in grid:
+        if not g > 0:
+            raise DomainError(f"t must be positive, got {g:g}")
+    if not all(g2 > g1 for g1, g2 in zip(grid, grid[1:])):
+        raise DomainError(f"{check}: the {grid_key} must be strictly increasing, got "
+                          + ", ".join(f"{g:g}" for g in grid))
     _check_rel_tol(rel_tol)
     u = measure if measure is not None else build_derivative_measure(k, params)
     b = ScalingFunctions.for_derivative_measure(params, k)
@@ -393,14 +333,40 @@ def truncation_check(
 ) -> dict:
     """Decay of the tail part of the scaled transform, uniform over t.
 
-    At x = (1, 1), the ratio to the full transform at the largest y of
-    the grid must be at most 0.01 at every t.
+    For each (t, y) integrates exp(-v1/x1 - v2/x2) at x = (1, 1) over the
+    scaled atoms outside the open box [0, y)^2, reporting the decay
+    relative to the y = 0 value (the full transform).  The box cuts are
+    floats: where y b_i(t) passes the float range the cut is inf, the
+    whole section, as it is for rect_mass_below.  The ratio at the
+    largest y of the grid must be at most 0.01 at every t.
     """
     _nonempty("truncation", "y_grid", y_grid)
     _nonempty("truncation", "t_grid", t_grid)
     u = measure if measure is not None else build_derivative_measure(k, params)
     b = ScalingFunctions.for_derivative_measure(params, k)
-    rows = truncation_condition(u, b, _TRUNCATION_X, y_grid, t_grid)
+    if any(y < 0 for y in y_grid):
+        raise DomainError("y grid must be nonnegative")
+    x1, x2 = _TRUNCATION_X
+    rows = []
+    for t in t_grid:
+        b1t, b2t = b.b1(t), b.b2(t)
+        s1, s2 = 1.0 / (x1 * b1t), 1.0 / (x2 * b2t)
+        positive = [y for y in y_grid if y > 0]
+        boxes = [(np.ceil(y * b1t), np.ceil(y * b2t)) for y in positive]
+        full, box_vals = u.laplace(s1, s2, boxes)
+        full /= t
+        values = {0.0: full}
+        for y, box in zip(positive, box_vals):
+            values[y] = full - box / t
+        for y in y_grid:
+            rows.append(
+                {
+                    "t": t,
+                    "y": y,
+                    "value": values[y],
+                    "ratio_to_y0": values[y] / full if full > 0 else math.nan,
+                }
+            )
     probe_y = float(max(y_grid))
     return {
         "check": "truncation",
@@ -414,6 +380,10 @@ def truncation_check(
     }
 
 
+def _marginal_target(k: int, params: ModelParams, x: float) -> float:
+    return x ** ScalingFunctions.for_derivative_measure(params, k).gamma1
+
+
 def marginal_check(
     params: ModelParams,
     k: int = 3,
@@ -421,22 +391,19 @@ def marginal_check(
     rel_tol: float = 0.10,
     measure: Optional[DerivativeMeasure] = None,
 ) -> dict:
-    """In-marginal scaling ratios at x = 0.5, 1, 2 against x**gamma1 under
-    the normalized scaling."""
-    _nonempty("marginal", "t_grid", t_grid)
-    _check_rel_tol(rel_tol)
-    u = measure if measure is not None else build_derivative_measure(k, params)
-    b = ScalingFunctions.normalized_for_derivative_measure(params, k)
-    rows = marginal_condition(u, b, _MARGINAL_X_GRID, t_grid)
-    t_final = max(t_grid)
-    return {
-        "check": "marginal",
-        "k": k,
-        "normalizer": b.scale1,
-        "rel_tol": rel_tol,
-        "rows": rows,
-        "passed": all(abs(r["rel_err"]) <= rel_tol for r in rows if r["t"] == t_final),
-    }
+    """In-marginal scaling ratios U_1(b1(t/K) x)/t at x = 0.5, 1, 2 against
+    x**gamma1, with K the marginal normalizer; the out-margin's limit
+    constant is not computed."""
+    norm = derivative_marginal_normalizer(params, k)
+
+    def scaled(u, b, t, x):
+        return u.marginal_mass(1, b.b1(t / norm) * x) / t
+
+    report = _trend_check("marginal", ("t", "x", "ratio", "target"), _marginal_target,
+                          "the in-marginal limit at x = {:g}", scaled,
+                          params, k, _MARGINAL_POINTS, t_grid, rel_tol, measure)
+    report["normalizer"] = norm
+    return report
 
 
 CHECKS = {"uhat": uhat_check, "measure": measure_check, "truncation": truncation_check,

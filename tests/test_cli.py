@@ -305,6 +305,21 @@ def test_verify_rejects_a_t_that_is_not_positive(tmp_path, capsys, check, t):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("check, grid, values", [
+    ("uhat", "--h-grid", "1e6,1e4,1e2"),
+    ("marginal", "--t-grid", "1e5,1e2"),
+])
+def test_verify_rejects_a_grid_that_does_not_increase(tmp_path, capsys, check, grid, values):
+    """A descending h grid once reported FAIL with exit 2, and a descending t
+    grid passed the marginal check, which judged the largest t."""
+    out = tmp_path / "v.json"
+    assert run(["verify", "--check", check, grid, values, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {check}: the {grid[2:].replace('-', '_')} must be strictly "
+                          f"increasing") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("check", ["uhat", "measure", "marginal"])
 def test_verify_rejects_a_rel_tol_that_is_not_positive(tmp_path, capsys, check):
     out = tmp_path / "v.json"
@@ -441,9 +456,9 @@ PUBLIC_NAMES = (
     "build_derivative_measure", "compare_pmf", "default_hill_k",
     "degree_counts", "derivative_limit_rect", "derivative_marginal_normalizer", "derive",
     "empirical_pmf", "grow", "hill_estimate", "load_params", "loglog_slope", "marginal_check",
-    "marginal_condition", "measure_check", "measure_scaling", "save_params",
+    "measure_check", "measure_scaling", "save_params",
     "simulate", "split_probability", "standardize", "transform_scaling",
-    "truncation_check", "truncation_condition", "uhat_check", "uhat_limit_rhs", "validate",
+    "truncation_check", "uhat_check", "uhat_limit_rhs", "validate",
 )
 
 

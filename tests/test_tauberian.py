@@ -7,6 +7,7 @@ from scipy import integrate
 
 from heavytail_pa import (
     DomainError,
+    HeavytailError,
     InvalidK,
     InvalidParams,
     ModelParams,
@@ -18,13 +19,11 @@ from heavytail_pa import (
     derivative_marginal_normalizer,
     derive,
     marginal_check,
-    marginal_condition,
     measure_check,
     quadrature,
     measure_scaling,
     transform_scaling,
     truncation_check,
-    truncation_condition,
     uhat_check,
     uhat_limit_rhs,
 )
@@ -264,39 +263,54 @@ def test_tauberian_direction_pairing(deriv_measure, params, scaling):
     assert abs(got / target - 1.0) < 0.10
 
 
-def test_truncation_condition_finite_support():
+def test_truncation_condition_finite_support(params, scaling):
     u = LatticeMeasure.from_dict({(0, 0): 1.0, (3, 2): 2.0})
-    b = ScalingFunctions(gamma1=1.0, gamma2=1.0)
-    rows = truncation_condition(u, b, (1.0, 1.0), [0.0, 10.0], [2.0])
+    rows = truncation_check(params, y_grid=[0.0, 10.0], t_grid=[2.0], measure=u)["rows"]
     by_y = {r["y"]: r for r in rows}
-    # y = 0 covers the whole domain; b(t) y = 20 exceeds the support
-    full = u.laplace(0.5, 0.5)[0] / 2.0
+    # y = 0 covers the whole domain; b(t) y = (18.5, 17.1) exceeds the support
+    full = u.laplace(1.0 / scaling.b1(2.0), 1.0 / scaling.b2(2.0))[0] / 2.0
     assert by_y[0.0]["value"] == pytest.approx(full)
     assert by_y[10.0]["value"] == 0.0
 
 
-def test_truncation_condition_derivative_measure(deriv_measure, scaling):
-    rows = truncation_condition(deriv_measure, scaling, (1.0, 1.0), [0.0, 8.0], [1e3])
+def test_truncation_condition_derivative_measure(params, deriv_measure):
+    rows = truncation_check(params, y_grid=[0.0, 8.0], t_grid=[1e3], measure=deriv_measure)["rows"]
     by_y = {r["y"]: r for r in rows}
     assert by_y[8.0]["ratio_to_y0"] < 0.01
 
 
-def test_marginal_condition_counting_measure():
-    """Unit weights on the axis give U_1(x) ~ x, so the ratio tends to x."""
+def test_marginal_condition_counting_measure(params, scaling):
+    """Unit weights on the axis give U_1(y) = floor(y) + 1, so the ratio is
+    b1(t/K) x / t to within one atom, i.e. O(1/t)."""
     u = LatticeMeasure(np.ones((30000, 1)))
-    b = ScalingFunctions(gamma1=1.0, gamma2=1.0)
-    rows = marginal_condition(u, b, [0.5, 1.0, 2.0], [10000.0])
+    K = derivative_marginal_normalizer(params, 3)
+    for r in marginal_check(params, t_grid=[1e4], measure=u)["rows"]:
+        want = (1e4 / K) ** (1.0 / scaling.gamma1) * r["x"] / 1e4
+        assert r["ratio"] == pytest.approx(want, abs=2.0 / 1e4)
+        assert r["target"] == r["x"] ** scaling.gamma1
+
+
+def test_marginal_rows_are_the_in_marginal_at_b1_of_t_over_k(deriv_measure, params, scaling):
+    """Each row is U_1(b1(t/K) x)/t against x**gamma1, bit for bit, with b1
+    taken as float64(t/K)**(1/gamma1)."""
+    K, g1 = derivative_marginal_normalizer(params, 3), scaling.gamma1
+    rows = marginal_check(params, measure=deriv_measure)["rows"]
+    assert len(rows) == 12
     for r in rows:
-        # the lattice discretization contributes one atom, i.e. O(1/t)
-        assert r["ratio"] == pytest.approx(r["x"], abs=2.0 / 10000.0)
-        assert r["target"] == r["x"]
+        t, x = r["t"], r["x"]
+        assert r["ratio"] == deriv_measure.marginal_mass(1, float(np.float64(t / K) ** (1 / g1)) * x) / t
+        assert r["target"] == x**g1
 
 
-def test_marginal_condition_target_at_x1(deriv_measure, params):
-    b = ScalingFunctions.normalized_for_derivative_measure(params, 3)
-    rows = marginal_condition(deriv_measure, b, [1.0], [1e4])
-    assert rows[0]["target"] == 1.0
-    assert abs(rows[0]["rel_err"]) < 0.15
+def test_marginal_errors_must_fall_along_the_grid():
+    """ratio/target - 1 ends at -0.0748, -0.0508 and -0.0344, all within 0.10,
+    but at x = 0.5 its size rises first: -0.9923, then -0.9929."""
+    report = marginal_check(ModelParams(0.25, 0.72, 0.03, 4.8, 1.3), k=3)
+    assert report["passed"] is False
+    finals = [r["rel_err"] for r in report["rows"] if r["t"] == 1e5]
+    assert max(finals) <= 0.10
+    first = [r["rel_err"] for r in report["rows"] if r["x"] == 0.5][:2]
+    assert first == pytest.approx([0.9923, 0.9929], abs=1e-4)
 
 
 def test_marginal_normalizer_matches_partial_sums(deriv_measure, params):
@@ -559,7 +573,7 @@ REPORT_LAYOUT = {
                 ("t", "x", "y", "value", "target", "rel_err")),
     "truncation": (("check", "k", "x", "probe_y", "ratio_tol", "rows", "passed"),
                    ("t", "y", "value", "ratio_to_y0")),
-    "marginal": (("check", "k", "normalizer", "rel_tol", "rows", "passed"),
+    "marginal": (("check", "k", "t_grid", "rel_tol", "rows", "passed", "normalizer"),
                  ("t", "x", "ratio", "target", "rel_err")),
 }
 
@@ -576,19 +590,27 @@ def test_check_reports_keep_their_layout(params, deriv_measure):
     assert (trunc["x"], trunc["probe_y"], trunc["ratio_tol"]) == ([1.0, 1.0], 8.0, 0.01)
     marg = marginal_check(params, measure=deriv_measure)
     assert marg["normalizer"] == derivative_marginal_normalizer(params, 3)
-    assert [r["x"] for r in marg["rows"][:3]] == [0.5, 1.0, 2.0]
+    assert [(r["x"], r["t"]) for r in marg["rows"]] == [
+        (x, t) for x in (0.5, 1.0, 2.0) for t in marg["t_grid"]]
 
 
-@pytest.mark.parametrize("call", [
-    lambda p: uhat_check(p, h_grid=()),
-    lambda p: measure_check(p, t_grid=()),
-    lambda p: truncation_check(p, y_grid=()),
-    lambda p: truncation_check(p, t_grid=()),
-    lambda p: marginal_check(p, t_grid=()),
+@pytest.mark.parametrize("call, message", [
+    (lambda p: uhat_check(p, h_grid=()), "is empty"),
+    (lambda p: measure_check(p, t_grid=()), "is empty"),
+    (lambda p: truncation_check(p, y_grid=()), "is empty"),
+    (lambda p: truncation_check(p, t_grid=()), "is empty"),
+    (lambda p: marginal_check(p, t_grid=()), "is empty"),
+    (lambda p: uhat_check(p, h_grid=(1e6, 1e4, 1e2)), "h_grid must be strictly increasing"),
+    (lambda p: uhat_check(p, h_grid=(1e2, 1e2)), "h_grid must be strictly increasing"),
+    (lambda p: measure_check(p, t_grid=(1e4, 1e3)), "t_grid must be strictly increasing"),
+    (lambda p: measure_check(p, t_grid=(1e2, 1e3, 1e3)), "t_grid must be strictly increasing"),
+    (lambda p: marginal_check(p, t_grid=(1e5, 1e2)), "t_grid must be strictly increasing"),
+    (lambda p: marginal_check(p, t_grid=(1e3, 1e3)), "t_grid must be strictly increasing"),
 ], ids=["uhat-h", "measure-t", "truncation-y", "truncation-t",
-        "marginal-t"])
-def test_empty_grid_is_a_domain_error(params, call):
-    with pytest.raises(DomainError, match="is empty"):
+        "marginal-t", "uhat-h-descending", "uhat-h-repeated", "measure-t-descending",
+        "measure-t-repeated", "marginal-t-descending", "marginal-t-repeated"])
+def test_empty_grid_is_a_domain_error(params, call, message):
+    with pytest.raises(DomainError, match=message):
         call(params)
 
 
@@ -605,3 +627,25 @@ def test_scaling_at_a_t_that_is_not_positive_is_a_domain_error(scaling, t):
     for b in (scaling.b1, scaling.b2):
         with pytest.raises(DomainError, match="t must be positive"):
             b(t)
+
+
+def test_domain_atlas_subset():
+    """The first 50 points of the domain atlas's recipe (default_rng(2026)),
+    each check at default flags: every outcome is a pass, a fail or a typed
+    error, and the pass counts only ever rise."""
+    rng = np.random.default_rng(2026)
+    passes = dict.fromkeys(CHECKS, 0)
+    for _ in range(50):
+        weights = 0.02 + 0.94 * rng.dirichlet((1, 1, 1))
+        deltas = np.exp(rng.uniform(math.log(0.05), math.log(20), 2))
+        p = ModelParams(*weights, *deltas)
+        k = math.floor(derive(p).alpha_in) + int(rng.integers(0, 3))
+        for name, check in CHECKS.items():
+            try:
+                report = check(p, k=k)
+            except HeavytailError:
+                continue
+            assert report["passed"] is True or report["passed"] is False
+            passes[name] += report["passed"]
+    floors = {"uhat": 32, "measure": 21, "truncation": 48, "marginal": 14}
+    assert all(passes[name] >= floors[name] for name in CHECKS), passes
