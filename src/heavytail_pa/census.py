@@ -11,6 +11,10 @@ cells.  Only the dense views are refused beyond MAX_TABLE_CELLS
 entries: the 2-d `JointCountTable.counts` and `JointPMF.box`, and the
 1-d marginals, which span every degree up to the largest.
 
+A standardized sample holds no per-pair copy either, only its pairs as
+given and a power table: u = x**c costs 8 B per pair on each read of
+`StandardizedSample.u`, and `angular_histogram` forms it a slice at a time.
+
 Nothing here evaluates a special function, so the module loads without
 scipy.
 """
@@ -304,14 +308,43 @@ def compare_pmf(p: JointPMF, q: JointPMF, i_max: int, j_max: int) -> PMFComparis
 class StandardizedSample:
     """Pairs mapped to common scaling by the power method: (x, y) -> (x**c, y).
 
-    u is float64.  v is the second coordinate as given, not a copy: the
-    map is the identity on it, and u + v and v / (u + v) promote integer
-    counts to float64 exactly.
+    `x` and `v` are the coordinates as given, not copies, and u = x**c is
+    formed on each read: a fresh float64 array, 8 B per pair, gathered
+    from `table` = arange(m + 1) ** c where x is integer with largest
+    value m below its size (None otherwise), or x.astype(float64) ** c
+    elementwise.  The gather is the same np.power on the same float64
+    values, so both rules give u bit for bit, and with c = 1 u = x
+    exactly.  u + v and v / (u + v) promote integer counts to float64
+    exactly.
     """
 
-    u: np.ndarray
+    x: np.ndarray
     v: np.ndarray
     c: float
+    table: np.ndarray | None = None
+
+    @property
+    def u(self) -> np.ndarray:
+        """x ** c, a fresh float64 array on each read."""
+        u = np.empty(self.x.shape, np.float64)
+        self._power(self.x, u)
+        return u
+
+    def _power(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Write x ** c into the float64 array out, by the sample's rule.
+
+        The table is gathered GATHER_SLICE pairs at a time, so the index
+        numpy converts to intp is 128 KiB.
+        """
+        if self.table is None:
+            out[...] = x
+            out **= self.c  # the same power as x.astype(float64) ** c
+            return
+        flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+        for start in range(0, x.size, GATHER_SLICE):
+            part = slice(start, start + GATHER_SLICE)
+            # every index lies in [0, m]: "clip" moves none, and unlike "raise" writes out directly
+            np.take(self.table, flat_x[part], out=flat_out[part], mode="clip")
 
 
 def standardize(pairs, derived: DerivedConstants) -> StandardizedSample:
@@ -320,14 +353,11 @@ def standardize(pairs, derived: DerivedConstants) -> StandardizedSample:
     After the map both coordinates share the scaling t**(1/gamma_out),
     so the transformed sample has a standard regularly varying tail.
 
-    Integer counts whose largest value m is below the sample size are
-    raised through a power table: u = (arange(m + 1) ** c)[x], the same
-    np.power on the same float64 values as x.astype(float64) ** c, so u
-    is bit-identical to it, with m + 1 powers in place of one per pair
-    and no float64 copy of x.  The table is gathered into u GATHER_SLICE
-    pairs at a time, so the index numpy converts to intp is 128 KiB; the
-    call then holds 8 B per pair for u plus at most 8 B per pair for the
-    table.  Other input is converted to float64 and raised elementwise.
+    The sample keeps x and y as given, not copies.  Integer counts whose
+    largest value m is below the sample size get the power table
+    arange(m + 1) ** c, m + 1 powers in place of one per pair, and the
+    call allocates only that table (97 KB at 10^7 canonical limit
+    draws).  Each read of `u` costs 8 B per pair.
     """
     x, y = pairs
     x, y = np.asarray(x), np.asarray(y)
@@ -335,17 +365,8 @@ def standardize(pairs, derived: DerivedConstants) -> StandardizedSample:
         raise DomainError("standardize expects nonnegative pairs")
     c = derived.gamma_in / derived.gamma_out
     top = int(x.max()) if x.size and x.dtype.kind in "iu" else x.size
-    if top < x.size:
-        table = np.arange(top + 1, dtype=np.float64) ** c
-        u = np.empty(x.shape, np.float64)
-        flat_x, flat_u = x.reshape(-1), u.reshape(-1)
-        for start in range(0, x.size, GATHER_SLICE):
-            part = slice(start, start + GATHER_SLICE)
-            # every index lies in [0, top]: "clip" moves none, and unlike "raise" writes u directly
-            np.take(table, flat_x[part], out=flat_u[part], mode="clip")
-    else:
-        u = np.asarray(x, np.float64) ** c
-    return StandardizedSample(u=u, v=y, c=c)
+    table = np.arange(top + 1, dtype=np.float64) ** c if top < x.size else None
+    return StandardizedSample(x=x, v=y, c=c, table=table)
 
 
 @dataclass(frozen=True)
@@ -362,43 +383,49 @@ def angular_histogram(sample: StandardizedSample, radius_threshold: float, bins:
     """Histogram of v/(u+v) over pairs with u + v above the threshold.
 
     Needs at least MIN_EXCEEDANCES such pairs.  The sample is read in
-    slices of ANGULAR_SLICE pairs: a slice's radius is formed, only its
-    exceedances are divided, and their angles are binned at once by
-    np.histogram's own rule, edges[b] <= a < edges[b + 1] with the last
-    bin closed at 1.  Every angle lies in [0, 1], so each pair's radius,
-    angle and bin are those of one np.histogram pass over the whole
-    sample.  An exceedance whose angle is not in [0, 1], which only a
-    sample built by hand with a negative coordinate can hold, is a
-    DomainError: the search runs on the edges with 0 first and the float
-    after 1 last, so such angles fall in two outer bins that are counted
-    but never reported.  No temporary spans the sample, and a slice's
-    radius is freed before its v is gathered: at any threshold the call
-    peaks near 2.13 slices of float64 for 32-bit v and near 2.25 for
-    64-bit v, when every pair exceeds: a slice's mask and angles are held
-    beside its gathered v or its bins.
+    slices of ANGULAR_SLICE pairs: a slice's u is formed by the sample's
+    rule in one buffer reused by every slice, and v is added in place,
+    the same float64 sum as u + v.  The exceedances' radii are moved to
+    the front of that buffer, divided there, and their angles binned at
+    once by np.histogram's own rule, edges[b] <= a < edges[b + 1] with
+    the last bin closed at 1.  Every angle lies in [0, 1], so each pair's
+    radius, angle and bin are those of one np.histogram pass over the
+    whole sample.  An exceedance whose angle is not in [0, 1], which
+    only a sample built by hand with a negative coordinate can hold, is
+    a DomainError: the search runs on the edges with 0 first and the
+    float after 1 last, so such angles fall in two outer bins that are
+    counted but never reported.  No temporary spans the sample, and
+    beside the buffer and a slice's mask the call holds one slice-long
+    temporary at a time (the radii taken out, the gathered v or the
+    bins): at any threshold it peaks near 2.13 slices of float64 for
+    32-bit v and near 2.25 for 64-bit v, when every pair exceeds.
     """
     if bins < 2:
         raise DomainError("need at least 2 bins")
     if radius_threshold <= 0:
         raise DomainError("radius threshold must be positive")
-    u, v = sample.u, sample.v
+    x, v = sample.x, sample.v
     edges = np.histogram_bin_edges((), bins=bins, range=(0.0, 1.0))
     # the bounds at or below an angle in [0, 1] are 1 + the bins before its own;
     # below 0 none are, and above 1 (or NaN) all bins + 1
     bounds = np.append(edges[:-1], np.nextafter(1.0, 2.0))
     hist = np.zeros(bins + 2, np.int64)
     count = 0
-    for start in range(0, u.size, ANGULAR_SLICE):
-        up, vp = u[start:start + ANGULAR_SLICE], v[start:start + ANGULAR_SLICE]
-        radius = up + vp
+    buffer = np.empty(min(x.size, ANGULAR_SLICE), np.float64)
+    for start in range(0, x.size, ANGULAR_SLICE):
+        vp = v[start:start + ANGULAR_SLICE]
+        radius = buffer[:vp.size]
+        sample._power(x[start:start + ANGULAR_SLICE], radius)
+        radius += vp
         keep = radius > radius_threshold
-        angles = radius[keep]
-        del radius  # not held beside vp[keep]
+        angles = buffer[:np.count_nonzero(keep)]
+        angles[...] = radius[keep]  # the exceedances' radii, moved to the front
         np.divide(vp[keep], angles, out=angles)
+        del keep  # not held beside the bins
         count += angles.size
         at = np.searchsorted(bounds, angles, side="right")
         hist += np.bincount(at, minlength=bins + 2)
-        del keep, angles, at  # not held beside the next slice's radius
+        del at  # not held beside the next slice's mask
     if hist[0] or hist[-1]:
         raise DomainError(f"{hist[0] + hist[-1]} of {count} exceedances have an angle outside [0, 1]")
     if count < MIN_EXCEEDANCES:

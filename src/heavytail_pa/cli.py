@@ -191,8 +191,12 @@ def _cmd_angular(args) -> int:
     d = derive(params)
     data = read_csv(args.samples, 2, np.int32)  # degree counts, int32 as sample-limit draws them
     std = standardize((data[:, 0], data[:, 1]), d)
-    # angular_histogram forms u + v itself, so the quantile may reorder this copy
-    threshold = float(np.quantile(std.u + std.v, args.threshold_quantile, overwrite_input=True))
+    # each read of u is a fresh array, and angular_histogram forms u + v itself:
+    # the radius is summed into it and the quantile may reorder it
+    radius = std.u
+    radius += std.v
+    threshold = float(np.quantile(radius, args.threshold_quantile, overwrite_input=True))
+    del radius  # not held beside the histogram's slices
     hist = angular_histogram(std, threshold, args.bins)
     meta = _meta_lines(params)
     meta.update(threshold=threshold, exceedances=hist.exceedances)

@@ -61,6 +61,7 @@ from .params import (DerivedConstants, ModelParams, check_component, derive, spl
 from .quadrature import WINDOW, trapezoid
 
 _TINY = np.finfo(np.float64).tiny  # the least normal float
+_LOG_MAX = math.log(np.finfo(np.float64).max)  # the log of the largest float
 
 
 def _log_mix_const(r: float, k: float, c1: float) -> float:
@@ -231,6 +232,9 @@ class _GammaMixture:
         small k - 1/c1, so the rule runs in w, s = s_c + w - e^-w, where it
         decays double-exponentially.  The rule stops on relative change
         (quadrature.TOL_REL), so a far-tail value is relatively accurate.
+        Where the rule fails and the largest log f at the turning points,
+        floor + WINDOW, passes log(float max), the failure is a DomainError
+        that names the overflow.
         """
         a, power, logs = self.a, self.power, (log_in, log_out)
         plan = self.plan(kind, (log_in > -math.inf, log_out > -math.inf))
@@ -260,16 +264,27 @@ class _GammaMixture:
             floor = float(log_f(probe).max()) - WINDOW
             lo, hi = zip(*self.windows(plan, logs, floor))
             if power < 0.0:
-                return float(trapezoid(lambda s: np.exp(log_f(s)), min(lo), max(hi)))
-            s_c = float(probe.min()) - 4.0  # a few units left of the turning points
+                def f(s):
+                    return np.exp(log_f(s))
 
-            def f(w):
-                e = np.exp(-w)
-                return np.exp(log_f(s_c + w - e) + np.log1p(e))
+                ends = min(lo), max(hi)
+            else:
+                s_c = float(probe.min()) - 4.0  # a few units left of the turning points
 
-            # s(w) <= min(lo) at the left end, and s(w) >= max(hi) at the right one
-            w_lo = -math.log1p(max(s_c - min(lo), 0.0))
-            return float(trapezoid(f, w_lo, max(hi) - s_c + 1.0))
+                def f(w):
+                    e = np.exp(-w)
+                    return np.exp(log_f(s_c + w - e) + np.log1p(e))
+
+                # s(w) <= min(lo) at the left end, and s(w) >= max(hi) at the right one
+                ends = -math.log1p(max(s_c - min(lo), 0.0)), max(hi) - s_c + 1.0
+            try:
+                return float(trapezoid(f, *ends))
+            except QuadratureFailure as exc:
+                if floor + WINDOW <= _LOG_MAX:
+                    raise
+                # the integrand's peak itself lies past the float range
+                raise DomainError(f"the integrand e^{floor + WINDOW:.6g} overflows the float range "
+                                  f"({exc})") from None
 
     def windows(self, plan: _Plan, logs, floor: float) -> list:
         """Per component, (lo, hi) in s beyond which its bounds hold its log f below floor.

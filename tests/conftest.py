@@ -1,5 +1,7 @@
 """Shared fixtures: canonical parameters and heavyweight shared artifacts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,17 @@ from heavytail_pa import (
 
 CANONICAL = ModelParams(alpha=0.3, beta=0.5, gamma=0.2, delta_in=1.0, delta_out=1.0)
 REPLICATE_SEEDS = (DEFAULT_SEED, DEFAULT_SEED + 1, DEFAULT_SEED + 2)
+
+
+def traced_peak(fn):
+    """fn()'s result and the tracemalloc peak, in bytes, while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture(scope="session")

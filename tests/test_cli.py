@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ import scipy
 from heavytail_pa import tauberian
 from heavytail_pa.cli import main
 from heavytail_pa.csvfile import read_csv
+from conftest import traced_peak
 
 
 def run(argv):
@@ -82,6 +82,18 @@ def test_sample_limit_and_angular(tmp_path):
     rows = read_csv(angular, 3)
     assert rows.shape == (8, 3)
     assert rows[:, 2].sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_angular_holds_one_float_array(tmp_path):
+    """Beside the int32 rows (8 B per row) `angular` holds one float64 array,
+    the u it sums v into and takes the quantile of, and its slices: about
+    2.2 x 8 B per row, where u and a separate u + v made 3.2."""
+    samples, out = tmp_path / "samples.csv", tmp_path / "angular.csv"
+    n = 10**6
+    assert run(["sample-limit", "--n", str(n), "--seed", "7", "--out", str(samples)]) == 0
+    code, peak = traced_peak(lambda: run(["angular", "--samples", str(samples), "--out", str(out)]))
+    assert code == 0
+    assert peak < 2.5 * 8 * n
 
 
 def test_estimate_hill_json(tmp_path, monkeypatch):
@@ -229,13 +241,8 @@ def test_hill_estimate_does_not_expand_the_marginal(tmp_path):
     rows = "".join(f"{i},{i % 7},{1 + i % 3}\n" for i in range(1, 400))
     path.write_text("i,j,N_ij\n" + rows + "1,0,10000000\n")
     out = tmp_path / "out.json"
-    tracemalloc.start()
-    try:
-        assert run(["estimate", "--counts", str(path), "--out", str(out)]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**22
+    code, peak = traced_peak(lambda: run(["estimate", "--counts", str(path), "--out", str(out)]))
+    assert code == 0 and peak < 2**22
     assert json.loads(out.read_text())["k_used"] == int(np.sqrt(10**7 + 798))
 
 

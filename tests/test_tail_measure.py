@@ -1,4 +1,5 @@
-import tracemalloc
+import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -16,6 +17,7 @@ from heavytail_pa import (
     standardize,
 )
 from heavytail_pa.census import ANGULAR_SLICE, StandardizedSample
+from conftest import traced_peak
 from oracles import one_pass_angular_histogram
 from test_properties import GROWTH_POINTS
 
@@ -224,44 +226,50 @@ def test_standardize_power_arithmetic(params):
     x = np.array([4.0])
     s = standardize((x, np.array([1.0])), d)
     assert s.u[0] == pytest.approx(4.0 ** (d.gamma_in / d.gamma_out))
-    # a pure half power example
-    half = StandardizedSample(u=x**0.5, v=np.array([1.0]), c=0.5)
+    # a pure half power example, by the elementwise rule of a hand-built sample
+    half = StandardizedSample(x=x, v=np.array([1.0]), c=0.5)
     assert half.u[0] == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("point", NAMED_POINTS)
 def test_standardize_power_table_is_bit_identical(point):
-    """u equals x.astype(float64) ** c bit for bit, through the table and the fallback alike."""
+    """u equals x.astype(float64) ** c bit for bit, through the table and the
+    elementwise rule alike, and each read is a fresh array."""
     d = derive(ModelParams(*GROWTH_POINTS[point][0]))
     rng = np.random.default_rng(5)
     draws = rng.integers(0, 3000, 9000)
     draws[7] = draws.size - 1  # max == n - 1: the largest table the power path builds
-    inputs = [draws.astype(t) for t in (np.int32, np.int64, np.uint16, np.uint64)]
-    inputs += [a[::3] for a in inputs]  # strided, with max >= n: the float64 fallback
+    types = (np.int32, np.int64, np.uint16, np.uint32, np.uint64, np.float64)
+    inputs = [draws.astype(t) for t in types]
+    inputs += [a[::3] for a in inputs]  # strided, with max >= n: the elementwise rule
     inputs.append(np.stack([draws, draws], axis=1)[:, 0])  # strided, through the table
     inputs += [draws[:0], np.array([0, 2**40])]  # empty; a count far above n
     for x in inputs:
         s = standardize((x, x), d)
+        assert (s.table is not None) == (x.dtype.kind in "iu" and x.size > 0
+                                         and x.max() < x.size), x.dtype
         expected = x.astype(np.float64) ** s.c
-        assert s.u.dtype == np.float64 and s.u.shape == x.shape
-        assert np.array_equal(s.u.view(np.int64), expected.view(np.int64)), x.dtype
+        u = s.u
+        assert u.dtype == np.float64 and u.shape == x.shape
+        assert np.array_equal(u.view(np.int64), expected.view(np.int64)), x.dtype
+        again = s.u
+        assert again is not u and not np.shares_memory(again, u)
+        assert np.array_equal(again.view(np.int64), expected.view(np.int64)), x.dtype
 
 
 def test_standardize_keeps_v_and_states_its_peak(dist, params):
-    """v is y itself; u costs 8 B per pair, plus 8 B per power-table entry and
-    numpy's fancy-index buffer (float64 copies of x and y would add 16 B per pair)."""
+    """x and v are the pairs themselves; the call allocates only the power table
+    (8 B per entry), where a float64 u held 8 B per pair; each read of u costs 8 B per pair."""
     i_draws, o_draws = dist.sample(10**6, np.random.default_rng(17))
     d = derive(params)
-    tracemalloc.start()
-    try:
-        s = standardize((i_draws, o_draws), d)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.shares_memory(s.v, o_draws)
+    assert i_draws.dtype == o_draws.dtype == np.int32
+    s, peak = traced_peak(lambda: standardize((i_draws, o_draws), d))
+    assert np.shares_memory(s.x, i_draws) and np.shares_memory(s.v, o_draws)
     table = int(i_draws.max()) + 1
-    assert table <= i_draws.size  # the table path ran
-    assert peak <= 8 * i_draws.size + 8 * table + 256 * 1024
+    assert s.table.size == table <= i_draws.size  # the table path ran
+    assert peak < 2**20
+    u, peak = traced_peak(lambda: s.u)
+    assert peak <= 8 * i_draws.size + 256 * 1024
     with pytest.raises(DomainError):
         standardize((np.array([1, -1]), np.array([1, 1])), d)
     with pytest.raises(DomainError):
@@ -281,7 +289,7 @@ def test_standardize_preserves_rank_correlation(params):
 
 def test_angular_histogram_diagonal_mass():
     u = np.full(500, 10.0)
-    s = StandardizedSample(u=u, v=u, c=1.0)
+    s = StandardizedSample(x=u, v=u, c=1.0)
     hist = angular_histogram(s, radius_threshold=1.0, bins=5)
     assert hist.masses[2] == pytest.approx(1.0)
 
@@ -289,14 +297,14 @@ def test_angular_histogram_diagonal_mass():
 def test_angular_histogram_axis_mass():
     u = np.concatenate([np.full(300, 10.0), np.zeros(300)])
     v = np.concatenate([np.zeros(300), np.full(300, 10.0)])
-    hist = angular_histogram(StandardizedSample(u=u, v=v, c=1.0), 1.0, bins=4)
+    hist = angular_histogram(StandardizedSample(x=u, v=v, c=1.0), 1.0, bins=4)
     assert hist.masses[0] == pytest.approx(0.5)
     assert hist.masses[-1] == pytest.approx(0.5)
     assert hist.masses[1:-1].sum() == 0.0
 
 
 def test_angular_histogram_needs_exceedances():
-    s = StandardizedSample(u=np.ones(40), v=np.ones(40), c=1.0)
+    s = StandardizedSample(x=np.ones(40), v=np.ones(40), c=1.0)
     with pytest.raises(InsufficientExceedances):
         angular_histogram(s, radius_threshold=1.0, bins=4)
     with pytest.raises(DomainError):
@@ -308,36 +316,42 @@ def test_angular_histogram_refuses_angles_outside_the_unit_interval():
     [0, 1]; they are exceedances of no bin, so the call refuses them."""
     u = np.concatenate([np.full(60, 10.0), np.full(60, -5.0)])
     with pytest.raises(DomainError, match="60 of 120 exceedances have an angle outside"):
-        angular_histogram(StandardizedSample(u=u, v=np.full(120, 10), c=1.0), 1.0, bins=10)
+        angular_histogram(StandardizedSample(x=u, v=np.full(120, 10), c=1.0), 1.0, bins=10)
     v = np.full(120, 10.0)
     v[-1] = -1.0  # angle -0.1, in the last slice of three
     u = np.zeros(2 * ANGULAR_SLICE + 120)
     u[-120:] = 20.0
     v = np.concatenate([np.zeros(2 * ANGULAR_SLICE), v])
     with pytest.raises(DomainError, match="1 of 120"):
-        angular_histogram(StandardizedSample(u=u, v=v, c=1.0), 1.0, bins=10)
+        angular_histogram(StandardizedSample(x=u, v=v, c=1.0), 1.0, bins=10)
     v[-1] = 0.0  # the angles 0 and 1/3 in bins 0 and 3
-    hist = angular_histogram(StandardizedSample(u=u, v=v, c=1.0), 1.0, bins=10)
+    hist = angular_histogram(StandardizedSample(x=u, v=v, c=1.0), 1.0, bins=10)
     assert hist.masses[0] == 1 / 120 and hist.masses[3] == 119 / 120
 
 
 @pytest.fixture(scope="module")
 def sliced_sample(dist, params):
     """Standardized limit draws over four angular slices, the last one short,
-    with 120 pairs far above the rest placed inside the third slice."""
+    with 120 pairs far above the rest placed inside the third slice: their
+    in-degrees are raised, still below the sample size, so the power table
+    forms every u."""
+    d = derive(params)
     i_draws, o_draws = dist.sample(3 * ANGULAR_SLICE + 1234, np.random.default_rng(17))
-    s = standardize((i_draws, o_draws), derive(params))
-    far = slice(2 * ANGULAR_SLICE + 100, 2 * ANGULAR_SLICE + 220)
-    rest = float(np.delete(s.u + s.v, np.arange(far.start, far.stop)).max())
-    u = s.u.copy()
-    u[far] = 10 * rest + np.arange(120.0)
-    return StandardizedSample(u=u, v=s.v, c=s.c), rest
+    far = np.arange(2 * ANGULAR_SLICE + 100, 2 * ANGULAR_SLICE + 220)
+    rest = float(np.delete(standardize((i_draws, o_draws), d).u + o_draws, far).max())
+    c = d.gamma_in / d.gamma_out
+    i_draws[far] = math.ceil((10 * rest) ** (1 / c)) + np.arange(120)
+    s = standardize((i_draws, o_draws), d)
+    assert s.table is not None
+    return s, rest
 
 
 def test_angular_histogram_equals_the_one_pass_histogram(sliced_sample):
+    """By the table and by the elementwise rule, with 32- and 64-bit v."""
     s32, rest = sliced_sample
     radius = s32.u + s32.v
-    for s in (s32, StandardizedSample(u=s32.u, v=s32.v.astype(np.int64), c=s32.c)):
+    samples = (s32, replace(s32, v=s32.v.astype(np.int64)), replace(s32, table=None))
+    for s in samples:
         # the last threshold leaves only the planted pairs, all in one slice
         for threshold in (*np.quantile(radius, [0.0, 0.5, 0.999]), 1.0, rest):
             got = angular_histogram(s, threshold, bins=10)
@@ -355,16 +369,11 @@ def test_angular_histogram_peaks_under_three_slices(sliced_sample, v_type):
     the call peaks under 2.5 slices of float64 (near 2.13 for 32-bit v and
     2.25 for 64-bit v)."""
     s, _ = sliced_sample
-    s = StandardizedSample(u=s.u, v=s.v.astype(v_type), c=s.c)
+    s = replace(s, v=s.v.astype(v_type))
     threshold = float(np.nextafter((s.u + s.v).min(), 0.0))
     want = one_pass_angular_histogram(s, threshold, bins=10)
-    tracemalloc.start()
-    try:
-        got = angular_histogram(s, threshold, bins=10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got.exceedances == want.exceedances == s.u.size
+    got, peak = traced_peak(lambda: angular_histogram(s, threshold, bins=10))
+    assert got.exceedances == want.exceedances == s.x.size
     assert got.masses.tobytes() == want.masses.tobytes()
     assert peak < 2.5 * 8 * ANGULAR_SLICE
 
@@ -373,7 +382,7 @@ def test_angular_exceedances_are_counted_across_slices():
     u = np.zeros(3 * ANGULAR_SLICE)
     v = np.zeros(3 * ANGULAR_SLICE, np.int32)
     u[:30], v[-30:] = 10.0, 10
-    s = StandardizedSample(u=u, v=v, c=1.0)
+    s = StandardizedSample(x=u, v=v, c=1.0)
     assert angular_histogram(s, 1.0, bins=4).exceedances == 60
     v[-30:-10] = 0
     with pytest.raises(InsufficientExceedances, match="only 40 exceedances"):

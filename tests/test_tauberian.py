@@ -346,6 +346,17 @@ def test_normalizer_beyond_the_float_range_is_a_domain_error(k):
             call()
 
 
+def test_limit_integrals_beyond_the_float_range_are_domain_errors():
+    """The integrands peak near e^831 here, as K = e^831.397 does; the rule
+    fails on an overflowing node, and that failure is typed as the overflow."""
+    p, k = ModelParams(0.02, 0.02, 0.96, 6.654, 1.990), 191
+    for call in (lambda: uhat_limit_rhs(k, p, 1.0, 1.0), lambda: derivative_limit_rect(k, p, 1.0, 1.0)):
+        with pytest.raises(DomainError, match=r"the integrand e\^83\d\.\d+ overflows the float range"):
+            call()
+    with pytest.raises(DomainError, match=r"marginal normalizer K = e\^831.397 overflows"):
+        derivative_marginal_normalizer(p, k)
+
+
 # -- the limit measure is x^k times component 1 of the tail measure ----------------
 
 
