@@ -12,7 +12,7 @@ a process, such as one CLI command, loads only the modules it uses.
 No module needs more than numpy to load: scipy.special, most of the
 import time of the modules that use it, loads only inside the sections
 that evaluate an incomplete gamma or beta function, and
-concurrent.futures only when the limit-law sampler runs.
+concurrent.futures only when a graph grows or the limit-law sampler runs.
 """
 
 from importlib import import_module

@@ -21,7 +21,7 @@ scipy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -46,7 +46,7 @@ if TYPE_CHECKING:  # annotations only: counting a graph needs neither module loa
 COUNT_MAX = np.iinfo(np.int32).max
 MIN_EXCEEDANCES = 50  # the fewest exceedances an angular histogram is drawn from
 ANGULAR_SLICE = 1 << 16  # pairs per slice of an angular histogram
-GATHER_SLICE = 1 << 14  # pairs per power-table gather of `standardize`: a 128 KiB intp index
+GATHER_SLICE = 1 << 14  # pairs per power-table gather of a `StandardizedSample`: a 128 KiB intp index
 
 
 class _Cells:
@@ -309,19 +309,29 @@ class StandardizedSample:
     """Pairs mapped to common scaling by the power method: (x, y) -> (x**c, y).
 
     `x` and `v` are the coordinates as given, not copies, and u = x**c is
-    formed on each read: a fresh float64 array, 8 B per pair, gathered
-    from `table` = arange(m + 1) ** c where x is integer with largest
-    value m below its size (None otherwise), or x.astype(float64) ** c
-    elementwise.  The gather is the same np.power on the same float64
-    values, so both rules give u bit for bit, and with c = 1 u = x
-    exactly.  u + v and v / (u + v) promote integer counts to float64
-    exactly.
+    formed on each read: a fresh float64 array, 8 B per pair.  The sample
+    picks its rule when it is made: where x is integer, nonnegative, and
+    its largest value m lies below its size, `table` is arange(m + 1) ** c,
+    m + 1 powers in place of one per pair, and u gathers from it;
+    otherwise `table` is None and u is x.astype(float64) ** c elementwise.
+    The gather is the same np.power on the same float64 values, so both
+    rules give u bit for bit, and with c = 1 u = x exactly.  u + v and
+    v / (u + v) promote integer counts to float64 exactly.
     """
 
     x: np.ndarray
     v: np.ndarray
     c: float
-    table: np.ndarray | None = None
+    table: np.ndarray | None = field(init=False)
+
+    def __post_init__(self):
+        x, top = self.x, self.x.size
+        if x.size and x.dtype.kind in "iu":
+            # one pass: read as unsigned, a negative integer is above the dtype's max
+            largest = int(x.view(x.dtype.str.replace("i", "u")).max())
+            top = largest if largest <= np.iinfo(x.dtype).max else top
+        table = np.arange(top + 1, dtype=np.float64) ** self.c if top < x.size else None
+        object.__setattr__(self, "table", table)  # the dataclass is frozen
 
     @property
     def u(self) -> np.ndarray:
@@ -353,20 +363,16 @@ def standardize(pairs, derived: DerivedConstants) -> StandardizedSample:
     After the map both coordinates share the scaling t**(1/gamma_out),
     so the transformed sample has a standard regularly varying tail.
 
-    The sample keeps x and y as given, not copies.  Integer counts whose
-    largest value m is below the sample size get the power table
-    arange(m + 1) ** c, m + 1 powers in place of one per pair, and the
-    call allocates only that table (97 KB at 10^7 canonical limit
-    draws).  Each read of `u` costs 8 B per pair.
+    The sample keeps x and y as given, not copies, and picks its power
+    rule itself: integer counts whose largest value is below the sample
+    size get a power table, so the call allocates only that table (97 KB
+    at 10^7 canonical limit draws).  Each read of `u` costs 8 B per pair.
     """
     x, y = pairs
     x, y = np.asarray(x), np.asarray(y)
     if any(a.size and a.min() < 0 for a in (x, y)):
         raise DomainError("standardize expects nonnegative pairs")
-    c = derived.gamma_in / derived.gamma_out
-    top = int(x.max()) if x.size and x.dtype.kind in "iu" else x.size
-    table = np.arange(top + 1, dtype=np.float64) ** c if top < x.size else None
-    return StandardizedSample(x=x, v=y, c=c, table=table)
+    return StandardizedSample(x=x, v=y, c=derived.gamma_in / derived.gamma_out)
 
 
 @dataclass(frozen=True)

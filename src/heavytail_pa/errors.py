@@ -1,10 +1,14 @@
-"""Exception types shared across the package, and MAX_TABLE_CELLS, the
-cap on a dense table that census and limit_dist both enforce with
-ResourceLimit; this module loads without numpy."""
+"""Exception types shared across the package, and the two caps enforced
+with ResourceLimit: MAX_TABLE_CELLS, on a dense table in census and
+limit_dist, and PAIR_BUDGET, on the int32 pairs of a graph or a sample;
+this module loads without numpy."""
 
 # cells of one dense table: at the cap 512 MiB as int32 counts (`JointCountTable.counts`),
 # 1 GiB as float64 (`JointPMF.box`, and limit_dist's `_balance_table` plus its padding)
 MAX_TABLE_CELLS = 1 << 27
+# int32 pairs, 1.6 GB at the cap: the edges a graph grows to (growth.grow) and
+# the draws of one limit-law sample (LimitDistribution.sample)
+PAIR_BUDGET = 200_000_000
 
 
 class HeavytailError(Exception):

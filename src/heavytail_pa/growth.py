@@ -26,11 +26,12 @@ sum of the new-node cases, and an "endpoint of a uniform earlier edge"
 points backwards, so references into the chunk resolve by pointer
 jumping.  Once a chunk's uniforms and node counts are drawn, its tails
 read only earlier tails and its heads only earlier heads, so grow()
-resolves the two sides on two threads at the same time.  Neither reads
-what the other writes, so a graph is byte-identical on any number of
-cores.  The row-wise reference step() in tests/oracles.py checks it
-draw for draw.  Edge endpoints and degrees are int32 (node ids below
-2**31); the binary format stores them as u32.
+resolves the two sides at the same time: the tails on the one worker
+of an executor that lasts the whole call, the heads on the calling
+thread.  Neither reads what the other writes, so a graph is
+byte-identical on any number of cores.  The row-wise reference step()
+in tests/oracles.py checks it draw for draw.  Edge endpoints and degrees
+are int32 (node ids below 2**31); the binary format stores them as u32.
 
 The RNG is numpy's PCG64 (via default_rng); a graph is fully determined
 by (start graph, params, rng seed, target).
@@ -40,22 +41,20 @@ from __future__ import annotations
 
 import os
 import struct
-import threading
 
 import numpy as np
 
-from .errors import InvalidSeed, ResourceLimit
+from .errors import PAIR_BUDGET, InvalidSeed, ResourceLimit
 from .params import ModelParams, validate
 
 MAGIC = b"DPAG"
 FORMAT_VERSION = 1
-DEFAULT_EDGE_BUDGET = 200_000_000
 DRAWS_PER_STEP = 5
 CHUNK_STEPS = 1 << 16
 # Each node costs 8 B kept and 20 B while its degrees are counted.  Grown
 # graphs hold their start graph's nodes plus at most one per edge; the
 # budget lies below 2**31, so node ids and degrees fit int32.
-NODE_BUDGET = 2 * DEFAULT_EDGE_BUDGET
+NODE_BUDGET = 2 * PAIR_BUDGET
 
 
 def _checked_node_count(node_count: int) -> int:
@@ -80,27 +79,21 @@ class DirectedMultigraph:
     sum(in_degree) == sum(out_degree) == edge_count always hold.
     """
 
-    def __init__(self, node_count: int = 0, tails=None, heads=None):
-        """A graph on node_count nodes with the given int32 edge arrays, or none.
+    def __init__(self, node_count: int = 0, tails=(), heads=()):
+        """A graph on node_count nodes with the given edges, as 1-d integer lists or arrays.
 
         The node count is checked before any array is made, and the ids
-        before the degrees are counted, once.
+        once, in their given width, before the int32 cast could wrap an id
+        into range.  int32 arrays are kept without a copy.
         """
         self.node_count = _checked_node_count(node_count)
-        if tails is None:
-            tails = heads = np.zeros(0, np.int32)
+        tails, heads = np.asarray(tails), np.asarray(heads)
+        if tails.ndim != 1 or tails.shape != heads.shape:
+            raise ValueError("tails and heads must be 1-d and of equal length")
+        if tails.size and (tails.dtype.kind not in "iu" or heads.dtype.kind not in "iu"):
+            raise ValueError("edge ids must be integers")
         _check_ids(self.node_count, tails, heads)
-        self._set_edges(tails, heads)
-
-    @classmethod
-    def from_edges(cls, node_count: int, tails, heads) -> "DirectedMultigraph":
-        tails = np.asarray(tails, np.int64)
-        heads = np.asarray(heads, np.int64)
-        if tails.shape != heads.shape:
-            raise ValueError("tails and heads must have equal length")
-        # checked before the int32 cast could wrap an id into range
-        _check_ids(node_count, tails, heads)
-        return cls(node_count, tails.astype(np.int32), heads.astype(np.int32))
+        self._set_edges(tails.astype(np.int32, copy=False), heads.astype(np.int32, copy=False))
 
     def _set_edges(self, tails: np.ndarray, heads: np.ndarray) -> None:
         """Take int32 edge arrays as they are and count the degrees."""
@@ -205,24 +198,17 @@ def _endpoints(end, n0, n, N, coin, index, delta, new_node) -> np.ndarray:
     return val
 
 
-def _resolve(failed, end, start, stop, *args) -> None:
-    """Fill end[start:stop] with _endpoints; an exception goes to failed for the caller to raise."""
-    try:
-        end[start:stop] = _endpoints(end, start, *args)
-    except BaseException as exc:
-        failed.append(exc)
-
-
 def grow(
     graph: DirectedMultigraph, target_edges: int, params: ModelParams, rng: np.random.Generator
 ) -> DirectedMultigraph:
     """Grow the graph in place until it has target_edges edges.
 
     One vectorised pass per rng.random((m, 5)) block of at most
-    CHUNK_STEPS steps.  In each block a helper thread resolves the tails
-    while the calling thread resolves the heads; they join before the
-    next block, and an exception on the helper is raised here.  A target
-    above DEFAULT_EDGE_BUDGET raises ResourceLimit up front.
+    CHUNK_STEPS steps.  In each block the worker of a one-thread executor,
+    made once per call, resolves the tails while the calling thread
+    resolves the heads; the heads side's exception is raised first, then
+    the tails side's, before the next block starts.  A target above
+    PAIR_BUDGET raises ResourceLimit up front.
 
     Memory (tracemalloc, canonical parameters, grown from one node): the
     graph keeps 12 B per edge, the int32 tails and heads plus the two
@@ -234,12 +220,14 @@ def grow(
     chunk's draws and the scratch of both its sides at once (14.9 to
     15.9 B per edge at 1e6 edges, as the two sides overlap).
     """
+    from concurrent.futures import ThreadPoolExecutor  # loaded only where a graph grows
+
     params = validate(params)
     n0, N = graph.edge_count, graph.node_count
     if target_edges < n0:
         raise ValueError("target_edges is below the current edge count")
-    if target_edges > DEFAULT_EDGE_BUDGET:
-        raise ResourceLimit(f"target {target_edges} exceeds the edge budget {DEFAULT_EDGE_BUDGET}")
+    if target_edges > PAIR_BUDGET:
+        raise ResourceLimit(f"target {target_edges} exceeds the edge budget {PAIR_BUDGET}")
     if N < 1:
         raise InvalidSeed("the initial graph needs at least one node")
     if n0 == 0 and target_edges > 0 and (params.delta_in == 0 or params.delta_out == 0):
@@ -247,25 +235,23 @@ def grow(
 
     tails, heads = np.zeros(target_edges, np.int32), np.zeros(target_edges, np.int32)
     tails[:n0], heads[:n0] = graph.tails, graph.heads
-    for start in range(n0, target_edges, CHUNK_STEPS):
-        u = rng.random((min(CHUNK_STEPS, target_edges - start), DRAWS_PER_STEP))
-        is_alpha = u[:, 0] < params.alpha
-        is_gamma = u[:, 0] >= params.alpha + params.beta
-        new_node = is_alpha | is_gamma
-        stop = start + len(u)
-        n = np.arange(start, stop)
-        Ns = N + np.cumsum(new_node) - new_node
-        failed = []
-        helper = threading.Thread(target=_resolve, args=(
-            failed, tails, start, stop, n, Ns, u[:, 1], u[:, 2], params.delta_out, is_alpha))
-        helper.start()
-        try:
+
+    def fill_tails(start, stop, n, Ns, u, is_alpha):
+        tails[start:stop] = _endpoints(tails, start, n, Ns, u[:, 1], u[:, 2], params.delta_out, is_alpha)
+
+    with ThreadPoolExecutor(1) as helper:
+        for start in range(n0, target_edges, CHUNK_STEPS):
+            u = rng.random((min(CHUNK_STEPS, target_edges - start), DRAWS_PER_STEP))
+            is_alpha = u[:, 0] < params.alpha
+            is_gamma = u[:, 0] >= params.alpha + params.beta
+            new_node = is_alpha | is_gamma
+            stop = start + len(u)
+            n = np.arange(start, stop)
+            Ns = N + np.cumsum(new_node) - new_node
+            tails_side = helper.submit(fill_tails, start, stop, n, Ns, u, is_alpha)
             heads[start:stop] = _endpoints(heads, start, n, Ns, u[:, 3], u[:, 4], params.delta_in, is_gamma)
-        finally:
-            helper.join()
-        if failed:
-            raise failed[0]
-        N = int(Ns[-1] + new_node[-1])
+            tails_side.result()  # re-raises what the tails side raised
+            N = int(Ns[-1] + new_node[-1])
     graph.node_count = N
     graph._set_edges(tails, heads)
     return graph
@@ -277,5 +263,5 @@ def simulate(target_edges: int, params: ModelParams, seed: int) -> DirectedMulti
     grow() takes any other start graph, such as DirectedMultigraph(n) for n
     isolated nodes.
     """
-    graph = DirectedMultigraph.from_edges(1, [0], [0])
+    graph = DirectedMultigraph(1, [0], [0])
     return grow(graph, target_edges, params, np.random.default_rng(seed))

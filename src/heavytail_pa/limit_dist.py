@@ -47,7 +47,7 @@ import os
 
 import numpy as np
 
-from .errors import MAX_TABLE_CELLS, DomainError, ResourceLimit
+from .errors import MAX_TABLE_CELLS, PAIR_BUDGET, DomainError, ResourceLimit
 from .params import (DerivedConstants, ModelParams, check_component, derive, split_probability,
                      validate)
 from .quadrature import WINDOW, trapezoid
@@ -55,8 +55,6 @@ from .tail_measure import _TINY, _log_lower, _log_mix_const
 
 # draws per sampler block; with the seed it fixes every sample
 SAMPLE_BLOCK = 1 << 16
-# draws one sample may ask for: 1.6 GB of int32 pairs, growth's edge budget
-DRAW_BUDGET = 200_000_000
 # bytes one block allocates at most while it runs (tracemalloc: 35 per draw
 # where the gamma draws set the peak, as at the canonical point; 50 where
 # nearly every count reaches numpy's Poisson, with its int64 indices and draws)
@@ -432,7 +430,7 @@ class LimitDistribution:
         from its own child stream of `rng`, on every usable core; the
         result depends only on `rng` and SAMPLE_BLOCK.  Peak memory is the
         8 n bytes returned plus at most BLOCK_BYTES per worker thread, with
-        at most one thread per usable core; an n above DRAW_BUDGET raises
+        at most one thread per usable core; an n above PAIR_BUDGET raises
         ResourceLimit before anything is allocated.
         """
         if self.params.delta_in <= 0 or self.params.delta_out <= 0:
@@ -445,8 +443,8 @@ class LimitDistribution:
 
         if n < 0:
             raise DomainError(f"the sample size must be nonnegative, got {n}")
-        if n > DRAW_BUDGET:
-            raise ResourceLimit(f"a sample of {n} draws exceeds the draw budget {DRAW_BUDGET}")
+        if n > PAIR_BUDGET:
+            raise ResourceLimit(f"a sample of {n} draws exceeds the draw budget {PAIR_BUDGET}")
         i_out = np.empty(n, np.int32)
         o_out = np.empty(n, np.int32)
         starts = range(0, n, SAMPLE_BLOCK)

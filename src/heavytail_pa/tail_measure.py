@@ -182,7 +182,7 @@ class _GammaMixture:
     in s = log z, and the components' log integrands add as a logaddexp, out
     of which the kind's shape-free part is taken.  Each kind's `_Plan` is
     built once per mixture and pattern of finite corners, when it first
-    runs.  `log_marginal_const` is the closed-form in-marginal.
+    runs.  `in_marginal` is the closed-form in-marginal.
     """
 
     def __init__(self, derived: DerivedConstants, components, k: float):
@@ -316,12 +316,21 @@ class _GammaMixture:
             out.append((lo, hi))
         return out
 
-    def log_marginal_const(self) -> float:
-        """log C, with the in-marginal C x^(k - 1/c1) of a one-component measure: the
-        mass of [x, inf) at k = 0, of [0, x] at k > 1/c1."""
+    def in_marginal(self, x: float) -> float:
+        """C x^(k - 1/c1), the in-marginal of a one-component measure: the mass of
+        [x, inf) at k = 0, of [0, x] at k > 1/c1.  Computed as
+        exp(log C + k log x - log x / c1); past the float range a DomainError."""
         [(w, r_in, _)] = self.components
         inv = 1.0 / self.c1
-        return w + _log_mix_const(r_in, inv, self.c1) - math.log(abs(self.k - inv))
+        log_c = w + _log_mix_const(r_in, inv, self.c1) - math.log(abs(self.k - inv))
+        log_x = math.log(x)
+        # at k = 0 the term is dropped, so that x = inf gives e^-inf = 0
+        log_value = log_c + (self.k * log_x if self.k else 0.0) - log_x / self.c1
+        try:
+            return math.exp(log_value)
+        except OverflowError:
+            raise DomainError(f"the closed-form in-marginal e^{log_value:.6g} at x = {x:g}, "
+                              f"k = {self.k:g} overflows the float range") from None
 
 
 class TailMeasure:
@@ -349,7 +358,7 @@ class TailMeasure:
             raise DomainError("density is defined on the open quadrant x, y > 0")
         value = self._kernel(component).integral(_log_density, math.log(x), math.log(y)) / x / y
         if value == math.inf:
-            raise QuadratureFailure(f"the density at ({x}, {y}) overflows the float range")
+            raise DomainError(f"the density at ({x}, {y}) overflows the float range")
         return value
 
     def rect_mass(self, component, x_lo: float, y_lo: float) -> float:
@@ -369,8 +378,7 @@ class TailMeasure:
         """Closed form of rect_mass(component, x_lo, 0)."""
         if x_lo <= 0:
             raise DomainError("x_lo must be positive")
-        kernel = self._kernels[check_component(component)]
-        return math.exp(kernel.log_marginal_const() - math.log(x_lo) / self.derived.c1)
+        return self._kernels[check_component(component)].in_marginal(x_lo)
 
     def _kernel(self, component) -> _GammaMixture:
         return self._kernels[check_component(component, combined=True)]

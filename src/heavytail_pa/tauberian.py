@@ -90,14 +90,10 @@ def derivative_marginal_normalizer(params: ModelParams, k: int) -> float:
 
     The in-marginal of the limit measure is K x**gamma1 with
     K = Gamma(delta_in + 1 + 1/c1)/(c1 Gamma(delta_in + 1) gamma1), the
-    gamma mixture's closed form, taken in logs; a K beyond the float
-    range is a DomainError.
+    gamma mixture's closed form at x = 1; a K beyond the float range is a
+    DomainError.
     """
-    log_norm = _limit_kernel(k, params).log_marginal_const()
-    try:
-        return math.exp(log_norm)
-    except OverflowError:
-        raise DomainError(f"the marginal normalizer K = e^{log_norm:.6g} overflows at k = {k}") from None
+    return _limit_kernel(k, params).in_marginal(1.0)
 
 
 def _check_order(k, derived) -> None:

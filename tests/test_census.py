@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -23,6 +21,7 @@ from heavytail_pa import (
     loglog_slope,
     simulate,
 )
+from conftest import traced_peak
 
 
 def test_empirical_pmf_single_cell():
@@ -34,6 +33,21 @@ def test_empirical_pmf_two_cells():
     counts = JointCountTable(np.array([[0, 1], [1, 0]]))
     pmf = empirical_pmf(counts)
     assert pmf.get(0, 1) == 0.5 and pmf.get(1, 0) == 0.5
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: JointCountTable(np.ones(3, np.int64)), "counts must be a 2-d table"),
+    (lambda: JointCountTable(np.array([[1, -1]])), r"counts must lie in \[0, 2147483647\]"),
+    (lambda: JointCountTable(np.array([[1, 2**31]])), r"counts must lie in \[0, 2147483647\]"),
+    (lambda: JointPMF(np.full(3, 0.25)), "masses must be a 2-d table"),
+    (lambda: JointPMF(np.array([[0.5, -0.1]])), "masses must be nonnegative"),
+    (lambda: JointPMF(np.array([[0.5, 0.6]])), "total mass 1.1 exceeds 1"),
+    (lambda: JointCountTable(np.eye(2, dtype=np.int64)).marginal("x"), "which must be 'in' or 'out'"),
+], ids=["counts-1d", "counts-negative", "counts-above-int32", "masses-1d", "masses-negative",
+        "masses-above-1", "marginal-name"])
+def test_tables_refuse_what_they_cannot_hold(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_empirical_pmf_normalizes(graphs_1m):
@@ -153,7 +167,7 @@ def test_count_table_csv_roundtrip(tmp_path, graphs_1m):
 def test_degree_counts_holds_a_huge_degree_as_one_cell():
     # one node with 2**14 self-loops: one cell, where a dense table needs (2**14 + 1)**2 cells
     loops = np.zeros(2**14, np.int64)
-    g = DirectedMultigraph.from_edges(1, loops, loops)
+    g = DirectedMultigraph(1, loops, loops)
     t = degree_counts(g)
     assert (t.i.tolist(), t.j.tolist(), t.values.tolist()) == ([2**14], [2**14], [1])
     assert t.shape == (2**14 + 1, 2**14 + 1) and t.get(2**14, 2**14) == 1 and t.total_nodes == 1
@@ -181,12 +195,7 @@ def test_census_where_a_dense_table_cannot_be_held():
 def test_census_memory_is_stated_per_node(graphs_1m):
     # degree_counts states a peak under 20 bytes per node; normalizing adds only O(cells)
     g = graphs_1m[0]
-    tracemalloc.start()
-    try:
-        empirical_pmf(degree_counts(g))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: empirical_pmf(degree_counts(g)))
     assert peak < 20 * g.node_count
 
 
@@ -212,12 +221,7 @@ def test_a_marginal_is_held_once():
     over 4,000,001 degrees peaks near its own 30.5 MiB."""
     size = 4_000_001
     t = JointCountTable._from_pairs(np.array([0, size - 1, 7, 7]), np.array([1, 0, 1, 2]))
-    tracemalloc.start()
-    try:
-        marginal = t.marginal("in")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    marginal, peak = traced_peak(lambda: t.marginal("in"))
     assert marginal.dtype == np.int64 and marginal.size == size
     assert marginal[[0, 7, size - 1]].tolist() == [1, 2, 1] and marginal.sum() == 4
     assert peak <= 8 * size + (1 << 20)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from heavytail_pa import tauberian
+from heavytail_pa import QuadratureFailure, tail_measure, tauberian
 from heavytail_pa.cli import main
 from heavytail_pa.csvfile import read_csv
 from conftest import traced_peak
@@ -247,19 +247,25 @@ def test_hill_estimate_does_not_expand_the_marginal(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["verify", "--check", "uhat", "--h-grid", "abc"],
-        ["verify", "--check", "uhat", "--h-grid", "1:10:0"],
-        ["density", "--grid-x", "1:2:0"],
+        (["verify", "--check", "uhat", "--h-grid", "abc"], "--"),
+        (["verify", "--check", "uhat", "--h-grid", "1:10:0"], "--"),
+        (["density", "--grid-x", "1:2:0"], "--"),
+        (["density", "--grid-x", "1e-100", "--grid-y", "1e-100"],
+         "the density at (1e-100, 1e-100) overflows the float range"),
+        (["density", "--grid-x", "1e-200", "--grid-y", "1e-200"],
+         "the integrand e^806.91 overflows the float range"),
     ],
-    ids=["not-a-number", "count-zero", "empty-grid"],
+    ids=["not-a-number", "count-zero", "empty-grid", "density-overflow", "integrand-overflow"],
 )
-def test_bad_grid_is_an_error(tmp_path, capsys, argv):
+def test_bad_grid_is_an_error(tmp_path, capsys, argv, message):
+    """A malformed grid is an error, and so is a grid point where the density
+    passes the float range: the value or its integrand overflows there."""
     out = tmp_path / "out"
     assert run([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: --") and "Traceback" not in err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
     assert not out.exists()
 
 
@@ -374,6 +380,26 @@ def test_verify_scaling_overflow_is_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert "t = 1e+12" in err
+
+
+def _fail_numerically(*args, **kwargs):
+    raise QuadratureFailure("injected")
+
+
+@pytest.mark.parametrize("argv, module, name, message", [
+    (["verify", "--check", "uhat", "--h-grid", "1,2"], tauberian, "uhat_limit_rhs",
+     "the limit transform at lambda = (1, 1): injected"),
+    (["density", "--grid-x", "1", "--grid-y", "1"], tail_measure._GammaMixture, "integral",
+     "injected"),
+], ids=["verify-target", "density"])
+def test_a_quadrature_failure_exits_2(tmp_path, capsys, monkeypatch, argv, module, name, message):
+    """A QuadratureFailure reaches main, which reports a numerical failure
+    with exit code 2; a check names the target that failed."""
+    monkeypatch.setattr(module, name, _fail_numerically)
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert not out.exists()
 
 
 def test_verify_uhat_at_k2_passes(tmp_path):
@@ -495,9 +521,9 @@ def test_package_import_skips_scipy_stats(tmp_path):
     rest: it loads only where an incomplete gamma or beta function is
     evaluated (verify's truncation, measure and marginal checks,
     TailMeasure.rect_mass), and its names still resolve on first use.  Only
-    the sampler loads the thread pool of concurrent.futures.  The commands
-    that write CSV import no scipy at all: only a JSON report records its
-    version."""
+    growth and the sampler load the thread pool of concurrent.futures.  The
+    commands that write CSV import no scipy at all: only a JSON report
+    records its version."""
     env = _fresh_env()
     probe = ("import atexit, sys; atexit.register(lambda: print(sorted(m for m in ("
              "'scipy', 'scipy.stats', 'scipy.integrate', 'scipy.optimize', 'scipy.special', "
@@ -514,7 +540,8 @@ def test_package_import_skips_scipy_stats(tmp_path):
     assert run(["sample-limit", "--n", "2000", "--out", str(samples)]) == 0
     assert loaded("import heavytail_pa") == "[]"
     assert loaded(cli, "--version") == "[]"
-    assert loaded(cli, "simulate", "--edges", "100", "--counts", tmp_path / "c.csv") == "[]"
+    pool = "['concurrent.futures']"  # growth's and sample-limit's CSV, without scipy
+    assert loaded(cli, "simulate", "--edges", "100", "--counts", tmp_path / "c.csv") == pool
     assert loaded(cli, "estimate", "--counts", counts, "--out", tmp_path / "e.json") == "['scipy']"
     assert loaded(cli, "angular", "--samples", samples, "--threshold-quantile", "0.9",
                   "--out", tmp_path / "a.csv") == "[]"
@@ -522,7 +549,6 @@ def test_package_import_skips_scipy_stats(tmp_path):
                   "--out", tmp_path / "d.csv") == "[]"
     assert loaded(cli, "analytic-pmf", "--imax", "3", "--jmax", "3",
                   "--out", tmp_path / "p.csv") == "[]"
-    pool = "['concurrent.futures']"  # sample-limit's CSV, without scipy
     assert loaded(cli, "sample-limit", "--n", "100", "--out", tmp_path / "s.csv") == pool
     assert loaded(cli, "compare", "--counts", counts, "--imax", "3", "--jmax", "3",
                   "--out", tmp_path / "cmp.json") == "['scipy']"
@@ -668,11 +694,12 @@ def test_sample_limit_past_the_draw_budget_is_refused(tmp_path, capsys, monkeypa
     """--n 10000000000 once asked np.empty for 40 GB; an allocation past
     the budget fails the test instead of running."""
     from heavytail_pa import limit_dist
+    from heavytail_pa.errors import PAIR_BUDGET
 
     empty = np.empty
 
     def guarded(shape, *args, **kwargs):
-        assert np.prod(shape) <= limit_dist.DRAW_BUDGET, "allocated past the draw budget"
+        assert np.prod(shape) <= PAIR_BUDGET, "allocated past the draw budget"
         return empty(shape, *args, **kwargs)
 
     monkeypatch.setattr(limit_dist.np, "empty", guarded)

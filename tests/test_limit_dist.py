@@ -7,8 +7,9 @@ import pytest
 
 from heavytail_pa import DEFAULT_SEED, DomainError, LimitDistribution, ModelParams, ResourceLimit
 from heavytail_pa import limit_dist
-from heavytail_pa.limit_dist import (BLOCK_BYTES, DRAW_BUDGET, SAMPLE_BLOCK, draw_block,
-                                     poisson_counts)
+from heavytail_pa.errors import PAIR_BUDGET
+from heavytail_pa.limit_dist import BLOCK_BYTES, SAMPLE_BLOCK, draw_block, poisson_counts
+from conftest import traced_peak
 from oracles import mixture_pmf_table, nb_logpmf, nb_pmf
 
 FAR = ModelParams(0.081, 0.407, 0.512, 16.5, 0.0546)
@@ -355,16 +356,16 @@ def test_sampled_count_above_int32_is_a_resource_limit():
 
 
 def test_sample_past_the_draw_budget_is_refused_before_it_is_allocated(dist, monkeypatch):
-    """DRAW_BUDGET + 1 draws would ask for 1.6 GB; np.empty, the first
+    """PAIR_BUDGET + 1 draws would ask for 1.6 GB; np.empty, the first
     allocation, fails the test if it is reached."""
     def refuse(*args, **kwargs):
         raise AssertionError("allocated past the draw budget")
 
     monkeypatch.setattr(limit_dist.np, "empty", refuse)
     rng = np.random.default_rng(0)
-    for draw in (lambda: dist.sample(DRAW_BUDGET + 1, rng),
-                 lambda: dist.sample_component(1, DRAW_BUDGET + 1, rng),
-                 lambda: dist.sample_component(2, DRAW_BUDGET + 1, rng)):
+    for draw in (lambda: dist.sample(PAIR_BUDGET + 1, rng),
+                 lambda: dist.sample_component(1, PAIR_BUDGET + 1, rng),
+                 lambda: dist.sample_component(2, PAIR_BUDGET + 1, rng)):
         with pytest.raises(ResourceLimit, match="exceeds the draw budget 200000000"):
             draw()
 
@@ -373,12 +374,7 @@ def test_sample_memory_stays_under_its_stated_peak(dist):
     """Peak: the 8 n bytes returned plus BLOCK_BYTES per worker thread."""
     n = 10**6
     workers = min(limit_dist.usable_cores(), -(-n // SAMPLE_BLOCK))
-    tracemalloc.start()
-    try:
-        dist.sample(n, np.random.default_rng(5))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: dist.sample(n, np.random.default_rng(5)))
     assert peak <= 8 * n + workers * BLOCK_BYTES
 
 
@@ -387,10 +383,6 @@ def test_block_memory_stays_under_its_stated_peak(dist):
     42.1 B per draw of the inverse-cdf kernel it replaced."""
     i_out, o_out = np.empty(SAMPLE_BLOCK, np.int32), np.empty(SAMPLE_BLOCK, np.int32)
     rng = np.random.default_rng(5)
-    tracemalloc.start()
-    try:
-        draw_block(rng, dist.split, 1.0, 1.0, dist.derived.c1, dist.derived.a, i_out, o_out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(
+        lambda: draw_block(rng, dist.split, 1.0, 1.0, dist.derived.c1, dist.derived.a, i_out, o_out))
     assert peak <= 42.1 * SAMPLE_BLOCK

@@ -30,6 +30,8 @@ def test_validate_rejects_bad_sum():
 def test_validate_rejects_negative_delta():
     with pytest.raises(InvalidParams, match="delta_in"):
         validate(ModelParams(0.3, 0.5, 0.2, -0.1, 1.0))
+    with pytest.raises(InvalidParams, match=r"alpha < 0 \(got -0.1\)"):
+        validate(ModelParams(-0.1, 0.9, 0.2, 1.0, 1.0))
 
 
 def test_validate_rejects_probability_one():
@@ -114,6 +116,9 @@ def test_params_file_errors(tmp_path):
         load_params(path)
     path.write_text("alpha 0.3\n")
     with pytest.raises(InvalidParams, match="key=value"):
+        load_params(path)
+    path.write_text("alpha = 0.3\nbeta = half\n")
+    with pytest.raises(InvalidParams, match=r"bad.cfg:2: bad number 'half'"):
         load_params(path)
 
 

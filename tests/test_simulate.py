@@ -17,15 +17,16 @@ from heavytail_pa import (
     simulate,
 )
 from heavytail_pa import growth
+from heavytail_pa.errors import PAIR_BUDGET
 from heavytail_pa.growth import (
     CHUNK_STEPS,
-    DEFAULT_EDGE_BUDGET,
     FORMAT_VERSION,
     MAGIC,
     NODE_BUDGET,
     _endpoints,
 )
 
+from conftest import traced_peak
 from oracles import step
 
 P = ModelParams(0.3, 0.5, 0.2, 1.0, 1.0)
@@ -36,12 +37,12 @@ NEAR_BETA = ModelParams(0.001, 0.998, 0.001, 0.0, 0.0)
 
 def self_loop():
     """The graph simulate() grows from: one node carrying one self-loop."""
-    return DirectedMultigraph.from_edges(1, [0], [0])
+    return DirectedMultigraph(1, [0], [0])
 
 
 def single_edge():
     """Two nodes joined by the edge 0 -> 1."""
-    return DirectedMultigraph.from_edges(2, [0], [1])
+    return DirectedMultigraph(2, [0], [1])
 
 
 def test_default_seed_graph_is_self_loop():
@@ -119,7 +120,7 @@ def test_choose_mixture_matches_formula_exactly():
     """Chi-square test on a fixed 5-node graph against the exact law."""
     tails = [0, 1, 2, 2, 3]
     heads = [1, 2, 2, 3, 4]
-    g = DirectedMultigraph.from_edges(5, tails, heads)
+    g = DirectedMultigraph(5, tails, heads)
     delta = 0.7
     n, N = g.edge_count, g.node_count
     expected_p = (g.in_degree + delta) / (n + delta * N)
@@ -200,7 +201,7 @@ def test_grow_matches_repeated_step(params, start, targets):
     rng = np.random.default_rng(42)
     while len(tails) < targets[-1]:
         N = step(tails, heads, N, params, rng)
-    stepped = DirectedMultigraph.from_edges(N, tails, heads)
+    stepped = DirectedMultigraph(N, tails, heads)
     for g in (split, whole):
         assert g.node_count == stepped.node_count
         assert np.array_equal(g.tails, stepped.tails) and np.array_equal(g.heads, stepped.heads)
@@ -263,6 +264,26 @@ def test_grow_raises_what_the_helper_thread_raises(monkeypatch):
     assert g.edge_count == 1 and g.node_count == 1
 
 
+def test_grow_raises_the_heads_side_error_when_both_sides_fail(monkeypatch):
+    """The calling thread resolves the heads: its error is raised, after the helper ends."""
+    caller = threading.current_thread()
+
+    class HeadsFailure(RuntimeError):
+        pass
+
+    class TailsFailure(RuntimeError):
+        pass
+
+    def endpoints_failing_on_both_sides(*args):
+        raise (HeadsFailure if threading.current_thread() is caller else TailsFailure)()
+
+    monkeypatch.setattr(growth, "_endpoints", endpoints_failing_on_both_sides)
+    threads = threading.active_count()
+    with pytest.raises(HeadsFailure):
+        grow(self_loop(), 2 * CHUNK_STEPS, P, np.random.default_rng(0))
+    assert threading.active_count() == threads
+
+
 def test_grow_is_deterministic():
     a = simulate(5000, P, seed=123)
     b = simulate(5000, P, seed=123)
@@ -274,12 +295,14 @@ def test_grow_to_current_size_is_identity():
     tails = g.tails.copy()
     grow(g, 100, P, np.random.default_rng(5))
     assert np.array_equal(g.tails, tails)
+    with pytest.raises(ValueError, match="below the current edge count"):
+        grow(g, 99, P, np.random.default_rng(5))
 
 
 def test_grow_respects_edge_budget():
     g = self_loop()
     with pytest.raises(ResourceLimit):
-        grow(g, DEFAULT_EDGE_BUDGET + 1, P, np.random.default_rng(0))
+        grow(g, PAIR_BUDGET + 1, P, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -383,17 +406,47 @@ def test_from_binary_refuses_oversized_headers_before_allocating(tmp_path):
     path.write_bytes(MAGIC + struct.pack("<IQQ", FORMAT_VERSION, 2, 2**20) + struct.pack("<II", 0, 1))
     err, peak = _read_peak(path)
     assert "truncated" in str(err) and peak < 2**20
+    for header, message in ((b"DPAX" + struct.pack("<IQQ", FORMAT_VERSION, 2, 0), "bad magic b'DPAX'"),
+                            (MAGIC + struct.pack("<IQQ", 2, 2, 0), "unsupported format version 2")):
+        path.write_bytes(header)
+        err, peak = _read_peak(path)
+        assert str(err) == message and peak < 2**20
 
 
-def test_from_edges_rejects_missing_nodes():
-    with pytest.raises(ValueError):
-        DirectedMultigraph.from_edges(2, [0, 1], [1, 2])
-    with pytest.raises(ValueError):
-        DirectedMultigraph.from_edges(2, [-1], [0])
+def test_constructor_rejects_missing_nodes():
+    with pytest.raises(ValueError, match="missing node"):
+        DirectedMultigraph(2, [0, 1], [1, 2])
+    with pytest.raises(ValueError, match="missing node"):
+        DirectedMultigraph(2, [-1], [0])
+    # checked in the given width: the int32 cast would wrap 2**32 to the node 0
+    with pytest.raises(ValueError, match="missing node"):
+        DirectedMultigraph(2, np.array([2**32], np.int64), np.array([1], np.int64))
+    with pytest.raises(ValueError, match="missing node"):
+        DirectedMultigraph(2, np.array([1], np.uint64), np.array([2**32 + 1], np.uint64))
+    with pytest.raises(ValueError, match="equal length"):
+        DirectedMultigraph(2, [0, 1], [1])
+    with pytest.raises(ValueError, match="1-d"):
+        DirectedMultigraph(3, [[0, 1], [1, 2]], [[1, 2], [0, 1]])
+    with pytest.raises(ValueError, match="must be integers"):
+        DirectedMultigraph(2, [0.7], [1.2])
+
+
+def test_constructor_keeps_int32_edges_and_casts_the_rest():
+    tails, heads = np.array([0, 1, 1], np.int32), np.array([1, 0, 1], np.int32)
+    g = DirectedMultigraph(2, tails, heads)
+    assert g.tails is tails and g.heads is heads
+    for edges in ([[0, 1, 1], [1, 0, 1]], [tails.astype(np.int64), heads.astype(np.uint16)]):
+        h = DirectedMultigraph(2, *edges)
+        assert h.tails.dtype == h.heads.dtype == np.int32
+        assert np.array_equal(h.tails, tails) and np.array_equal(h.heads, heads)
+        assert np.array_equal(h.in_degree, g.in_degree) and np.array_equal(h.out_degree, g.out_degree)
+    empty = DirectedMultigraph(3)
+    assert empty.edge_count == 0 and empty.tails.dtype == empty.heads.dtype == np.int32
+    assert list(empty.in_degree) == list(empty.out_degree) == [0, 0, 0]
 
 
 def test_constructor_refuses_bad_node_counts_before_allocating():
-    for make in (DirectedMultigraph, lambda count: DirectedMultigraph.from_edges(count, [], [])):
+    for make in (DirectedMultigraph, lambda count: DirectedMultigraph(count, [0], [0])):
         with pytest.raises(ValueError):
             make(-1)
         tracemalloc.start()
@@ -409,12 +462,7 @@ def test_constructor_refuses_bad_node_counts_before_allocating():
 def test_to_binary_writes_the_arrays_without_copies(graphs_1m, tmp_path):
     g = graphs_1m[0]
     path = tmp_path / "graph.bin"
-    tracemalloc.start()
-    try:
-        g.to_binary(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: g.to_binary(path))
     assert peak < 2**20
     header = MAGIC + struct.pack("<IQQ", FORMAT_VERSION, g.node_count, g.edge_count)
     assert path.read_bytes() == header + g.tails.astype("<u4").tobytes() + g.heads.astype("<u4").tobytes()
@@ -426,11 +474,6 @@ def test_from_binary_counts_the_degrees_once(graphs_1m, tmp_path):
     g = graphs_1m[0]
     path = tmp_path / "graph.bin"
     g.to_binary(path)
-    tracemalloc.start()
-    try:
-        h = DirectedMultigraph.from_binary(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    h, peak = traced_peak(lambda: DirectedMultigraph.from_binary(path))
     assert peak < 22.5 * g.edge_count
     assert np.array_equal(h.in_degree, g.in_degree) and np.array_equal(h.out_degree, g.out_degree)

@@ -52,6 +52,11 @@ def test_marginal_mass_closed_form(tm):
         quad_val2 = tm.rect_mass(2, x_lo, 0.0)
         closed2 = tm.marginal_mass_closed_form(2, x_lo)
         assert abs(quad_val2 / closed2 - 1.0) < 1e-8
+    assert tm.marginal_mass_closed_form(1, math.inf) == 0.0
+    # C x^(-1/c1) passes the float range, e^1296.84 at the canonical point
+    overflow = r"in-marginal e\^1296.84 at x = 1e-300, k = 0 overflows the float range"
+    with pytest.raises(DomainError, match=overflow):
+        tm.marginal_mass_closed_form(1, 1e-300)
 
 
 def test_density_positive(tm):
@@ -203,6 +208,9 @@ def test_density_is_mixed_partial_of_rect_mass(tm):
 def test_rect_mass_domain_errors(tm):
     with pytest.raises(DomainError):
         tm.rect_mass(1, 0.0, 0.0)
+    for corner in ((-1.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(DomainError, match="corners must be nonnegative"):
+            tm.rect_mass(1, *corner)
     with pytest.raises(DomainError):
         tm.density(1, -1.0, 1.0)
     with pytest.raises(DomainError):
@@ -244,10 +252,18 @@ def test_standardize_power_table_is_bit_identical(point):
     inputs += [a[::3] for a in inputs]  # strided, with max >= n: the elementwise rule
     inputs.append(np.stack([draws, draws], axis=1)[:, 0])  # strided, through the table
     inputs += [draws[:0], np.array([0, 2**40])]  # empty; a count far above n
-    for x in inputs:
-        s = standardize((x, x), d)
+    c = d.gamma_in / d.gamma_out
+    samples = [standardize((x, x), d) for x in inputs]
+    # built by hand, the sample picks the same rule; a negative integer, which
+    # standardize refuses, takes the elementwise one (a gather would clip it to 0)
+    samples += [StandardizedSample(x=x, v=x, c=c) for x in inputs[:2]]
+    # read as unsigned, the int8 -1 is 255, below the size 400
+    for signed in (np.array([2, -1, 0, 1] * 100, np.int8), np.array([2, -1, 0, 1])):
+        samples.append(StandardizedSample(x=signed, v=np.zeros(signed.size), c=1.0))
+    for s in samples:
+        x = s.x
         assert (s.table is not None) == (x.dtype.kind in "iu" and x.size > 0
-                                         and x.max() < x.size), x.dtype
+                                         and x.min() >= 0 and x.max() < x.size), x.dtype
         expected = x.astype(np.float64) ** s.c
         u = s.u
         assert u.dtype == np.float64 and u.shape == x.shape
@@ -255,6 +271,7 @@ def test_standardize_power_table_is_bit_identical(point):
         again = s.u
         assert again is not u and not np.shares_memory(again, u)
         assert np.array_equal(again.view(np.int64), expected.view(np.int64)), x.dtype
+    assert list(samples[-1].u) == [2.0, -1.0, 0.0, 1.0] and samples[-2].u[1] == -1.0
 
 
 def test_standardize_keeps_v_and_states_its_peak(dist, params):
@@ -309,6 +326,9 @@ def test_angular_histogram_needs_exceedances():
         angular_histogram(s, radius_threshold=1.0, bins=4)
     with pytest.raises(DomainError):
         angular_histogram(s, radius_threshold=1.0, bins=1)
+    for threshold in (0.0, -1.0):
+        with pytest.raises(DomainError, match="radius threshold must be positive"):
+            angular_histogram(s, radius_threshold=threshold, bins=4)
 
 
 def test_angular_histogram_refuses_angles_outside_the_unit_interval():
@@ -350,7 +370,9 @@ def test_angular_histogram_equals_the_one_pass_histogram(sliced_sample):
     """By the table and by the elementwise rule, with 32- and 64-bit v."""
     s32, rest = sliced_sample
     radius = s32.u + s32.v
-    samples = (s32, replace(s32, v=s32.v.astype(np.int64)), replace(s32, table=None))
+    # float x selects the elementwise rule
+    samples = (s32, replace(s32, v=s32.v.astype(np.int64)), replace(s32, x=s32.x.astype(np.float64)))
+    assert samples[1].table is not None and samples[2].table is None
     for s in samples:
         # the last threshold leaves only the planted pairs, all in one slice
         for threshold in (*np.quantile(radius, [0.0, 0.5, 0.999]), 1.0, rest):

@@ -342,7 +342,7 @@ def test_normalizer_beyond_the_float_range_is_a_domain_error(k):
     marginal_check then reported a non-finite integrand value."""
     p = ModelParams(0.05, 0.05, 0.9, 40.0, 1.0)
     for call in (lambda: derivative_marginal_normalizer(p, k), lambda: marginal_check(p, k=k)):
-        with pytest.raises(DomainError, match="marginal normalizer"):
+        with pytest.raises(DomainError, match=f"closed-form in-marginal .* at x = 1, k = {k} overflows"):
             call()
 
 
@@ -353,7 +353,8 @@ def test_limit_integrals_beyond_the_float_range_are_domain_errors():
     for call in (lambda: uhat_limit_rhs(k, p, 1.0, 1.0), lambda: derivative_limit_rect(k, p, 1.0, 1.0)):
         with pytest.raises(DomainError, match=r"the integrand e\^83\d\.\d+ overflows the float range"):
             call()
-    with pytest.raises(DomainError, match=r"marginal normalizer K = e\^831.397 overflows"):
+    overflow = r"in-marginal e\^831.397 at x = 1, k = 191 overflows the float range"
+    with pytest.raises(DomainError, match=overflow):
         derivative_marginal_normalizer(p, k)
 
 
@@ -617,10 +618,24 @@ def test_check_reports_keep_their_layout(params, deriv_measure):
     (lambda p: measure_check(p, t_grid=(1e2, 1e3, 1e3)), "t_grid must be strictly increasing"),
     (lambda p: marginal_check(p, t_grid=(1e5, 1e2)), "t_grid must be strictly increasing"),
     (lambda p: marginal_check(p, t_grid=(1e3, 1e3)), "t_grid must be strictly increasing"),
+    (lambda p: truncation_check(p, y_grid=(0.0, -1.0)), "y grid must be nonnegative"),
+    (lambda p: measure_scaling(build_derivative_measure(3, p),
+                               ScalingFunctions.for_derivative_measure(p, 3), 10.0, -1.0, 1.0),
+     "corners must be nonnegative"),
+    (lambda p: derivative_limit_rect(3, p, 1.0, 0.0), "corners must be positive"),
+    (lambda p: build_derivative_measure(3, p).laplace(1.0, 0.0), "decay rates must be positive"),
+    (lambda p: transform_scaling(build_derivative_measure(3, p),
+                                 ScalingFunctions.for_derivative_measure(p, 3), 10.0, 0.0, 1.0),
+     "decay parameters must be positive"),
+    (lambda p: uhat_limit_rhs(3, p, 1.0, -1.0), "decay parameters must be positive"),
 ], ids=["uhat-h", "measure-t", "truncation-y", "truncation-t",
         "marginal-t", "uhat-h-descending", "uhat-h-repeated", "measure-t-descending",
-        "measure-t-repeated", "marginal-t-descending", "marginal-t-repeated"])
+        "measure-t-repeated", "marginal-t-descending", "marginal-t-repeated",
+        "truncation-negative-y", "measure-scaling-negative-corner", "limit-rect-zero-corner",
+        "laplace-zero-decay", "transform-zero-decay", "limit-transform-negative-decay"])
 def test_empty_grid_is_a_domain_error(params, call, message):
+    """An empty or non-increasing grid, and any other argument outside a
+    check's or a scaling function's domain, is refused as a DomainError."""
     with pytest.raises(DomainError, match=message):
         call(params)
 
