@@ -12,7 +12,6 @@ from heavytail_pa import (
     derive,
     empirical_pmf,
     hill_estimate,
-    loglog_slope,
     simulate,
 )
 
@@ -44,12 +43,3 @@ for name, degrees, target in (
     fit = hill_estimate(positive, k)
     print(f"\n{name}-degree Hill estimate (k={k}): "
           f"{fit.index_estimate:.3f} +- {fit.stderr:.3f}  (tail index target {target:.3f})")
-
-# the log-log slope recovers the pmf exponent on a clean marginal table;
-# the analytic law provides one (raw empirical tails are too noisy for it)
-from heavytail_pa import LimitDistribution
-
-analytic_marginal = LimitDistribution(params).pmf_table(400, 400).sum(axis=1)
-fit = loglog_slope(analytic_marginal, i_min=50)
-print(f"\nlog-log slope of the analytic in-marginal over i >= 50: "
-      f"{fit.index_estimate:.3f} (pmf exponent target {d.alpha_in:.3f})")

@@ -26,7 +26,7 @@ _EXPORTS = {
     "census": (
         "AngularHistogram", "JointCountTable", "JointPMF", "PMFComparison", "StandardizedSample",
         "TailFit", "angular_histogram", "compare_pmf", "default_hill_k", "degree_counts",
-        "empirical_pmf", "hill_estimate", "loglog_slope", "standardize",
+        "empirical_pmf", "hill_estimate", "standardize",
     ),
     "errors": (
         "DegenerateTail", "DegenerateTailSample", "DomainError", "EmptyInput", "HeavytailError",

@@ -1,5 +1,5 @@
-"""Sample statistics: empirical degree distributions, tail-index
-estimators, and the angular histogram of standardized degree pairs.
+"""Sample statistics: empirical degree distributions, the Hill tail-index
+estimator, and the angular histogram of standardized degree pairs.
 
 A joint count table and an empirical pmf are held as cells: sorted,
 unique (i, j, value) arrays of the nonzero entries.  In- and out-degree
@@ -251,33 +251,6 @@ def top_order_statistics(counts, m: int) -> np.ndarray:
 def default_hill_k(n_samples: int) -> int:
     """The CLI default k = floor(sqrt(n_samples))."""
     return max(2, int(np.sqrt(n_samples)))
-
-
-def loglog_slope(marginal, i_min: int) -> TailFit:
-    """Least-squares slope of log p_i against log i over i >= i_min.
-
-    ``marginal`` is a 1-d array of masses indexed by i.  Returns the
-    negated slope, so an exact power table p_i = C i^-alpha recovers
-    alpha.  i_min must be at least 1, where log i is defined.
-    """
-    if i_min < 1:
-        raise DomainError(f"i_min must be at least 1, where log i is defined, got {i_min}")
-    mass = np.asarray(marginal, np.float64)
-    idx = np.arange(mass.size, dtype=np.float64)
-    keep = (idx >= i_min) & (mass > 0)
-    if keep.sum() < 5:
-        raise InsufficientData("need at least 5 positive support points with i >= i_min")
-    lx = np.log(idx[keep])
-    ly = np.log(mass[keep])
-    design = np.column_stack([lx, np.ones_like(lx)])
-    coef, res, *_ = np.linalg.lstsq(design, ly, rcond=None)
-    slope = coef[0]
-    dof = max(keep.sum() - 2, 1)
-    resid = ly - design @ coef
-    var = float(resid @ resid) / dof
-    sxx = float(((lx - lx.mean()) ** 2).sum())
-    stderr = np.sqrt(var / sxx) if sxx > 0 else np.inf
-    return TailFit(index_estimate=float(-slope), k_used=int(keep.sum()), stderr=float(stderr))
 
 
 @dataclass(frozen=True)

@@ -207,23 +207,14 @@ def _cmd_angular(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    """Fit one method; a flag the method does not read is refused, as verify refuses one."""
-    from .census import (JointCountTable, default_hill_k, empirical_pmf, hill_estimate,
-                         loglog_slope, top_order_statistics)
+    """Hill's estimate of one margin's tail index from its top order statistics."""
+    from .census import JointCountTable, default_hill_k, hill_estimate, top_order_statistics
 
-    stray = "i_min" if args.method == "hill" else "k"
-    if getattr(args, stray) is not None:
-        raise HeavytailError(f"--{stray.replace('_', '-')} does not apply to --method {args.method}")
-    counts = JointCountTable.from_csv(args.counts)
-    if args.method == "hill":
-        marg_counts = counts.marginal(args.margin)
-        k = args.k if args.k is not None else default_hill_k(int(marg_counts[1:].sum()))
-        fit = hill_estimate(top_order_statistics(marg_counts, k + 1), k)
-    else:
-        i_min = 10 if args.i_min is None else args.i_min
-        fit = loglog_slope(empirical_pmf(counts).marginal(args.margin), i_min)
+    marg_counts = JointCountTable.from_csv(args.counts).marginal(args.margin)
+    k = args.k if args.k is not None else default_hill_k(int(marg_counts[1:].sum()))
+    fit = hill_estimate(top_order_statistics(marg_counts, k + 1), k)
     report = {
-        "method": args.method,
+        "method": "hill",
         "margin": args.margin,
         "index_estimate": fit.index_estimate,
         "k_used": fit.k_used,
@@ -377,10 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sp.add_parser("estimate", help="tail-index estimates from degree counts")
     s.add_argument("--counts", required=True)
     s.add_argument("--margin", choices=["in", "out"], default="in")
-    s.add_argument("--method", choices=["hill", "loglog"], default="hill")
     s.add_argument("--k", type=int, default=None, help="hill order statistics (default sqrt(n))")
-    s.add_argument("--i-min", dest="i_min", type=int, default=None,
-                   help="loglog's smallest degree (default 10)")
     s.add_argument("--out", default="-")
     s.set_defaults(fn=_cmd_estimate)
 

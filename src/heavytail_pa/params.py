@@ -126,12 +126,11 @@ def split_probability(params: ModelParams) -> float:
     return params.gamma / s
 
 
-def check_component(component, combined: bool = False, name: str = "component"):
+def check_component(component, combined: bool = False):
     """A mixture component: the integer 1 or 2, or "combined" where it is allowed.
 
     A bool or a float is a DomainError even where it equals 1 or 2;
-    numpy integers pass and come back as int.  `name` is what the error
-    calls the argument: a margin is checked here too.
+    numpy integers pass and come back as int.
     """
     if combined and isinstance(component, str) and component == "combined":
         return component
@@ -139,7 +138,7 @@ def check_component(component, combined: bool = False, name: str = "component"):
             and component in (1, 2)):
         return int(component)
     allowed = "1, 2 or 'combined'" if combined else "1 or 2"
-    raise DomainError(f"{name} must be {allowed}, got {component!r}")
+    raise DomainError(f"component must be {allowed}, got {component!r}")
 
 
 def tail_ready(params: ModelParams) -> ModelParams:

@@ -17,12 +17,13 @@ Both sides rest on one kernel each.  The discrete side: the factorial
 weights shift the NB shape, so given the latent z the derivative measure
 is an i-section NB(delta_in + k + 1, 1/z) times a j-section
 NB(delta_out, z**-a) under the mixing weight, the order-k measure of
-limit_dist's NB-mixture kernel.  Rectangle masses, marginal masses and
-transforms are products of exponentially tilted NB sections per node,
-each in closed form through the regularized incomplete beta function, so
-nothing is summed termwise and no index range is truncated.  The limit
-side: the limit of U_t is x^k times component 1 of the joint tail
-measure, the order-k measure of tail_measure's gamma-mixture kernel.
+limit_dist's NB-mixture kernel.  Rectangle masses, a marginal being one
+with an infinite side, and transforms are products of exponentially
+tilted NB sections per node, each in closed form through the regularized
+incomplete beta function, so nothing is summed termwise and no index
+range is truncated.  The limit side: the limit of U_t is x^k times
+component 1 of the joint tail measure, the order-k measure of
+tail_measure's gamma-mixture kernel.
 Its transform, rectangle masses and marginal normalizer are that
 kernel's Laplace and lower incomplete gamma sections and its closed-form
 in-marginal; the transform needs no scipy.special.  The normalizer, and
@@ -42,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidK, QuadratureFailure
 from .limit_dist import _NBMixture
-from .params import ModelParams, check_component, derive, tail_ready
+from .params import ModelParams, derive, tail_ready
 from .tail_measure import _GammaMixture, _log_laplace, _log_lower
 
 
@@ -121,10 +122,10 @@ class TransformReport:
 class DerivativeMeasure:
     """The order-k factorial-weighted measure of mixture component 1.
 
-    Its atoms are (i+1)...(i+k) P[X1 = i+k, Y1 = j].  Rectangle masses,
-    marginal masses and transforms are sums of NB sections under one
-    mixing integral (limit_dist._NBMixture), so every evaluation costs one
-    pass over the nodes whatever the index range.  Nothing is cached.
+    Its atoms are (i+1)...(i+k) P[X1 = i+k, Y1 = j].  Rectangle masses
+    and transforms are sums of NB sections under one mixing integral
+    (limit_dist._NBMixture), so every evaluation costs one pass over the
+    nodes whatever the index range.  Nothing is cached.
     """
 
     def __init__(self, params: ModelParams, k: int):
@@ -138,19 +139,15 @@ class DerivativeMeasure:
                                   self.params.delta_out, self.k)
 
     def rect_mass_below(self, x: float, y: float) -> float:
-        """Sum of atoms with i <= x and j <= y."""
+        """Sum of atoms with i <= x and j <= y.
+
+        An infinite side gives a marginal: (x, inf) the in-marginal, and
+        (inf, y) the out-marginal, which is infinite, a DomainError, where
+        k >= alpha_in - 1 + a*delta_out.
+        """
         if x < 0 or y < 0:
             return 0.0
         return float(self._kernel.mass([(np.floor(x), np.floor(y))])[0])
-
-    def marginal_mass(self, margin: int, x: float) -> float:
-        """Cumulative weight of margin 1 (in) or 2 (out); the out-marginal is
-        infinite, a DomainError, where k >= alpha_in - 1 + a*delta_out."""
-        margin = check_component(margin, name="margin")
-        if x < 0:
-            return 0.0
-        cut = (np.floor(x), math.inf) if margin == 1 else (math.inf, np.floor(x))
-        return float(self._kernel.mass([cut])[0])
 
     def laplace(self, s1: float, s2: float, boxes=()) -> tuple:
         """sum m_ij e^(-s1 i - s2 j) and its parts over [0,bi) x [0,bj).
@@ -393,7 +390,7 @@ def marginal_check(
     norm = derivative_marginal_normalizer(params, k)
 
     def scaled(u, b, t, x):
-        return u.marginal_mass(1, b.b1(t / norm) * x) / t
+        return u.rect_mass_below(b.b1(t / norm) * x, math.inf) / t
 
     report = _trend_check("marginal", ("t", "x", "ratio", "target"), _marginal_target,
                           "the in-marginal limit at x = {:g}", scaled,

@@ -17,11 +17,20 @@ CANONICAL = ModelParams(alpha=0.3, beta=0.5, gamma=0.2, delta_in=1.0, delta_out=
 REPLICATE_SEEDS = (DEFAULT_SEED, DEFAULT_SEED + 1, DEFAULT_SEED + 2)
 
 
-def traced_peak(fn):
-    """fn()'s result and the tracemalloc peak, in bytes, while it ran."""
+def traced_peak(fn, raises=None):
+    """fn()'s result and the tracemalloc peak, in bytes, while it ran.
+
+    With raises, an exception class or a tuple of them, fn must raise one,
+    and the exception it raised takes the result's place.
+    """
     tracemalloc.start()
     try:
-        result = fn()
+        if raises is None:
+            result = fn()
+        else:
+            with pytest.raises(raises) as err:
+                fn()
+            result = err.value
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -197,9 +197,9 @@ class LatticeMeasure:
     def rect_mass_below(self, x: float, y: float) -> float:
         if x < 0 or y < 0:
             return 0.0
-        si, sj = self.atoms.shape
-        ix, jy = int(math.floor(x)), int(math.floor(y))
-        return float(self.atoms[: min(ix + 1, si), : min(jy + 1, sj)].sum())
+        # a side past the table, inf included, takes the whole axis
+        rows, cols = (n if v >= n else math.floor(v) + 1 for v, n in zip((x, y), self.atoms.shape))
+        return float(self.atoms[:rows, :cols].sum())
 
     def laplace(self, s1: float, s2: float, boxes=()) -> tuple:
         """Full transform plus open-box parts; returns (full, [boxes])."""

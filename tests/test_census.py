@@ -18,7 +18,6 @@ from heavytail_pa import (
     degree_counts,
     empirical_pmf,
     hill_estimate,
-    loglog_slope,
     simulate,
 )
 from conftest import traced_peak
@@ -102,37 +101,6 @@ def test_hill_errors():
         hill_estimate([3.0, 2.0, 0.0, 5.0], k=2)
     with pytest.raises(DegenerateTailSample):
         hill_estimate([4.0, 4.0, 4.0, 4.0], k=2)
-
-
-def test_loglog_exact_power_law():
-    i = np.arange(10, 101)
-    masses = np.zeros(101)
-    masses[10:101] = i ** -3.0
-    fit = loglog_slope(masses, i_min=10)
-    assert fit.index_estimate == pytest.approx(3.0, abs=1e-9)
-
-
-def test_loglog_slowly_varying_perturbation():
-    alpha = 2.5
-    i = np.arange(1, 2001)
-    masses = np.zeros(2001)
-    masses[1:] = 0.4 * i ** -alpha * (1.0 + 1.0 / i)
-    fit = loglog_slope(masses, i_min=50)
-    assert abs(fit.index_estimate - alpha) < 0.05
-
-
-def test_loglog_needs_support():
-    masses = np.zeros(31)
-    masses[[10, 20, 30]] = 0.1, 0.05, 0.02
-    with pytest.raises(InsufficientData):
-        loglog_slope(masses, i_min=5)
-
-
-@pytest.mark.parametrize("i_min", [0, -3])
-def test_loglog_refuses_an_i_min_below_1(i_min):
-    """log 0 once reached numpy's lstsq, which raised LinAlgError."""
-    with pytest.raises(DomainError, match="i_min must be at least 1"):
-        loglog_slope(np.arange(1.0, 41.0) ** -2.0, i_min=i_min)
 
 
 def test_compare_identical_pmfs():

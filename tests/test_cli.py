@@ -101,8 +101,7 @@ def test_estimate_hill_json(tmp_path, monkeypatch):
     out = tmp_path / "est.json"
     assert run(["simulate", "--edges", "300000", "--seed", "9", "--counts", str(counts)]) == 0
     monkeypatch.setattr(sys, "argv", ["host", "extra-arg-of-host"])
-    argv = ["estimate", "--counts", str(counts), "--margin", "in", "--method", "hill",
-            "--out", str(out)]
+    argv = ["estimate", "--counts", str(counts), "--margin", "in", "--out", str(out)]
     assert run(argv) == 0
     payload = json.loads(out.read_text())
     assert payload["method"] == "hill"
@@ -445,13 +444,16 @@ REQUIRED_FLAGS = {
 }
 UNREAD_FLAGS = ([(command, "--tolerance") for command in REQUIRED_FLAGS]
                 + [(command, "--seed") for command in
-                   ("analytic-pmf", "density", "angular", "compare", "verify")])
+                   ("analytic-pmf", "density", "angular", "compare", "verify")]
+                + [("estimate", "--method"), ("estimate", "--i-min")])
 
 
 @pytest.mark.parametrize("command, flag", UNREAD_FLAGS, ids=[" ".join(c) for c in UNREAD_FLAGS])
 def test_a_flag_no_output_reads_is_a_usage_error(capsys, command, flag):
     """No subcommand takes --tolerance, and only simulate and sample-limit,
-    which draw, take --seed: each once was accepted and changed nothing."""
+    which draw, take --seed: each once was accepted and changed nothing.
+    estimate runs Hill alone, so the log-log fit's --method and --i-min
+    are gone with it."""
     with pytest.raises(SystemExit) as exc:
         run([command, *REQUIRED_FLAGS[command], flag, "1"])
     assert exc.value.code == 1
@@ -460,14 +462,9 @@ def test_a_flag_no_output_reads_is_a_usage_error(capsys, command, flag):
 
 @pytest.mark.parametrize("argv, message", [
     (["--k", "0"], "need k >= 2 order statistics"),
-    (["--method", "loglog", "--i-min", "0"], "i_min must be at least 1"),
-    (["--method", "loglog", "--k", "7"], "--k does not apply to --method loglog"),
-    (["--method", "hill", "--i-min", "3"], "--i-min does not apply to --method hill"),
-], ids=["hill-k-0", "loglog-i-min-0", "loglog-k", "hill-i-min"])
+], ids=["hill-k-0"])
 def test_estimate_refuses_degenerate_orders(tmp_path, capsys, argv, message):
-    """--k 0 once fell back to the default k, and --i-min 0 reached log 0 in
-    lstsq; --k with loglog and --i-min with hill went unread, while the
-    report's argv recorded them."""
+    """--k 0 once fell back to the default k."""
     counts = tmp_path / "in.csv"
     counts.write_text("i,j,N_ij\n" + "".join(f"{i},{i % 7},{1 + i % 3}\n" for i in range(1, 400)))
     out = tmp_path / "out.json"
@@ -488,7 +485,7 @@ PUBLIC_NAMES = (
     "StandardizedSample", "TailFit", "TailMeasure", "angular_histogram",
     "build_derivative_measure", "compare_pmf", "default_hill_k",
     "degree_counts", "derivative_limit_rect", "derivative_marginal_normalizer", "derive",
-    "empirical_pmf", "grow", "hill_estimate", "load_params", "loglog_slope", "marginal_check",
+    "empirical_pmf", "grow", "hill_estimate", "load_params", "marginal_check",
     "measure_check", "measure_scaling", "save_params",
     "simulate", "split_probability", "standardize", "transform_scaling",
     "truncation_check", "uhat_check", "uhat_limit_rhs", "validate",
@@ -642,7 +639,7 @@ def test_package_namespace_loads_a_module_on_first_use():
 def test_package_namespace_lists_and_refuses_names():
     import heavytail_pa
 
-    assert len(PUBLIC_NAMES) == 52 and set(PUBLIC_NAMES) <= set(dir(heavytail_pa))
+    assert len(PUBLIC_NAMES) == 51 and set(PUBLIC_NAMES) <= set(dir(heavytail_pa))
     with pytest.raises(AttributeError, match="^module 'heavytail_pa' has no attribute 'nope'$"):
         heavytail_pa.nope
 

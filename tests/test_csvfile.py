@@ -1,11 +1,11 @@
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from heavytail_pa import EmptyInput, HeavytailError
 from heavytail_pa.csvfile import CHUNK_ROWS, read_csv, write_csv
+from conftest import traced_peak
 
 
 def test_write_csv_pins_the_format(tmp_path):
@@ -61,12 +61,8 @@ def test_write_csv_peak_does_not_grow_with_the_rows(tmp_path):
     write_csv(tmp_path / "t.csv", ("I", "O"), columns[:, :1])  # builds the digit-group tables
     peaks = []
     for rows in (3 * CHUNK_ROWS, 10**6):
-        tracemalloc.start()
-        try:
-            write_csv(tmp_path / "t.csv", ("I", "O"), columns[:, :rows])
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: write_csv(tmp_path / "t.csv", ("I", "O"), columns[:, :rows]))
+        peaks.append(peak)
     assert peaks[1] < 4 * 2**20
     assert peaks[1] <= peaks[0] + 64 * 2**10
 
@@ -184,11 +180,6 @@ def test_read_csv_peak_is_the_result_plus_4_mib(tmp_path):
     rng = np.random.default_rng(6)
     columns = rng.integers(0, 10**4, (2, 10**6), np.int32)
     write_csv(path, ("I", "O"), columns, {"k": 1})
-    tracemalloc.start()
-    try:
-        data = read_csv(path, 2, np.int64)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    data, peak = traced_peak(lambda: read_csv(path, 2, np.int64))
     assert np.array_equal(data, columns.T)
     assert peak < data.nbytes + 4 * 2**20

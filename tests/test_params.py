@@ -3,7 +3,6 @@ import pytest
 
 from heavytail_pa import (
     DegenerateTail,
-    DerivativeMeasure,
     DomainError,
     InvalidParams,
     LimitDistribution,
@@ -133,9 +132,6 @@ COMPONENT_CALLS = {
     "density": lambda c: TailMeasure(CANONICAL).density(c, 1.0, 1.0),
     "rect_mass": lambda c: TailMeasure(CANONICAL).rect_mass(c, 1.0, 1.0),
     "marginal_mass_closed_form": lambda c: TailMeasure(CANONICAL).marginal_mass_closed_form(c, 1.0),
-    # delta_out = 5 keeps the order-3 out-marginal finite
-    "derivative_marginal_mass": lambda c: DerivativeMeasure(
-        ModelParams(0.3, 0.5, 0.2, 1.0, 5.0), 3).marginal_mass(c, 5.0),
 }
 
 
@@ -148,14 +144,8 @@ def test_component_must_be_the_integer_1_or_2(call, bad):
     if bad == "combined" and call in ("density", "rect_mass"):
         assert COMPONENT_CALLS[call](bad) > 0
         return
-    name = "margin" if call == "derivative_marginal_mass" else "component"
-    with pytest.raises(DomainError, match=f"^{name} must be"):
+    with pytest.raises(DomainError, match="^component must be"):
         COMPONENT_CALLS[call](bad)
-
-
-def test_a_bad_margin_is_reported_as_a_margin():
-    with pytest.raises(DomainError, match=r"^margin must be 1 or 2, got 3$"):
-        DerivativeMeasure(CANONICAL, 3).marginal_mass(3, 1.0)
 
 
 @pytest.mark.parametrize("call", sorted(COMPONENT_CALLS))

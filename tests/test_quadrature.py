@@ -63,7 +63,7 @@ def test_rule_refuses_a_level_past_the_node_budget():
     # rule once evaluated 5.4 times MAX_NODES and returned a value
     slow = build_derivative_measure(2, ModelParams(0.4510, 0.0997, 0.4493, 0.0743, 0.063264))
     with pytest.raises(QuadratureFailure, match="not converged"):
-        slow.marginal_mass(2, 10.0)
+        slow.rect_mass_below(math.inf, 10.0)
 
 
 def test_running_sum_past_the_float_range_is_a_failure():
@@ -162,9 +162,9 @@ def test_integrals_match_the_two_call_rule_bit_for_bit(monkeypatch, point):
         for s1, s2 in ((1.0, 1.0), (1e-2, 1e-3), (1e-4, 1e-2)):
             u.laplace(s1, s2)
         u.rect_mass_below(5.0, 7.0)
-        u.marginal_mass(1, 10.0)
+        u.rect_mass_below(10.0, math.inf)
         if k < d.alpha_in - 1.0 + d.a * params.delta_out:  # else the out-marginal is infinite
-            u.marginal_mass(2, 10.0)
+            u.rect_mass_below(math.inf, 10.0)
     assert len(compared) >= 15 + 3 * 5
 
 

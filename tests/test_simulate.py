@@ -385,14 +385,7 @@ def test_from_binary_rejects_ids_beyond_int32(tmp_path):
 
 def _read_peak(path):
     """The error from_binary raises on path, and the tracemalloc peak while it reads."""
-    tracemalloc.start()
-    try:
-        with pytest.raises((ResourceLimit, ValueError)) as err:
-            DirectedMultigraph.from_binary(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return err.value, peak
+    return traced_peak(lambda: DirectedMultigraph.from_binary(path), (ResourceLimit, ValueError))
 
 
 def test_from_binary_refuses_oversized_headers_before_allocating(tmp_path):
@@ -449,13 +442,7 @@ def test_constructor_refuses_bad_node_counts_before_allocating():
     for make in (DirectedMultigraph, lambda count: DirectedMultigraph(count, [0], [0])):
         with pytest.raises(ValueError):
             make(-1)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ResourceLimit):
-                make(NODE_BUDGET + 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: make(NODE_BUDGET + 1), ResourceLimit)
         assert peak < 2**20
 
 

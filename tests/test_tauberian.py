@@ -88,19 +88,19 @@ def test_partial_sums_diverge(deriv_measure):
 
 def test_marginal_mass_matches_row_sums(deriv_measure):
     table = dense_atoms(deriv_measure, 40, 3000)
-    series = deriv_measure.marginal_mass(1, 40)
+    series = deriv_measure.rect_mass_below(40, math.inf)
     assert series == pytest.approx(table.sum(), rel=1e-6)
 
 
 def test_out_marginal_infinite_at_k3(deriv_measure):
     # k = 3 >= alpha_in - 1 + a*delta_out = 2.75: column sums diverge
     with pytest.raises(DomainError, match="infinite"):
-        deriv_measure.marginal_mass(2, 5.0)
+        deriv_measure.rect_mass_below(math.inf, 5.0)
 
 
 def test_out_marginal_finite_at_k2(params):
     u2 = build_derivative_measure(2, params)
-    val = u2.marginal_mass(2, 10.0)
+    val = u2.rect_mass_below(math.inf, 10.0)
     table = dense_atoms(u2, 20000, 10)
     assert val > 0
     # column sums decay like i^(-1.75), so truncating the table at
@@ -124,7 +124,7 @@ def test_whole_section_leaves_the_window_floor(monkeypatch, point, k, value, bud
 
     monkeypatch.setattr(limit_dist, "trapezoid", counted)
     measure = build_derivative_measure(k, ModelParams(*point))
-    assert measure.marginal_mass(2, 10.0) == pytest.approx(value, rel=1e-12)
+    assert measure.rect_mass_below(math.inf, 10.0) == pytest.approx(value, rel=1e-12)
     assert sum(nodes) <= budget
 
 
@@ -147,7 +147,7 @@ def test_slow_out_marginal_matches_mpmath():
 
         want = float(const * mp.quad(f, _CUTS[:-1] + [100, 200, 400, 800, 1600, 3200, mp.inf]))
     assert want == pytest.approx(27050619.3182673, rel=1e-13)
-    got = build_derivative_measure(5, p).marginal_mass(2, 10)
+    got = build_derivative_measure(5, p).rect_mass_below(math.inf, 10)
     assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
@@ -281,12 +281,14 @@ def test_truncation_condition_derivative_measure(params, deriv_measure):
 
 def test_marginal_condition_counting_measure(params, scaling):
     """Unit weights on the axis give U_1(y) = floor(y) + 1, so the ratio is
-    b1(t/K) x / t to within one atom, i.e. O(1/t)."""
+    b1(t/K) x / t to within one atom, i.e. O(1/t); the row is the dense
+    in-marginal exactly."""
     u = LatticeMeasure(np.ones((30000, 1)))
     K = derivative_marginal_normalizer(params, 3)
     for r in marginal_check(params, t_grid=[1e4], measure=u)["rows"]:
         want = (1e4 / K) ** (1.0 / scaling.gamma1) * r["x"] / 1e4
         assert r["ratio"] == pytest.approx(want, abs=2.0 / 1e4)
+        assert r["ratio"] == u.marginal_mass(1, scaling.b1(1e4 / K) * r["x"]) / 1e4
         assert r["target"] == r["x"] ** scaling.gamma1
 
 
@@ -298,7 +300,8 @@ def test_marginal_rows_are_the_in_marginal_at_b1_of_t_over_k(deriv_measure, para
     assert len(rows) == 12
     for r in rows:
         t, x = r["t"], r["x"]
-        assert r["ratio"] == deriv_measure.marginal_mass(1, float(np.float64(t / K) ** (1 / g1)) * x) / t
+        b1 = float(np.float64(t / K) ** (1 / g1))
+        assert r["ratio"] == deriv_measure.rect_mass_below(b1 * x, math.inf) / t
         assert r["target"] == x**g1
 
 
@@ -317,7 +320,7 @@ def test_marginal_normalizer_matches_partial_sums(deriv_measure, params):
     K = derivative_marginal_normalizer(params, 3)
     g1 = 3 - 2.875 + 1.0
     X = 2e4
-    assert deriv_measure.marginal_mass(1, X) / X**g1 == pytest.approx(K, rel=0.02)
+    assert deriv_measure.rect_mass_below(X, math.inf) / X**g1 == pytest.approx(K, rel=0.02)
 
 
 def test_normalizer_refuses_k_below_the_order_bound(params):
