@@ -23,7 +23,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import DEFAULT_SEED, __version__
-from .errors import HeavytailError, QuadratureFailure
+from .errors import MAX_GRID_POINTS, HeavytailError, QuadratureFailure, ResourceLimit
 
 if TYPE_CHECKING:
     from .params import ModelParams
@@ -141,18 +141,28 @@ def _cmd_sample_limit(args) -> int:
     return 0
 
 
+def _check_grid_size(what: str, count: int) -> None:
+    if count > MAX_GRID_POINTS:
+        raise ResourceLimit(f"{what} has {count} points, past the grid cap {MAX_GRID_POINTS}")
+
+
 def _parse_points(spec: str, flag: str):
-    """Accept 'lo:hi:count' (log-spaced when lo > 0) or comma lists of finite numbers."""
+    """Accept 'lo:hi:count' (log-spaced when lo > 0) or comma lists of finite numbers;
+    the ends and the count are checked before numpy builds the grid."""
     import numpy as np
 
     try:
         if ":" in spec:
             lo, hi, count = spec.split(":")
             lo, hi, count = float(lo), float(hi), int(count)
-            if count < 1:
+            if count < 1 or not np.isfinite([lo, hi]).all() or (lo > 0 and hi <= 0):
                 raise ValueError
-            pts = np.geomspace(lo, hi, count) if lo > 0 else np.linspace(lo, hi, count)
+            _check_grid_size(flag, count)
+            # finite ends can still overflow linspace's step, which the check below refuses
+            with np.errstate(over="ignore", invalid="ignore"):
+                pts = np.geomspace(lo, hi, count) if lo > 0 else np.linspace(lo, hi, count)
         else:
+            _check_grid_size(flag, spec.count(",") + 1)
             pts = np.array([float(v) for v in spec.split(",")])
         if not np.isfinite(pts).all():
             raise ValueError
@@ -170,6 +180,7 @@ def _cmd_density(args) -> int:
     tm = TailMeasure(params)
     xs = _parse_points(args.grid_x, "--grid-x")
     ys = _parse_points(args.grid_y, "--grid-y")
+    _check_grid_size("the density grid", len(xs) * len(ys))
     component = args.component if args.component == "combined" else int(args.component)
     meta = _meta_lines(params)
     meta["component"] = component
@@ -252,10 +263,8 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-# verify's own flags, each a keyword of the tauberian.CHECKS functions that
-# take it; of the flags a check does not take, the first in this order is named
-_VERIFY_FLAGS = (("k", int), ("h_grid", str), ("rel_tol", float), ("t_grid", str),
-                 ("y_grid", str))
+# verify's own flags, each a keyword of the tauberian.CHECKS functions that take it
+_VERIFY_FLAGS = (("k", int), ("h_grid", str), ("t_grid", str))
 
 
 def _cmd_verify(args) -> int:

@@ -1,7 +1,7 @@
-"""Exception types shared across the package, and the two caps enforced
+"""Exception types shared across the package, and the three caps enforced
 with ResourceLimit: MAX_TABLE_CELLS, on a dense table in census and
-limit_dist, and PAIR_BUDGET, on the int32 pairs of a graph or a sample;
-this module loads without numpy."""
+limit_dist, PAIR_BUDGET, on the int32 pairs of a graph or a sample, and
+MAX_GRID_POINTS, on a grid the CLI parses; this module loads without numpy."""
 
 # cells of one dense table: at the cap 512 MiB as int32 counts (`JointCountTable.counts`),
 # 1 GiB as float64 (`JointPMF.box`, and limit_dist's `_balance_table` plus its padding)
@@ -9,6 +9,8 @@ MAX_TABLE_CELLS = 1 << 27
 # int32 pairs, 1.6 GB at the cap: the edges a graph grows to (growth.grow) and
 # the draws of one limit-law sample (LimitDistribution.sample)
 PAIR_BUDGET = 200_000_000
+# points of one CLI grid flag, and of density's x-by-y grid, checked before either is built
+MAX_GRID_POINTS = 1 << 20
 
 
 class HeavytailError(Exception):

@@ -225,27 +225,26 @@ def derivative_limit_rect(k: int, params: ModelParams, x: float, y: float) -> fl
 # Convergence in t cannot be observed at t = infinity; each check
 # computes a log-spaced trend.  uhat, measure and marginal share
 # _trend_check: along a strictly increasing grid, the final relative
-# error must be within rel_tol and the errors must fall strictly.
-# truncation bounds the tail ratio at the grid's largest y at every t.
-# verify --check names a check by its CHECKS key, and each of its flags
-# sets the function's keyword of the same name.
+# error must be within the check's fixed tolerance and the errors must
+# fall strictly.  truncation bounds the tail ratio at the largest y of
+# its fixed grid at every t.  verify --check names a check by its CHECKS
+# key, and each of its flags sets the function's keyword of the same name.
 
-# the fixed arguments of the checks, read when a check runs
+# the fixed arguments and gates of the checks, read when a check runs
 _UHAT_LAMBDAS = ((1.0, 1.0), (0.5, 2.0), (2.0, 0.5))
+_UHAT_REL_TOL = 0.05
 _MEASURE_POINTS = ((1.0, 1.0),)
+_MEASURE_REL_TOL = 0.10
 _TRUNCATION_X = (1.0, 1.0)
+_TRUNCATION_Y = (0.0, 1.0, 2.0, 4.0, 8.0)
 _TRUNCATION_RATIO_TOL = 0.01
 _MARGINAL_POINTS = ((0.5,), (1.0,), (2.0,))
+_MARGINAL_REL_TOL = 0.10
 
 
 def _nonempty(check: str, what: str, values) -> None:
     if len(values) == 0:
         raise DomainError(f"{check}: the {what} is empty")
-
-
-def _check_rel_tol(rel_tol: float) -> None:
-    if not 0 < rel_tol < math.inf:
-        raise DomainError(f"rel_tol must be positive and finite, got {rel_tol:g}")
 
 
 def _trend_check(check: str, keys, target, what: str, scaled, params: ModelParams, k: int,
@@ -266,8 +265,7 @@ def _trend_check(check: str, keys, target, what: str, scaled, params: ModelParam
     if not all(g2 > g1 for g1, g2 in zip(grid, grid[1:])):
         raise DomainError(f"{check}: the {grid_key} must be strictly increasing, got "
                           + ", ".join(f"{g:g}" for g in grid))
-    _check_rel_tol(rel_tol)
-    u = measure if measure is not None else build_derivative_measure(k, params)
+    u = measure if measure is not None else DerivativeMeasure(params, k)
     b = ScalingFunctions.for_derivative_measure(params, k)
     rows = []
     ok = True
@@ -295,32 +293,29 @@ def uhat_check(
     params: ModelParams,
     k: int = 3,
     h_grid=(1e2, 1e4, 1e6),
-    rel_tol: float = 0.05,
     measure: Optional[DerivativeMeasure] = None,
 ) -> dict:
     """Scaled transform of the derivative measure against its limit integral."""
     return _trend_check("uhat", ("h", "lambda1", "lambda2", "lhs", "rhs"), uhat_limit_rhs,
                         "the limit transform at lambda = ({:g}, {:g})", transform_scaling,
-                        params, k, _UHAT_LAMBDAS, h_grid, rel_tol, measure)
+                        params, k, _UHAT_LAMBDAS, h_grid, _UHAT_REL_TOL, measure)
 
 
 def measure_check(
     params: ModelParams,
     k: int = 3,
     t_grid=(1e2, 1e3, 1e4),
-    rel_tol: float = 0.10,
     measure: Optional[DerivativeMeasure] = None,
 ) -> dict:
     """Scaled rectangle masses against the limiting rectangle integral."""
     return _trend_check("measure", ("t", "x", "y", "value", "target"), derivative_limit_rect,
                         "the limit rectangle mass at ({:g}, {:g})", measure_scaling,
-                        params, k, _MEASURE_POINTS, t_grid, rel_tol, measure)
+                        params, k, _MEASURE_POINTS, t_grid, _MEASURE_REL_TOL, measure)
 
 
 def truncation_check(
     params: ModelParams,
     k: int = 3,
-    y_grid=(0.0, 1.0, 2.0, 4.0, 8.0),
     t_grid=(1e3, 1e4, 1e5),
     measure: Optional[DerivativeMeasure] = None,
 ) -> dict:
@@ -330,37 +325,28 @@ def truncation_check(
     scaled atoms outside the open box [0, y)^2, reporting the decay
     relative to the y = 0 value (the full transform).  The box cuts are
     floats: where y b_i(t) passes the float range the cut is inf, the
-    whole section, as it is for rect_mass_below.  The ratio at the
-    largest y of the grid must be at most 0.01 at every t.
+    whole section, as it is for rect_mass_below.  The y grid is fixed,
+    and the ratio at its largest y, the probe y = 8, must be at most 0.01
+    at every t.
     """
-    _nonempty("truncation", "y_grid", y_grid)
     _nonempty("truncation", "t_grid", t_grid)
-    u = measure if measure is not None else build_derivative_measure(k, params)
+    u = measure if measure is not None else DerivativeMeasure(params, k)
     b = ScalingFunctions.for_derivative_measure(params, k)
-    if any(y < 0 for y in y_grid):
-        raise DomainError("y grid must be nonnegative")
     x1, x2 = _TRUNCATION_X
+    positive = [y for y in _TRUNCATION_Y if y > 0]
     rows = []
     for t in t_grid:
         b1t, b2t = b.b1(t), b.b2(t)
         s1, s2 = 1.0 / (x1 * b1t), 1.0 / (x2 * b2t)
-        positive = [y for y in y_grid if y > 0]
         boxes = [(np.ceil(y * b1t), np.ceil(y * b2t)) for y in positive]
         full, box_vals = u.laplace(s1, s2, boxes)
         full /= t
         values = {0.0: full}
         for y, box in zip(positive, box_vals):
             values[y] = full - box / t
-        for y in y_grid:
-            rows.append(
-                {
-                    "t": t,
-                    "y": y,
-                    "value": values[y],
-                    "ratio_to_y0": values[y] / full if full > 0 else math.nan,
-                }
-            )
-    probe_y = float(max(y_grid))
+        rows += [{"t": t, "y": y, "value": values[y],
+                  "ratio_to_y0": values[y] / full if full > 0 else math.nan} for y in _TRUNCATION_Y]
+    probe_y = float(max(_TRUNCATION_Y))
     return {
         "check": "truncation",
         "k": k,
@@ -381,7 +367,6 @@ def marginal_check(
     params: ModelParams,
     k: int = 3,
     t_grid=(1e2, 1e3, 1e4, 1e5),
-    rel_tol: float = 0.10,
     measure: Optional[DerivativeMeasure] = None,
 ) -> dict:
     """In-marginal scaling ratios U_1(b1(t/K) x)/t at x = 0.5, 1, 2 against
@@ -394,7 +379,7 @@ def marginal_check(
 
     report = _trend_check("marginal", ("t", "x", "ratio", "target"), _marginal_target,
                           "the in-marginal limit at x = {:g}", scaled,
-                          params, k, _MARGINAL_POINTS, t_grid, rel_tol, measure)
+                          params, k, _MARGINAL_POINTS, t_grid, _MARGINAL_REL_TOL, measure)
     report["normalizer"] = norm
     return report
 

@@ -3,13 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 import scipy
 
-from heavytail_pa import QuadratureFailure, tail_measure, tauberian
+from heavytail_pa import QuadratureFailure, cli, tail_measure, tauberian
 from heavytail_pa.cli import main
+from heavytail_pa.errors import MAX_GRID_POINTS, ResourceLimit
 from heavytail_pa.csvfile import read_csv
 from conftest import traced_peak
 
@@ -126,8 +128,7 @@ def test_density_grid(tmp_path):
 def test_verify_uhat_reduced_grid(tmp_path):
     out = tmp_path / "verify.json"
     code = run(
-        ["verify", "--check", "uhat", "--k", "3", "--h-grid", "1e2,1e3",
-         "--rel-tol", "0.15", "--out", str(out)]
+        ["verify", "--check", "uhat", "--k", "3", "--h-grid", "1e2,1e4", "--out", str(out)]
     )
     assert code == 0
     payload = json.loads(out.read_text())
@@ -268,6 +269,68 @@ def test_bad_grid_is_an_error(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag, spec", [
+    (["density", "--grid-x", "1:-1:3"], "--grid-x", "1:-1:3"),
+    (["density", "--grid-y", "1:0:3"], "--grid-y", "1:0:3"),
+    (["verify", "--check", "measure", "--t-grid", "1e2:1e400:3"], "--t-grid", "1e2:1e400:3"),
+    (["density", "--grid-x=-1e308:1e308:3"], "--grid-x", "-1e308:1e308:3"),
+], ids=["log-end-negative", "log-end-zero", "end-past-float-range", "step-past-float-range"])
+def test_grid_ends_are_checked_before_numpy_runs(tmp_path, capsys, argv, flag, spec):
+    """A log grid ending at or below zero, or an end or step past the float
+    range, once printed numpy's RuntimeWarning before the error line."""
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {flag} {spec!r} is neither lo:hi:count with "
+                                       "count >= 1 nor a comma list of finite numbers\n")
+    assert not out.exists()
+
+
+def _refuse_large_grids(monkeypatch):
+    """Fail a test that builds a grid past the cap or evaluates a density."""
+    for name in ("geomspace", "linspace"):
+        spaced = getattr(np, name)
+
+        def guarded(lo, hi, count, *args, spaced=spaced, **kwargs):
+            assert count <= MAX_GRID_POINTS, "built a grid past the cap"
+            return spaced(lo, hi, count, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, guarded)
+    monkeypatch.setattr(tail_measure.TailMeasure, "density", _fail_numerically)
+
+
+CAP = MAX_GRID_POINTS
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["density", "--grid-x", f"1:2:{CAP + 1}"], f"--grid-x has {CAP + 1} points"),
+    (["verify", "--check", "measure", "--t-grid", f"0:1:{CAP + 1}"], f"--t-grid has {CAP + 1} points"),
+    (["verify", "--check", "uhat", "--h-grid", ",".join(["1"] * (CAP + 1))],
+     f"--h-grid has {CAP + 1} points"),
+    (["density", "--grid-x", "1:2:1024", "--grid-y", "1:2:1025"],
+     f"the density grid has {1024 * 1025} points"),
+], ids=["log-count", "linear-count", "comma-list", "density-product"])
+def test_a_grid_past_the_cap_is_refused(tmp_path, capsys, monkeypatch, argv, message):
+    """A count of 10000000000 once asked np.geomspace for 80 GB, and density
+    listed its x-by-y jobs before the first integral; a grid past the cap is
+    refused before either."""
+    _refuse_large_grids(monkeypatch)
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}, past the grid cap {CAP}\n"
+    assert not out.exists()
+
+
+def test_a_grid_at_the_cap_is_parsed(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 4)
+    assert cli._parse_points("1:8:4", "--t-grid") == [1.0, 2.0, 4.0, 8.0]
+    assert cli._parse_points("0,1,2,3", "--t-grid") == [0.0, 1.0, 2.0, 3.0]
+    for spec in ("1:8:5", "0,1,2,3,4"):
+        with pytest.raises(ResourceLimit, match="--t-grid has 5 points, past the grid cap 4"):
+            cli._parse_points(spec, "--t-grid")
+
+
 def test_density_at_high_alpha_in(tmp_path):
     # alpha_in = 28.5: the density integrand only stays finite in log space
     out = tmp_path / "density.csv"
@@ -280,18 +343,17 @@ def test_density_at_high_alpha_in(tmp_path):
 
 
 # a valid value for each verify flag but --k, which every check takes
-VERIFY_FLAG_VALUES = {"--h-grid": "1,2", "--rel-tol": "1e-12", "--t-grid": "1,2", "--y-grid": "0,1"}
+VERIFY_FLAG_VALUES = {"--h-grid": "1,2", "--t-grid": "1,2"}
 
 
 def _refused_flag_cases() -> dict:
-    """One case per (check, flag its function has no keyword for), and one with two such flags."""
-    cases = {"uhat-t-grid": (["--check", "uhat", "--t-grid", "1,2", "--y-grid", "0,1"], "--t-grid")}
+    """One case per (check, flag its function has no keyword for)."""
+    cases = {}
     for check, fn in tauberian.CHECKS.items():
         keywords = inspect.signature(fn).parameters
         for flag, value in VERIFY_FLAG_VALUES.items():
-            case_id = f"{check}-{flag[2:]}"
-            if flag[2:].replace("-", "_") not in keywords and case_id not in cases:
-                cases[case_id] = (["--check", check, flag, value], flag)
+            if flag[2:].replace("-", "_") not in keywords:
+                cases[f"{check}-{flag[2:]}"] = (["--check", check, flag, value], flag)
     return cases
 
 
@@ -332,21 +394,14 @@ def test_verify_rejects_a_grid_that_does_not_increase(tmp_path, capsys, check, g
     assert not out.exists()
 
 
-@pytest.mark.parametrize("check", ["uhat", "measure", "marginal"])
-def test_verify_rejects_a_rel_tol_that_is_not_positive(tmp_path, capsys, check):
-    out = tmp_path / "v.json"
-    assert run(["verify", "--check", check, "--rel-tol", "-1", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: rel_tol must be positive and finite") and "Traceback" not in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("y_grid, probe_y, code", [("0,1,2", 2.0, 2), ("0,4,16", 16.0, 0)],
+@pytest.mark.parametrize("y_grid, probe_y, code", [((0.0, 1.0, 2.0), 2.0, 2),
+                                                   ((0.0, 4.0, 16.0), 16.0, 0)],
                          ids=["fails-at-y-2", "passes-at-y-16"])
-def test_verify_truncation_probes_the_largest_y(tmp_path, y_grid, probe_y, code):
+def test_verify_truncation_probes_the_largest_y(tmp_path, monkeypatch, y_grid, probe_y, code):
     """The verdict comes from the rows at the grid's largest y, one per t."""
+    monkeypatch.setattr(tauberian, "_TRUNCATION_Y", y_grid)
     out = tmp_path / "v.json"
-    assert run(["verify", "--check", "truncation", "--y-grid", y_grid, "--out", str(out)]) == code
+    assert run(["verify", "--check", "truncation", "--out", str(out)]) == code
     report = json.loads(out.read_text())
     assert report["probe_y"] == probe_y
     ratios = [r["ratio_to_y0"] for r in report["rows"] if r["y"] == probe_y]
@@ -356,16 +411,17 @@ def test_verify_truncation_probes_the_largest_y(tmp_path, y_grid, probe_y, code)
 
 
 def test_verify_truncation_takes_a_cut_past_the_float_range(tmp_path, capsys):
-    """At k = 2 and t = 911485.99, b1(t) = 3.98e307, so the cut b1(t) y at y = 100
-    is inf, the whole section, as it is for the measure and marginal checks;
-    an integer ceiling of it raised a raw OverflowError."""
+    """At k = 2 and t = 911485.99, b1(t) = 3.98e307, so the in-cut b1(t) y at
+    the probe y = 8 is inf, the whole section, as it is for the measure and
+    marginal checks; an integer ceiling of it raised a raw OverflowError."""
     out = tmp_path / "v.json"
     argv = ["verify", "--check", "truncation", "--delta-in", "1.169", "--k", "2",
-            "--t-grid", "911485.9947920665", "--y-grid", "0,100", "--out", str(out)]
+            "--t-grid", "911485.9947920665", "--out", str(out)]
     assert run(argv) == 0
     assert "Traceback" not in capsys.readouterr().err
     rows = json.loads(out.read_text())["rows"]
-    assert [(r["y"], r["ratio_to_y0"]) for r in rows] == [(0.0, 1.0), (100.0, 0.0)]
+    assert [r["y"] for r in rows] == [0.0, 1.0, 2.0, 4.0, 8.0]
+    assert rows[0]["ratio_to_y0"] == 1.0 and 0.0 < rows[-1]["ratio_to_y0"] < 1e-9
 
 
 HIGH_ALPHA_IN_FLAGS = ["--alpha", "0.1", "--beta", "0.1", "--gamma", "0.8", "--delta-in", "5"]
@@ -445,7 +501,8 @@ REQUIRED_FLAGS = {
 UNREAD_FLAGS = ([(command, "--tolerance") for command in REQUIRED_FLAGS]
                 + [(command, "--seed") for command in
                    ("analytic-pmf", "density", "angular", "compare", "verify")]
-                + [("estimate", "--method"), ("estimate", "--i-min")])
+                + [("estimate", "--method"), ("estimate", "--i-min")]
+                + [("verify", "--rel-tol"), ("verify", "--y-grid")])
 
 
 @pytest.mark.parametrize("command, flag", UNREAD_FLAGS, ids=[" ".join(c) for c in UNREAD_FLAGS])
@@ -453,7 +510,8 @@ def test_a_flag_no_output_reads_is_a_usage_error(capsys, command, flag):
     """No subcommand takes --tolerance, and only simulate and sample-limit,
     which draw, take --seed: each once was accepted and changed nothing.
     estimate runs Hill alone, so the log-log fit's --method and --i-min
-    are gone with it."""
+    are gone with it; verify's gates are fixed in its checks, so --rel-tol
+    and --y-grid are gone too."""
     with pytest.raises(SystemExit) as exc:
         run([command, *REQUIRED_FLAGS[command], flag, "1"])
     assert exc.value.code == 1
@@ -649,8 +707,7 @@ usage: heavytail-pa verify [-h] [--params PARAMS] [--alpha ALPHA]
                            [--beta BETA] [--gamma GAMMA] [--delta-in DELTA_IN]
                            [--delta-out DELTA_OUT] --check
                            {uhat,measure,truncation,marginal} [--k K]
-                           [--h-grid H_GRID] [--rel-tol REL_TOL]
-                           [--t-grid T_GRID] [--y-grid Y_GRID] [--out OUT]
+                           [--h-grid H_GRID] [--t-grid T_GRID] [--out OUT]
 """
 VERIFY_OPTIONS = """
 options:
@@ -664,9 +721,7 @@ options:
   --check {uhat,measure,truncation,marginal}
   --k K
   --h-grid H_GRID
-  --rel-tol REL_TOL
   --t-grid T_GRID
-  --y-grid Y_GRID
   --out OUT
 """
 

@@ -265,16 +265,16 @@ def test_tauberian_direction_pairing(deriv_measure, params, scaling):
 
 def test_truncation_condition_finite_support(params, scaling):
     u = LatticeMeasure.from_dict({(0, 0): 1.0, (3, 2): 2.0})
-    rows = truncation_check(params, y_grid=[0.0, 10.0], t_grid=[2.0], measure=u)["rows"]
+    rows = truncation_check(params, t_grid=[2.0], measure=u)["rows"]
     by_y = {r["y"]: r for r in rows}
-    # y = 0 covers the whole domain; b(t) y = (18.5, 17.1) exceeds the support
+    # y = 0 covers the whole domain; at the probe y = 8, b(t) y = (14.8, 13.7) exceeds the support
     full = u.laplace(1.0 / scaling.b1(2.0), 1.0 / scaling.b2(2.0))[0] / 2.0
     assert by_y[0.0]["value"] == pytest.approx(full)
-    assert by_y[10.0]["value"] == 0.0
+    assert by_y[8.0]["value"] == 0.0
 
 
 def test_truncation_condition_derivative_measure(params, deriv_measure):
-    rows = truncation_check(params, y_grid=[0.0, 8.0], t_grid=[1e3], measure=deriv_measure)["rows"]
+    rows = truncation_check(params, t_grid=[1e3], measure=deriv_measure)["rows"]
     by_y = {r["y"]: r for r in rows}
     assert by_y[8.0]["ratio_to_y0"] < 0.01
 
@@ -545,6 +545,17 @@ def test_zero_target_is_a_quadrature_failure(params, monkeypatch):
     assert report["rows"][0]["rhs"] == pytest.approx(1.1275332531830461e-248, rel=1e-12)
 
 
+def test_a_trend_gate_is_read_when_its_check_runs(params, deriv_measure, monkeypatch):
+    """A check's tolerance is a module constant, not a keyword: a tighter
+    one patched in fails the same rows."""
+    for check, name in ((uhat_check, "_UHAT_REL_TOL"), (measure_check, "_MEASURE_REL_TOL"),
+                        (marginal_check, "_MARGINAL_REL_TOL")):
+        rows = check(params, measure=deriv_measure)["rows"]
+        monkeypatch.setattr(tauberian, name, 1e-9)
+        report = check(params, measure=deriv_measure)
+        assert (report["rel_tol"], report["passed"], report["rows"]) == (1e-9, False, rows)
+
+
 def test_scaling_overflow_is_a_domain_error():
     b = ScalingFunctions.for_derivative_measure(ModelParams(0.1, 0.1, 0.8, 5.0, 1.0), 28)
     assert math.isfinite(b.b2(1e6))
@@ -595,15 +606,17 @@ REPORT_LAYOUT = {
 
 def test_check_reports_keep_their_layout(params, deriv_measure):
     assert list(CHECKS) == list(REPORT_LAYOUT)
-    for name, check in CHECKS.items():
-        report = check(params, measure=deriv_measure)
+    reports = {name: check(params, measure=deriv_measure) for name, check in CHECKS.items()}
+    for name, report in reports.items():
         report_keys, row_keys = REPORT_LAYOUT[name]
         assert tuple(report) == report_keys
         assert report["check"] == name and report["passed"] is True
         assert all(tuple(row) == row_keys for row in report["rows"])
-    trunc = truncation_check(params, measure=deriv_measure)
+    trunc = reports["truncation"]
     assert (trunc["x"], trunc["probe_y"], trunc["ratio_tol"]) == ([1.0, 1.0], 8.0, 0.01)
-    marg = marginal_check(params, measure=deriv_measure)
+    assert [r["y"] for r in trunc["rows"][:5]] == [0.0, 1.0, 2.0, 4.0, 8.0]
+    assert [reports[name]["rel_tol"] for name in ("uhat", "measure", "marginal")] == [0.05, 0.10, 0.10]
+    marg = reports["marginal"]
     assert marg["normalizer"] == derivative_marginal_normalizer(params, 3)
     assert [(r["x"], r["t"]) for r in marg["rows"]] == [
         (x, t) for x in (0.5, 1.0, 2.0) for t in marg["t_grid"]]
@@ -612,7 +625,6 @@ def test_check_reports_keep_their_layout(params, deriv_measure):
 @pytest.mark.parametrize("call, message", [
     (lambda p: uhat_check(p, h_grid=()), "is empty"),
     (lambda p: measure_check(p, t_grid=()), "is empty"),
-    (lambda p: truncation_check(p, y_grid=()), "is empty"),
     (lambda p: truncation_check(p, t_grid=()), "is empty"),
     (lambda p: marginal_check(p, t_grid=()), "is empty"),
     (lambda p: uhat_check(p, h_grid=(1e6, 1e4, 1e2)), "h_grid must be strictly increasing"),
@@ -621,7 +633,6 @@ def test_check_reports_keep_their_layout(params, deriv_measure):
     (lambda p: measure_check(p, t_grid=(1e2, 1e3, 1e3)), "t_grid must be strictly increasing"),
     (lambda p: marginal_check(p, t_grid=(1e5, 1e2)), "t_grid must be strictly increasing"),
     (lambda p: marginal_check(p, t_grid=(1e3, 1e3)), "t_grid must be strictly increasing"),
-    (lambda p: truncation_check(p, y_grid=(0.0, -1.0)), "y grid must be nonnegative"),
     (lambda p: measure_scaling(build_derivative_measure(3, p),
                                ScalingFunctions.for_derivative_measure(p, 3), 10.0, -1.0, 1.0),
      "corners must be nonnegative"),
@@ -631,24 +642,16 @@ def test_check_reports_keep_their_layout(params, deriv_measure):
                                  ScalingFunctions.for_derivative_measure(p, 3), 10.0, 0.0, 1.0),
      "decay parameters must be positive"),
     (lambda p: uhat_limit_rhs(3, p, 1.0, -1.0), "decay parameters must be positive"),
-], ids=["uhat-h", "measure-t", "truncation-y", "truncation-t",
+], ids=["uhat-h", "measure-t", "truncation-t",
         "marginal-t", "uhat-h-descending", "uhat-h-repeated", "measure-t-descending",
         "measure-t-repeated", "marginal-t-descending", "marginal-t-repeated",
-        "truncation-negative-y", "measure-scaling-negative-corner", "limit-rect-zero-corner",
+        "measure-scaling-negative-corner", "limit-rect-zero-corner",
         "laplace-zero-decay", "transform-zero-decay", "limit-transform-negative-decay"])
 def test_empty_grid_is_a_domain_error(params, call, message):
     """An empty or non-increasing grid, and any other argument outside a
     check's or a scaling function's domain, is refused as a DomainError."""
     with pytest.raises(DomainError, match=message):
         call(params)
-
-
-@pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.inf, math.nan])
-@pytest.mark.parametrize("check", [uhat_check, measure_check, marginal_check],
-                         ids=["uhat", "measure", "marginal"])
-def test_rel_tol_must_be_positive_and_finite(params, check, rel_tol):
-    with pytest.raises(DomainError, match="rel_tol must be positive and finite"):
-        check(params, rel_tol=rel_tol)
 
 
 @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
