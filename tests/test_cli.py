@@ -344,6 +344,8 @@ def test_density_at_high_alpha_in(tmp_path):
 
 # a valid value for each verify flag but --k, which every check takes
 VERIFY_FLAG_VALUES = {"--h-grid": "1,2", "--t-grid": "1,2"}
+# flags verify once took: the gates are fixed in the checks, so no check takes them
+DELETED_VERIFY_FLAGS = {"--rel-tol": "1e-12", "--y-grid": "0,1"}
 
 
 def _refused_flag_cases() -> dict:
@@ -351,7 +353,7 @@ def _refused_flag_cases() -> dict:
     cases = {}
     for check, fn in tauberian.CHECKS.items():
         keywords = inspect.signature(fn).parameters
-        for flag, value in VERIFY_FLAG_VALUES.items():
+        for flag, value in {**VERIFY_FLAG_VALUES, **DELETED_VERIFY_FLAGS}.items():
             if flag[2:].replace("-", "_") not in keywords:
                 cases[f"{check}-{flag[2:]}"] = (["--check", check, flag, value], flag)
     return cases
@@ -362,10 +364,19 @@ REFUSED_FLAG_CASES = _refused_flag_cases()
 
 @pytest.mark.parametrize("argv, flag", list(REFUSED_FLAG_CASES.values()), ids=list(REFUSED_FLAG_CASES))
 def test_verify_rejects_flags_its_check_does_not_take(tmp_path, capsys, argv, flag):
-    assert run(["verify", *argv, "--out", str(tmp_path / "v.json")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and flag in err and f"--check {argv[1]}" in err
-    assert not (tmp_path / "v.json").exists()
+    """A flag another check takes names the check that lacks it; a deleted
+    flag is a usage error under every check."""
+    out = tmp_path / "v.json"
+    if flag in DELETED_VERIFY_FLAGS:
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", *argv, "--out", str(out)])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    else:
+        assert run(["verify", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err and f"--check {argv[1]}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("t", ["0", "-1"])
@@ -391,6 +402,19 @@ def test_verify_rejects_a_grid_that_does_not_increase(tmp_path, capsys, check, g
     err = capsys.readouterr().err
     assert err.startswith(f"error: {check}: the {grid[2:].replace('-', '_')} must be strictly "
                           f"increasing") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("check", ["uhat", "measure", "marginal"])
+def test_verify_rejects_a_rel_tol_that_is_not_positive(tmp_path, capsys, check):
+    """--rel-tol -1 was once refused by value; now the gate is fixed in the
+    check, so --rel-tol of any value is a usage error and writes nothing."""
+    out = tmp_path / "v.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--check", check, "--rel-tol", "-1", "--out", str(out)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --rel-tol -1" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -654,6 +654,19 @@ def test_empty_grid_is_a_domain_error(params, call, message):
         call(params)
 
 
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("check, name", [(uhat_check, "_UHAT_REL_TOL"),
+                                         (measure_check, "_MEASURE_REL_TOL"),
+                                         (marginal_check, "_MARGINAL_REL_TOL")],
+                         ids=["uhat", "measure", "marginal"])
+def test_rel_tol_must_be_positive_and_finite(params, check, name, rel_tol):
+    """The gate is a positive, finite module constant; a caller cannot pass
+    another, so no rel_tol of any value reaches the check."""
+    assert 0.0 < getattr(tauberian, name) < math.inf
+    with pytest.raises(TypeError, match="rel_tol"):
+        check(params, rel_tol=rel_tol)
+
+
 @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
 def test_scaling_at_a_t_that_is_not_positive_is_a_domain_error(scaling, t):
     for b in (scaling.b1, scaling.b2):
